@@ -62,6 +62,14 @@ class ConfigError(ValueError):
     """The run configuration is invalid."""
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
 @dataclass
 class RunConfig:
     family: dict = dc_field(default_factory=lambda: {"variant": "sphere"})
@@ -89,6 +97,9 @@ class RunConfig:
         unknown = set(data) - set(cls.KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("checks", "path_plan", "eps_list"):
+            if not isinstance(data.get(key, ()), (list, tuple)):
+                raise ConfigError(f"{key} must be a list")
         cfg = cls(**{k: data[k] for k in data})
         cfg.checks = tuple(cfg.checks)
         cfg.path_plan = tuple(cfg.path_plan)
@@ -97,34 +108,43 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if not isinstance(self.resolution, int) or self.resolution < 5 \
+        if not isinstance(self.family, dict):
+            raise ConfigError("family must be an object")
+        if not _is_int(self.resolution) or self.resolution < 5 \
                 or self.resolution % 2 == 0:
             raise ConfigError("resolution must be an odd integer >= 5")
-        if not 1.0 < self.extent < 1.8:
+        if not _is_positive(self.extent) or not 1.0 < self.extent < 1.8:
             raise ConfigError("extent must lie in (1, 1.8)")
-        if self.chart not in (0, 1):
+        if not _is_int(self.chart) or self.chart not in (0, 1):
             raise ConfigError("chart must be 0 or 1")
         for name in self.checks:
             if name not in VALID_CHECKS:
                 raise ConfigError(f"unknown check {name!r}; valid: "
                                   f"{', '.join(VALID_CHECKS)}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object")
         for name, tol in self.tolerances.items():
             if name not in VALID_CHECKS and name != "reconstruct":
                 raise ConfigError(f"tolerance for unknown check {name!r}")
-            if not tol > 0:
+            if not _is_positive(tol):
                 raise ConfigError("tolerances must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.diameter is not None and not self.diameter > 0:
+        if self.diameter is not None and not _is_positive(self.diameter):
             raise ConfigError("diameter must be positive when given")
-        if self.theta is not None and not self.theta > 0:
+        if self.theta is not None and not _is_positive(self.theta):
             raise ConfigError("theta must be positive when given")
-        if not self.h > 0:
+        if not _is_positive(self.h):
             raise ConfigError("step size h must be positive")
-        if sorted(self.path_plan) != [0, 1, 2]:
+        if not all(_is_int(p) for p in self.path_plan) \
+                or sorted(self.path_plan) != [0, 1, 2]:
             raise ConfigError("path_plan must be a permutation of (0, 1, 2)")
-        if not self.eps_list or any(not e > 0 for e in self.eps_list):
+        if not self.eps_list or not all(_is_positive(e) for e in self.eps_list):
             raise ConfigError("eps_list must be nonempty and positive")
+        if not isinstance(self.compare_truth, bool):
+            raise ConfigError("compare_truth must be true or false")
+        if not all(isinstance(p, (str, type(None))) for p in (self.out, self.grid_dump)):
+            raise ConfigError("out and grid_dump must be path strings")
 
     # out and grid_dump route output, they do not shape it; leaving them
     # out keeps reports byte-identical across different destinations.
@@ -165,6 +185,8 @@ class RunConfig:
             raise ConfigError(f"bad family parameters: {exc}") from None
         if spec:
             raise ConfigError(f"unused family keys: {sorted(spec)}")
+        if not _is_int(fam.dim) or fam.dim not in (2, 3):
+            raise ConfigError(f"family dimension must be 2 or 3, got {fam.dim!r}")
         return fam
 
 
@@ -220,10 +242,6 @@ def canonical_json(obj, indent=0):
     if obj is None:
         return "null"
     return json.dumps(obj)
-
-
-def _inline(obj):
-    return " ".join(canonical_json(_plain(obj)).split())
 
 
 def render_text(report):

@@ -24,12 +24,14 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from .errors import ConvergenceError, DomainError, IntegrationError, ObstructionError
-from .intrinsic import MetricJet, covariant_antisym, curvature
+from .intrinsic import MetricJet, covariant_antisym, curvature, frame_transform
 from .jets import Jet
+from .matmap import _gaps_closed_form_3
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
     ball_grid,
+    induced_metric,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -39,23 +41,11 @@ SOLVE_RESIDUAL_LIMIT = 1e-9
 
 def metric_jets(family, chart, pts, order=4) -> MetricJet:
     """Induced-metric jets of the family at chart points, any order >= 1."""
-    pts = np.asarray(pts, dtype=float)
-    n = family.dim
-    amb = family.ambient_jets(chart, pts, order=order + 1)
-    tangent = [[x.derivative(i) for x in amb] for i in range(n)]
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = None
-            for a in range(n + 1):
-                t = tangent[i][a] * tangent[j][a]
-                acc = t if acc is None else acc + t
-            entries[i][j] = entries[j][i] = acc
-    return MetricJet(entries)
+    return MetricJet(induced_metric(family.ambient_jets(chart, pts, order=order + 1)))
 
 
 class IntrinsicField:
-    """Metric jets plus Ricci jets over one chart grid.
+    """Metric jets plus Ricci jets and Christoffel values over one chart grid.
 
     Ricci is always derived from the metric's own curvature, so the two are
     consistent by construction; an optional perturbation (jet-valued
@@ -64,12 +54,13 @@ class IntrinsicField:
     evaluable between grid nodes, which reconstruction needs.
     """
 
-    def __init__(self, chart, coords, metric, ricci_jet, family=None,
+    def __init__(self, chart, coords, metric, ricci_jet, christoffel, family=None,
                  perturbation=None):
         self.chart = chart
         self.coords = np.asarray(coords, dtype=float)
         self.metric = metric
         self.ricci_jet = ricci_jet
+        self.christoffel = christoffel
         self.family = family
         self.perturbation = perturbation
         if self.coords.shape[-1] != metric.n:
@@ -92,7 +83,7 @@ class IntrinsicField:
         rj = cs.ricci_jet
         if perturbation is not None:
             rj = rj + perturbation(coords, rj.order)
-        return cls(chart, coords, metric, rj, family=family,
+        return cls(chart, coords, metric, rj, cs.christoffel, family=family,
                    perturbation=perturbation)
 
     @classmethod
@@ -100,12 +91,6 @@ class IntrinsicField:
         mj = metric_jets(family, chart, pts, order=order)
         return cls.from_metric(mj, chart, pts, family=family,
                                perturbation=perturbation)
-
-    @classmethod
-    def from_arrays(cls, chart, coords, metric_coeffs):
-        """Rebuild a field from stored metric jet coefficients."""
-        mj = MetricJet.from_coeff_array(np.asarray(metric_coeffs, float), nvars=3)
-        return cls.from_metric(mj, chart, coords)
 
     def perturbed(self, perturbation):
         return IntrinsicField.from_metric(self.metric, self.chart, self.coords,
@@ -147,27 +132,25 @@ def _frame_chi(g, ric):
     Returns (chi, frame_chi, frame_ric, gaps); gaps is min_i(sum mu - 2 mu_i)
     per point, nonpositive where the input leaves the solvable cone.
     """
-    chol = np.linalg.cholesky(g)
-    inv = np.linalg.inv(chol)
-    ric_f = inv @ ric @ np.swapaxes(inv, -1, -2)
+    chol, _, ric_f = frame_transform(g, ric)
     ric_f = 0.5 * (ric_f + np.swapaxes(ric_f, -1, -2))
     mu, q = np.linalg.eigh(ric_f)
     t = np.sum(mu, axis=-1, keepdims=True) - 2.0 * mu
     gaps = np.minimum(t.min(axis=-1), np.where(mu[..., 0] > 0, np.inf, 0.0))
-    ok = gaps > 0
-    safe_t = np.where(ok[..., None], t, 1.0)
-    lam = np.sqrt(np.prod(safe_t, axis=-1, keepdims=True) / 2.0) / safe_t
+    lam = _gaps_closed_form_3(np.where((gaps > 0)[..., None], mu, 1.0))
     a = (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
     chi = chol @ a @ np.swapaxes(chol, -1, -2)
     return chi, a, ric_f, gaps
 
 
-def _chi_values(field, g, ric):
+def _chi_values(g, ric, chart, coords):
+    """_frame_chi, raising ObstructionError at the first of the chart points
+    coords whose Ricci leaves the solvable cone."""
     chi, a, ric_f, gaps = _frame_chi(g, ric)
-    bad = np.nonzero(gaps <= 0)
-    if bad[0].size:
-        k = int(bad[0][0])
-        where = field.location(k)
+    bad = np.nonzero(gaps <= 0)[0]
+    if bad.size:
+        k = int(bad[0])
+        where = {"chart": chart, "coords": [float(c) for c in coords[k]]}
         raise ObstructionError(
             f"Ricci leaves the solvable cone at chart {where['chart']}, "
             f"coords {where['coords']}: eps-gap {gaps[k]:.6g}",
@@ -199,8 +182,7 @@ def _chi_derivatives(field, chi, ginv):
     the right side uses exact jet partials of g and Ricci.
     """
     n = field.n
-    gjet = field.metric.as_jet()
-    dg = np.stack([gjet.derivative(k).value for k in range(n)], axis=-1)
+    dg = np.stack([field.metric.jet.derivative(k).value for k in range(n)], axis=-1)
     dric = np.stack([field.ricci_jet.derivative(k).value for k in range(n)],
                     axis=-1)
     dginv = -np.einsum("...ab,...bck,...cd->...adk", ginv, dg, ginv)
@@ -261,7 +243,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     """
     g = field.g()
     ric = field.ricci
-    chi, a, ric_f, gaps = _chi_values(field, g, ric)
+    chi, a, ric_f, gaps = _chi_values(g, ric, field.chart, field.coords)
     ginv = np.linalg.inv(g)
     tau = np.einsum("...ab,...ba->...", ginv, chi)
     res = tau[..., None, None] * chi - chi @ ginv @ chi - ric
@@ -284,23 +266,14 @@ def _continuous_data(field, pts):
     ric = cs.ricci
     if field.perturbation is not None:
         ric = ric + field.perturbation(pts, 1).value
-    g = cs.metric
-    chi, _, _, gaps = _frame_chi(g, ric)
-    if np.any(gaps <= 0):
-        k = int(np.nonzero(gaps <= 0)[0][0])
-        raise ObstructionError(
-            f"Ricci leaves the solvable cone at coords {pts[k].tolist()}",
-            point={"chart": field.chart, "coords": pts[k].tolist()},
-            margin=float(gaps[k]),
-        )
-    return g, mj.christoffel_values(), chi
+    return cs.metric, cs.christoffel, _chi_values(cs.metric, ric, field.chart, pts)[0]
 
 
 # ------------------------------------------------- Codazzi embeddability
 
 def codazzi_residual_field(field: IntrinsicField, chi: ChiField):
     """Per-point max-norm of chi_{ij;k} - chi_{ik;j}."""
-    out = covariant_antisym(field.metric, chi.as_jet())
+    out = covariant_antisym(field.christoffel, chi.as_jet())
     return np.abs(out).max(axis=(-3, -2, -1))
 
 
@@ -421,16 +394,6 @@ class Reconstruction:
     plan: tuple
     h: float
     drift_limit: float
-
-    def sphere_fit(self):
-        """Least-squares center and radii statistics of the point cloud."""
-        x = self.X
-        a = np.concatenate([2.0 * x, np.ones((x.shape[0], 1))], axis=1)
-        b = np.sum(x**2, axis=1)
-        sol = np.linalg.lstsq(a, b, rcond=None)[0]
-        center = sol[:-1]
-        radii = np.linalg.norm(x - center, axis=1)
-        return center, float(radii.mean()), float(np.abs(radii - radii.mean()).max())
 
 
 def _rhs(axis, gamma, chi, ginv, e, nrm):

@@ -5,6 +5,13 @@ and Ricci tensors, scalar curvature and its Laplacian, sectional-curvature
 ranges, covariant derivatives of symmetric 2-tensors, and a shortest-path
 estimate of the diameter of a two-chart geometry.
 
+Storage.  Every tensor field is one Jet whose trailing batch axes are its
+slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
+(n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet, the Riemann
+tensor an (n, n, n, n)-slot Jet and Ricci an (n, n)-slot Jet.  Products are
+formed one slot entry at a time, once per independent entry, on views of
+those arrays.
+
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  The lowered
 curvature tensor riemann[..., i, j, k, l] contracts with u^i v^j u^k v^l to
 the (unnormalized) sectional numerator of the plane spanned by u and v; on
@@ -30,135 +37,102 @@ from .jets import Jet
 DEFAULT_EXTENT = 1.2
 
 
-def _stack_jets(entries):
-    """Nested [i][j] lists of equal-shape Jets -> one Jet with (.., n, n) batch."""
-    rows = [np.stack([e.coeffs for e in row], axis=-2) for row in entries]
-    proto = entries[0][0]
-    return Jet(proto.nvars, proto.order, np.stack(rows, axis=-3))
+def _mirror_upper(coeffs):
+    """Copy the upper triangle of the last two slot axes of a coefficient
+    array (..., n, n, monomial) onto the lower triangle, in place."""
+    lo = np.tril_indices(coeffs.shape[-2], -1)
+    coeffs[..., lo[0], lo[1], :] = coeffs[..., lo[1], lo[0], :]
+    return coeffs
 
 
 class MetricJet:
     """Symmetric positive-definite metric with Taylor data at grid points.
 
-    entries[i][j] are Jets sharing a common batch shape.  The constructor
-    validates symmetry and positive-definiteness of the value matrices.
+    jet is one Jet in n variables whose trailing batch axes are the (n, n)
+    metric slots.  The constructor validates symmetry and positive
+    definiteness of the value matrices, and mirrors the upper triangle onto
+    the lower one so symmetry is exact downstream.
     """
 
-    def __init__(self, entries):
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("metric entries must form a square array")
-        proto = entries[0][0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not np.allclose(entries[i][j].coeffs, entries[j][i].coeffs,
-                                   rtol=1e-8, atol=1e-10):
-                    raise ValueError(f"metric jets not symmetric in slot ({i},{j})")
-        # share one object per unordered pair so symmetry is exact downstream
-        self.entries = tuple(
-            tuple(entries[i][j] if i <= j else entries[j][i] for j in range(n))
-            for i in range(n)
-        )
+    def __init__(self, jet):
+        n = jet.nvars
+        if jet.batch_shape[-2:] != (n, n):
+            raise ValueError(f"metric jet in {n} variables needs trailing ({n}, {n}) "
+                             f"slot axes, got batch shape {jet.batch_shape}")
+        coeffs = jet.coeffs
+        lo = np.tril_indices(n, -1)
+        if not np.allclose(coeffs[..., lo[1], lo[0], :], coeffs[..., lo[0], lo[1], :],
+                           rtol=1e-8, atol=1e-10):
+            raise ValueError("metric jets are not symmetric")
+        self.jet = Jet.zeros(jet.batch_shape[:-2], (n, n), n, jet.order)
+        self.jet.coeffs[...] = coeffs
+        _mirror_upper(self.jet.coeffs)
         self.n = n
-        self.order = proto.order
-        self.nvars = proto.nvars
-        if self.nvars != n:
-            raise ValueError(f"{n}x{n} metric needs jets in {n} variables, got {self.nvars}")
-        vals = self.values()
+        self.order = jet.order
         try:
-            np.linalg.cholesky(vals)
+            np.linalg.cholesky(self.values())
         except np.linalg.LinAlgError:
             raise DomainError("metric is not positive definite") from None
         self._inv = None
-        self._gamma = None
-
-    @classmethod
-    def from_coeff_array(cls, coeffs, nvars):
-        """Build from an array shaped (..., n, n, nmono)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        n = coeffs.shape[-2]
-        order = {len(Jet.constant(0.0, nvars, o).coeffs): o
-                 for o in range(0, 7)}.get(coeffs.shape[-1])
-        if order is None:
-            raise ValueError("coefficient axis does not match any jet order")
-        entries = [[Jet(nvars, order, coeffs[..., i, j, :]) for j in range(n)]
-                   for i in range(n)]
-        return cls(entries)
 
     @property
     def batch_shape(self):
-        return self.entries[0][0].batch_shape
+        return self.jet.batch_shape[:-2]
 
     def values(self):
-        return np.stack(
-            [np.stack([self.entries[i][j].value for j in range(self.n)], axis=-1)
-             for i in range(self.n)],
-            axis=-2,
-        )
+        return np.ascontiguousarray(self.jet.value)
 
-    def as_jet(self):
-        return _stack_jets(self.entries)
-
-    def inverse_entries(self):
-        """Adjugate-over-determinant inverse, as jets of the same order."""
+    def inverse(self):
+        """Adjugate-over-determinant inverse, an (n, n)-slot Jet of the same order."""
         if self._inv is not None:
             return self._inv
-        e = self.entries
+        e = self.jet
         if self.n == 2:
-            det = e[0][0] * e[1][1] - e[0][1] * e[0][1]
+            det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
             r = det.reciprocal()
-            inv = [[e[1][1] * r, -1.0 * (e[0][1] * r)],
-                   [None, e[0][0] * r]]
+            upper = {(0, 0): e[..., 1, 1] * r, (0, 1): -1.0 * (e[..., 0, 1] * r),
+                     (1, 1): e[..., 0, 0] * r}
         elif self.n == 3:
-            c00 = e[1][1] * e[2][2] - e[1][2] * e[1][2]
-            c01 = e[0][2] * e[1][2] - e[0][1] * e[2][2]
-            c02 = e[0][1] * e[1][2] - e[0][2] * e[1][1]
-            c11 = e[0][0] * e[2][2] - e[0][2] * e[0][2]
-            c12 = e[0][1] * e[0][2] - e[0][0] * e[1][2]
-            c22 = e[0][0] * e[1][1] - e[0][1] * e[0][1]
-            det = e[0][0] * c00 + e[0][1] * c01 + e[0][2] * c02
+            c00 = e[..., 1, 1] * e[..., 2, 2] - e[..., 1, 2] * e[..., 1, 2]
+            c01 = e[..., 0, 2] * e[..., 1, 2] - e[..., 0, 1] * e[..., 2, 2]
+            c02 = e[..., 0, 1] * e[..., 1, 2] - e[..., 0, 2] * e[..., 1, 1]
+            c11 = e[..., 0, 0] * e[..., 2, 2] - e[..., 0, 2] * e[..., 0, 2]
+            c12 = e[..., 0, 1] * e[..., 0, 2] - e[..., 0, 0] * e[..., 1, 2]
+            c22 = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
+            det = e[..., 0, 0] * c00 + e[..., 0, 1] * c01 + e[..., 0, 2] * c02
             r = det.reciprocal()
-            inv = [[c00 * r, c01 * r, c02 * r],
-                   [None, c11 * r, c12 * r],
-                   [None, None, c22 * r]]
+            upper = {(0, 0): c00 * r, (0, 1): c01 * r, (0, 2): c02 * r,
+                     (1, 1): c11 * r, (1, 2): c12 * r, (2, 2): c22 * r}
         else:
             raise ValueError(f"unsupported dimension {self.n}")
-        full = [[inv[i][j] if i <= j else inv[j][i] for j in range(self.n)]
-                for i in range(self.n)]
-        self._inv = tuple(tuple(row) for row in full)
-        return self._inv
+        inv = Jet(self.n, self.order, np.empty_like(e.coeffs))
+        for (i, j), ent in upper.items():
+            inv[..., i, j] = inv[..., j, i] = ent
+        self._inv = inv
+        return inv
 
     def christoffels(self):
-        """Gamma^k_{ij} jets at one order below the metric, as [k][i][j]."""
-        if self._gamma is not None:
-            return self._gamma
+        """Gamma^k_{ij} one order below the metric, an (n, n, n)-slot Jet
+        [..., k, i, j].  Not cached: curvature() forms it once and keeps its
+        values, which is all that later consumers need."""
         n, m = self.n, self.order
         if m < 1:
             raise ValueError("metric jets must carry at least first derivatives")
-        ginv = [[ent.truncate(m - 1) for ent in row] for row in self.inverse_entries()]
-        dg = [[[self.entries[b][c].derivative(a) for c in range(n)] for b in range(n)]
-              for a in range(n)]
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+        g = self.jet
+        ginv = self.inverse().truncate(m - 1)
+        gamma = Jet.zeros(self.batch_shape, (n, n, n), n, m - 1)
         for i in range(n):
             for j in range(i, n):
+                # first[l] = d_i g_jl + d_j g_il - d_l g_ij
+                first = [g[..., j, l].derivative(i) + g[..., i, l].derivative(j)
+                         - g[..., i, j].derivative(l) for l in range(n)]
                 for k in range(n):
                     acc = None
                     for l in range(n):
-                        term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                        term = ginv[..., k, l] * first[l]
                         acc = term if acc is None else acc + term
-                    gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
-        self._gamma = tuple(tuple(tuple(r) for r in p) for p in gamma)
-        return self._gamma
-
-    def christoffel_values(self):
-        g = self.christoffels()
-        n = self.n
-        return np.stack(
-            [np.stack([np.stack([g[k][i][j].value for j in range(n)], axis=-1)
-                       for i in range(n)], axis=-2)
-             for k in range(n)],
-            axis=-3,
-        )
+                    gamma[..., k, i, j] = gamma[..., k, j, i] = 0.5 * acc
+        return gamma
 
 
 @dataclass
@@ -197,76 +171,44 @@ def curvature(mj: MetricJet) -> CurvatureState:
         raise ValueError("curvature needs metric jets of order >= 2")
     ro = m - 2
     gamma = mj.christoffels()
-    gamma_t = [[[gamma[k][i][j].truncate(ro) for j in range(n)] for i in range(n)]
-               for k in range(n)]
-    dgamma = [[[[gamma[r][nu][s].derivative(mu) for s in range(n)] for nu in range(n)]
-               for r in range(n)] for mu in range(n)]
+    gamma_t = gamma.truncate(ro)
 
-    zero = Jet.constant(np.zeros(mj.batch_shape), n, ro)
-    # upper[r][s][mu][nu] = R^r_{s mu nu}, stored for mu < nu
-    upper = {}
+    # up[..., r, s, mu, nu] = R^r_{s mu nu}, formed for mu < nu
+    up = Jet.zeros(mj.batch_shape, (n, n, n, n), n, ro)
     for r in range(n):
         for s in range(n):
             for mu in range(n):
                 for nu in range(mu + 1, n):
-                    acc = dgamma[mu][r][nu][s] - dgamma[nu][r][mu][s]
+                    acc = gamma[..., r, nu, s].derivative(mu) \
+                        - gamma[..., r, mu, s].derivative(nu)
                     for lam in range(n):
-                        acc = acc + gamma_t[r][mu][lam] * gamma_t[lam][nu][s]
-                        acc = acc - gamma_t[r][nu][lam] * gamma_t[lam][mu][s]
-                    upper[r, s, mu, nu] = acc
+                        acc = acc + gamma_t[..., r, mu, lam] * gamma_t[..., lam, nu, s]
+                        acc = acc - gamma_t[..., r, nu, lam] * gamma_t[..., lam, mu, s]
+                    up[..., r, s, mu, nu] = acc
+                    up[..., r, s, nu, mu] = -acc
 
-    def up(r, s, mu, nu):
-        if mu == nu:
-            return zero
-        if mu < nu:
-            return upper[r, s, mu, nu]
-        return -1.0 * upper[r, s, nu, mu]
+    # ricci[..., s, nu] = R^mu_{s mu nu}, upper triangle mirrored
+    ricci = Jet(n, ro, _mirror_upper(np.trace(up.coeffs, axis1=-5, axis2=-3)))
 
-    ric = [[None] * n for _ in range(n)]
-    for s in range(n):
-        for nu in range(s, n):
-            acc = None
-            for mu in range(n):
-                term = up(mu, s, mu, nu)
-                acc = term if acc is None else acc + term
-            ric[s][nu] = ric[nu][s] = acc
-
-    ginv_t = [[ent.truncate(ro) for ent in row] for row in mj.inverse_entries()]
+    ginv_t = mj.inverse().truncate(ro)
     scalar = None
     for s in range(n):
         for nu in range(n):
-            term = ginv_t[s][nu] * ric[s][nu]
+            term = ginv_t[..., s, nu] * ricci[..., s, nu]
             scalar = term if scalar is None else scalar + term
 
     gvals = mj.values()
     ginv_vals = np.linalg.inv(gvals)
-    up_vals = np.stack(
-        [np.stack([np.stack([np.stack([up(r, s, mu, nu).value for nu in range(n)], -1)
-                             for mu in range(n)], -2)
-                   for s in range(n)], -3)
-         for r in range(n)],
-        -4,
-    )
-    riemann = np.einsum("...rl,...lsmn->...rsmn", gvals, up_vals)
+    riemann = np.einsum("...rl,...lsmn->...rsmn", gvals, up.value)
+    # a copy: a view would keep the whole Christoffel jet alive in the state
+    gamma_vals = np.ascontiguousarray(gamma.value)
 
     lap = None
     if m >= 4:
-        grad = np.stack([scalar.partial(tuple(int(k == v) for k in range(n)))
-                         for v in range(n)], -1)
-        hess = np.empty(mj.batch_shape + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                gm = tuple(int(k == i) + int(k == j) for k in range(n))
-                hess[..., i, j] = hess[..., j, i] = scalar.partial(gm)
-        gamma_vals = mj.christoffel_values()
-        lap = np.einsum("...ij,...ij->...", ginv_vals, hess) \
-            - np.einsum("...ij,...kij,...k->...", ginv_vals, gamma_vals, grad)
-    else:
-        gamma_vals = mj.christoffel_values()
+        _, hess = covariant_hessian(scalar, gamma_vals)
+        lap = np.einsum("...ij,...ij->...", ginv_vals, hess)
 
-    ric_vals = np.stack(
-        [np.stack([ric[i][j].value for j in range(n)], -1) for i in range(n)], -2
-    )
+    ric_vals = ricci.value
     ricci_norm = np.sqrt(np.einsum(
         "...ik,...jl,...ij,...kl->...", ginv_vals, ginv_vals, ric_vals, ric_vals
     ))
@@ -285,15 +227,34 @@ def curvature(mj: MetricJet) -> CurvatureState:
         sectional_min=kmin,
         sectional_max=kmax,
         ricci_norm=ricci_norm,
-        ricci_jet=_stack_jets(ric),
+        ricci_jet=ricci,
         scalar_jet=scalar,
     )
 
 
-def orthonormal_frame(gvals):
-    """Columns F[..., :, a] are g-orthonormal vectors: F^T g F = identity."""
-    chol = np.linalg.cholesky(gvals)
-    return np.swapaxes(np.linalg.inv(chol), -1, -2)
+def covariant_hessian(f: Jet, christoffel):
+    """Gradient and covariant Hessian of a scalar jet f of order >= 2.
+
+    christoffel holds Gamma^k_ij values [..., k, i, j]; returns (grad, hess)
+    with grad[..., i] = d_i f and hess[..., i, j] = d_i d_j f - Gamma^k_ij d_k f.
+    """
+    unit = np.eye(f.nvars, dtype=int)
+    grad = np.stack([f.partial(u) for u in unit], -1)
+    hess = np.stack([np.stack([f.partial(u + v) for v in unit], -1) for u in unit], -2)
+    return grad, hess - np.einsum("...kij,...k->...ij", christoffel, grad)
+
+
+def frame_transform(g, t=None):
+    """The g-orthonormal Cholesky frame, and t's components in it.
+
+    With g = L L^T, the columns F[..., :, a] of F = L^{-T} satisfy
+    F^T g F = identity.  Returns (L, F, F^T t F); the last is None when no
+    2-tensor t is given.
+    """
+    chol = np.linalg.cholesky(g)
+    inv = np.linalg.inv(chol)
+    tf = None if t is None else inv @ t @ np.swapaxes(inv, -1, -2)
+    return chol, np.swapaxes(inv, -1, -2), tf
 
 
 def _frame_riemann(riemann, frame):
@@ -306,7 +267,7 @@ def _sectional_exact(n, gvals, riemann, scalar):
         half = scalar / 2.0
         return half.copy(), half.copy()
     if n == 3:
-        frame = orthonormal_frame(gvals)
+        _, frame, _ = frame_transform(gvals)
         rf = _frame_riemann(riemann, frame)
         pairs = [(0, 1), (0, 2), (1, 2)]
         op = np.empty(scalar.shape + (3, 3))
@@ -361,32 +322,30 @@ def adapted_sectional_sums(cs: CurvatureState):
     (ascending) and kappa[..., i, j] the sectional curvature of the plane of
     adapted frame vectors i and j; each mu[..., i] equals kappa[..., i, :].sum().
     """
-    chol = np.linalg.cholesky(cs.metric)
-    inv = np.linalg.inv(chol)
-    ric_f = inv @ cs.ricci @ np.swapaxes(inv, -1, -2)
+    _, frame, ric_f = frame_transform(cs.metric, cs.ricci)
     mu, q = np.linalg.eigh(ric_f)
-    frame = np.swapaxes(inv, -1, -2) @ q
+    frame = frame @ q
     rf = _frame_riemann(cs.riemann, frame)
     kappa = np.einsum("...abab->...ab", rf)
     return mu, kappa
 
 
-def covariant_antisym(mj: MetricJet, t: Jet) -> np.ndarray:
+def covariant_antisym(christoffel, t: Jet) -> np.ndarray:
     """Antisymmetrized covariant derivative T_{ij;k} - T_{ik;j} of a
     symmetric 2-tensor given as a Jet with trailing (n, n) batch axes and
-    order >= 1.  Returns values shaped (..., n, n, n), last axes (i, j, k).
+    order >= 1, under the connection with symbol values christoffel
+    [..., k, i, j].  Returns values shaped (..., n, n, n), last axes (i, j, k).
     """
-    n = mj.n
+    n = christoffel.shape[-1]
     tv = t.value
     if tv.shape[-2:] != (n, n):
         raise ValueError("tensor jet must have trailing (n, n) batch axes")
     if not np.allclose(tv, np.swapaxes(tv, -1, -2), rtol=1e-8, atol=1e-10):
         raise ValueError("tensor is not symmetric")
     dt = np.stack([t.derivative(k).value for k in range(n)], axis=-1)
-    gam = mj.christoffel_values()
     cov = dt \
-        - np.einsum("...lki,...lj->...ijk", gam, tv) \
-        - np.einsum("...lkj,...il->...ijk", gam, tv)
+        - np.einsum("...lki,...lj->...ijk", christoffel, tv) \
+        - np.einsum("...lkj,...il->...ijk", christoffel, tv)
     return cov - np.swapaxes(cov, -1, -2)
 
 
@@ -526,11 +485,16 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
 def diameter(gg: GeodesicGraph, landmarks: int = 64) -> DiameterEstimate:
     """Largest shortest-path distance found from a landmark set.
 
-    Small graphs (resolution <= 9 per axis) run every node as a source;
-    larger ones use farthest-point-sampled landmarks.  Graph paths can only
-    overestimate the distances between the points they connect, so the
-    estimate sits above the true geodesic distance of every represented
-    pair and shrinks as resolution grows.
+    Small graphs (resolution <= 9 per axis, or no more nodes than
+    landmarks) run every node as a source, and the value is then exactly the
+    diameter of the graph.  Larger ones use farthest-point-sampled
+    landmarks, and the value is a lower bound on the graph diameter: the
+    sampling can miss the farthest pair.
+
+    The graph diameter only approximates the geodesic diameter, with no
+    guaranteed sign: edge weights are midpoint-rule lengths, which are
+    neither upper nor lower bounds on the segment lengths, and lattice
+    paths are confined to the stencil's directions, which lengthens them.
     """
     total = gg.num_nodes
     if gg.resolution <= 9 or landmarks >= total:

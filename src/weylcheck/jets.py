@@ -6,6 +6,15 @@ carry an arbitrary leading batch shape, so whole grids of points move through
 the arithmetic in single numpy operations; a plain 1-d coefficient vector is
 the single-point case.
 
+Tensor fields are single Jets whose trailing batch axes are the tensor's
+slots: coeffs[..., *slots, monomial], so a metric field is coeffs[..., i, j, :]
+and the Christoffel symbols are christoffel[..., k, i, j] = Gamma^k_ij.
+Indexing a Jet (jet[..., i, j], for reading or assignment) selects batch and
+slot axes and always keeps the monomial axis whole.  Slot Jets that feed many
+products are stored slot-major (Jet.zeros): the slot axes are outermost in
+memory, so each entry is one contiguous block, which products gather from much
+faster than from a strided view.  Truncation keeps that layout.
+
 Coefficients are stored against a graded lexicographic monomial basis; the
 basis of a lower order is always a prefix of the basis of a higher order, so
 truncation and differentiation are cheap slices.  The coefficient of the
@@ -76,22 +85,15 @@ def _basis(nvars, order):
                 fac[t] = bumped[v]
             derivs.append((src, fac))
 
-    factorials = np.array(
-        [math.prod(math.factorial(e) for e in m) for m in monos], dtype=float
-    )
-
     return SimpleNamespace(
         monos=tuple(monos),
         index=index,
         count=count,
-        exps=exps,
-        degrees=degrees,
         mul_i=mul_i,
         mul_j=mul_j,
         mul_k=mul_k,
         scatter=scatter,
         derivs=tuple(derivs),
-        factorials=factorials,
     )
 
 
@@ -125,6 +127,13 @@ class Jet:
         coeffs = np.zeros(value.shape + (b.count,))
         coeffs[..., 0] = value
         return cls(nvars, order, coeffs)
+
+    @classmethod
+    def zeros(cls, batch_shape, slots, nvars, order):
+        """Zero jet with batch axes batch_shape + slots, stored slot-major."""
+        k = len(slots)
+        coeffs = np.zeros(tuple(slots) + tuple(batch_shape) + (_basis(nvars, order).count,))
+        return cls(nvars, order, np.moveaxis(coeffs, tuple(range(k)), tuple(range(-k - 1, -1))))
 
     @classmethod
     def variable(cls, value, index, nvars, order):
@@ -178,9 +187,9 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot raise a jet's order by truncation")
         if order == self.order:
-            return Jet(self.nvars, self.order, self.coeffs.copy())
+            return Jet(self.nvars, self.order, self.coeffs.copy(order="K"))
         b = _basis(self.nvars, order)
-        return Jet(self.nvars, order, self.coeffs[..., : b.count].copy())
+        return Jet(self.nvars, order, self.coeffs[..., : b.count].copy(order="K"))
 
     def derivative(self, var):
         """Jet of the partial derivative with respect to variable var."""
@@ -190,21 +199,16 @@ class Jet:
         src, fac = b.derivs[var]
         return Jet(self.nvars, self.order - 1, self.coeffs[..., src] * fac)
 
-    def eval_offset(self, delta):
-        """Evaluate the truncated polynomial at base point + delta."""
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape[-1] != self.nvars:
-            raise ValueError("offset must have one entry per variable")
-        b = _basis(self.nvars, self.order)
-        powers = np.prod(delta[..., None, :] ** b.exps[None, :, :], axis=-1)
-        return np.sum(self.coeffs * powers, axis=-1)
-
-    def copy(self):
-        return Jet(self.nvars, self.order, self.coeffs.copy())
-
     def __getitem__(self, key):
-        # slice into the leading batch axes
-        return Jet(self.nvars, self.order, self.coeffs[key])
+        if not isinstance(key, tuple):
+            key = (key,)
+        return Jet(self.nvars, self.order, self.coeffs[key + (slice(None),)])
+
+    def __setitem__(self, key, jet):
+        self._check_compatible(jet)
+        if not isinstance(key, tuple):
+            key = (key,)
+        self.coeffs[key + (slice(None),)] = jet.coeffs
 
     # ------------------------------------------------------------- arithmetic
 
@@ -268,7 +272,7 @@ class Jet:
 
     def __pow__(self, p):
         if not isinstance(p, (int, np.integer)):
-            raise TypeError("jet powers must be integers; use sqrt/exp/log for the rest")
+            raise TypeError("jet powers must be integers; use sqrt/exp for the rest")
         if p < 0:
             return self.reciprocal() ** (-p)
         out = Jet.constant(np.ones(self.batch_shape), self.nvars, self.order)
@@ -314,27 +318,6 @@ class Jet:
     def exp(self):
         c = self.value
         dk = [np.exp(c) / math.factorial(k) for k in range(self.order + 1)]
-        return self._apply_series(dk)
-
-    def log(self):
-        c = self.value
-        if np.any(c <= 0.0):
-            raise DomainError("jet log needs a positive constant term")
-        dk = [np.log(c)]
-        for k in range(1, self.order + 1):
-            dk.append((-1.0) ** (k + 1) / (k * c ** k))
-        return self._apply_series(dk)
-
-    def sin(self):
-        return self._trig(np.sin, np.cos)
-
-    def cos(self):
-        return self._trig(np.cos, lambda c: -np.sin(c))
-
-    def _trig(self, f, fprime):
-        c = self.value
-        cycle = [f(c), fprime(c), -f(c), -fprime(c)]
-        dk = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
         return self._apply_series(dk)
 
     def __repr__(self):

@@ -107,11 +107,11 @@ def cone_report(b):
 
 
 def _gaps_closed_form_3(mu):
-    # lambda_i = sqrt(prod_j (s - 2 mu_j)) / (sqrt(2) (s - 2 mu_i))
-    s = mu.sum()
-    gaps = s - 2.0 * mu
-    root = math.sqrt(float(np.prod(gaps)))
-    return root / (math.sqrt(2.0) * gaps)
+    """Eigenvalues lambda of the SPD inverse of phi, for eigenvalues mu
+    (..., 3) in the image cone: lambda_i = sqrt(prod_j t_j / 2) / t_i with
+    t_i = sum(mu) - 2 mu_i."""
+    t = np.sum(mu, axis=-1, keepdims=True) - 2.0 * mu
+    return np.sqrt(np.prod(t, axis=-1, keepdims=True) / 2.0) / t
 
 
 def _seed_eigenvalues(mu):

@@ -15,31 +15,23 @@ to |xi| <= 1.8, so nothing is ever evaluated near a chart boundary.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .intrinsic import MetricJet, covariant_antisym, curvature
+from .intrinsic import (
+    MetricJet,
+    covariant_antisym,
+    covariant_hessian,
+    curvature,
+    frame_transform,
+)
 from .jets import Jet
 
 CHART_RADIUS = 1.8
 GRID_EXTENT = 1.2
 AMBIENT_ORDER = 5
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: int
-    coords: tuple
-
-    def __post_init__(self):
-        if self.chart not in (0, 1):
-            raise ValueError("chart must be 0 or 1")
-        if math.hypot(*self.coords) > CHART_RADIUS:
-            raise DomainError(f"coords {self.coords} outside chart radius {CHART_RADIUS}")
 
 
 def transition_coords(coords):
@@ -192,15 +184,13 @@ def radial_graph_random(seed, amp=0.05, dim=3):
 def _det_jets(rows):
     """Determinant of a small square matrix of jets (size 2 or 3)."""
     k = len(rows)
-    if k == 1:
-        return rows[0][0]
     if k == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if k == 3:
         return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
                 - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
                 + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    raise ValueError("determinant supported for sizes 1..3")
+    raise ValueError("determinant supported for sizes 2 and 3")
 
 
 class SurfaceData:
@@ -242,9 +232,7 @@ class SurfaceData:
         return self.rho_jet.value
 
     def _chi_frame(self):
-        chol = np.linalg.cholesky(self.g)
-        inv = np.linalg.inv(chol)
-        return inv @ self.chi @ np.swapaxes(inv, -1, -2)
+        return frame_transform(self.g, self.chi)[2]
 
     @property
     def H(self):
@@ -283,7 +271,7 @@ class SurfaceData:
 
     def codazzi_residual(self):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
-        out = covariant_antisym(self.metric, self.chi_jet.truncate(1))
+        out = covariant_antisym(self.curvature().christoffel, self.chi_jet.truncate(1))
         return np.abs(out).max(axis=(-3, -2, -1))
 
     def support_identities(self):
@@ -296,18 +284,7 @@ class SurfaceData:
         NaN in r3 (the comparison involves sqrt(R)); where R > 0 the lam
         must lie in the sigma_2 ellipticity cone, else DomainError.
         """
-        n = self.n
-        mj = self.metric
-        gam = mj.christoffel_values()
-        grad = np.stack([self.rho_jet.partial(tuple(int(k == v) for k in range(n)))
-                         for v in range(n)], -1)
-        hess = np.empty(self.rho.shape + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                gmi = tuple(int(k == i) + int(k == j) for k in range(n))
-                hess[..., i, j] = hess[..., j, i] = self.rho_jet.partial(gmi)
-        hess_cov = hess - np.einsum("...kij,...k->...ij", gam, grad)
-
+        grad, hess_cov = covariant_hessian(self.rho_jet, self.curvature().christoffel)
         g = self.g
         ginv = np.linalg.inv(g)
         r1 = np.abs(hess_cov - g + self.support[..., None, None] * self.chi
@@ -315,9 +292,7 @@ class SurfaceData:
         grad_sq = np.einsum("...ij,...i,...j->...", ginv, grad, grad)
         r2 = np.abs(2.0 * self.rho - grad_sq - self.support**2)
 
-        chol = np.linalg.cholesky(g)
-        inv = np.linalg.inv(chol)
-        a = inv @ (g - hess_cov) @ np.swapaxes(inv, -1, -2)
+        a = frame_transform(g, g - hess_cov)[2]
         lam = np.linalg.eigvalsh(a)
         s1 = lam.sum(axis=-1)
         s2 = (s1**2 - (lam**2).sum(axis=-1)) / 2.0
@@ -334,6 +309,29 @@ class SurfaceData:
         return r1, r2, r3
 
 
+def _gram(tangent, out):
+    """Fill out[..., i, j] = sum_a tangent[i][a] tangent[j][a], the induced
+    metric of tangent rows tangent[i][a] = d_i X^a; the entries and out are
+    jets and a slot Jet, or value arrays and an array."""
+    n = len(tangent)
+    for i in range(n):
+        for j in range(i, n):
+            acc = None
+            for ti, tj in zip(tangent[i], tangent[j]):
+                t = ti * tj
+                acc = t if acc is None else acc + t
+            out[..., i, j] = out[..., j, i] = acc
+    return out
+
+
+def induced_metric(amb):
+    """Induced metric of the ambient jets X^a, as an (n, n)-slot Jet one
+    order below them."""
+    n = amb[0].nvars
+    tangent = [[x.derivative(i) for x in amb] for i in range(n)]
+    return _gram(tangent, Jet.zeros(amb[0].batch_shape, (n, n), n, amb[0].order - 1))
+
+
 def evaluate_grid(family, chart, pts) -> SurfaceData:
     """Evaluate every surface field of the family at chart points (.., n)."""
     pts = np.asarray(pts, dtype=float)
@@ -341,20 +339,10 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     if pts.shape[-1] != n:
         raise ValueError(f"points must have {n} coordinates")
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
-
-    tangent = [[x.derivative(i) for x in amb] for i in range(n)]  # order 4
-    g_entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = None
-            for a in range(len(amb)):
-                t = tangent[i][a] * tangent[j][a]
-                acc = t if acc is None else acc + t
-            g_entries[i][j] = g_entries[j][i] = acc
-    metric = MetricJet(g_entries)
+    metric = MetricJet(induced_metric(amb))
 
     # normal: generalized cross product of the tangent rows, order 2
-    rows = [[e.truncate(2) for e in row] for row in tangent]
+    rows = [[x.derivative(i).truncate(2) for x in amb] for i in range(n)]
     raw = []
     for a in range(n + 1):
         minor = [[rows[i][b] for b in range(n + 1) if b != a] for i in range(n)]
@@ -370,20 +358,14 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     sign = np.where(xdotn >= 0, 1.0, -1.0)
     normal = [c * sign for c in normal]
 
-    second = [[[x.derivative(i).derivative(j).truncate(2) for x in amb]
-               for j in range(i, n)] for i in range(n)]
-    chi_entries = [[None] * n for _ in range(n)]
+    chi_jet = Jet.constant(np.zeros(pts.shape[:-1] + (n, n)), n, 2)
     for i in range(n):
-        for jj, j in enumerate(range(i, n)):
+        for j in range(i, n):
             acc = None
             for a in range(n + 1):
-                t = second[i][jj][a] * normal[a]
+                t = amb[a].derivative(i).derivative(j).truncate(2) * normal[a]
                 acc = t if acc is None else acc + t
-            chi_entries[i][j] = chi_entries[j][i] = -1.0 * acc
-    chi_jet = Jet(n, 2, np.stack(
-        [np.stack([e.coeffs for e in row], axis=-2) for row in chi_entries],
-        axis=-3,
-    ))
+            chi_jet[..., i, j] = chi_jet[..., j, i] = -acc
 
     rho = None
     for x in amb:
@@ -399,18 +381,13 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
                        rho, support)
 
 
-def evaluate(family, p: ChartPoint) -> SurfaceData:
-    return evaluate_grid(family, p.chart, np.asarray(p.coords, dtype=float))
-
-
 def metric_values(family, chart, pts):
-    """Fast induced-metric values (.., n, n) without high-order jets."""
-    pts = np.asarray(pts, dtype=float)
+    """Induced-metric values (.., n, n), from ambient jets of order 1 only
+    and products of plain values, with no jet products."""
     n = family.dim
     amb = family.ambient_jets(chart, pts, order=1)
-    e = np.stack([np.stack([x.coefficient(tuple(int(k == i) for k in range(n)))
-                            for x in amb], axis=-1) for i in range(n)], axis=-2)
-    return np.einsum("...ia,...ja->...ij", e, e)
+    tangent = [[x.derivative(i).value for x in amb] for i in range(n)]
+    return _gram(tangent, np.empty(amb[0].batch_shape + (n, n)))
 
 
 def metric_fn(family):
@@ -443,25 +420,15 @@ def radial_graph_forms(family: RadialGraph, chart, pts):
         s = t if s is None else s + t
     phi = 2.0 * (1.0 + s).reciprocal()
     p2 = phi * phi
-    zero = Jet.constant(np.zeros(pts.shape[:-1]), n, 4)
-    gamma = MetricJet([[p2 if i == j else zero for j in range(n)] for i in range(n)])
+    gamma = MetricJet(Jet(n, 4, np.eye(n)[:, :, None] * p2.coeffs[..., None, None, :]))
 
     gamma_vals = gamma.values()
-    drho = np.stack([rho.partial(tuple(int(k == v) for k in range(n)))
-                     for v in range(n)], -1)
+    chr_vals = gamma.christoffels().value
+    drho, _ = covariant_hessian(rho, chr_vals)
     g_vals = rho.value[..., None, None] ** 2 * gamma_vals \
         + np.einsum("...i,...j->...ij", drho, drho)
 
-    chr_vals = gamma.christoffel_values()
-    du = np.stack([uj.partial(tuple(int(k == v) for k in range(n)))
-                   for v in range(n)], -1)
-    hess = np.empty(pts.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gmi = tuple(int(k == i) + int(k == j) for k in range(n))
-            hess[..., i, j] = hess[..., j, i] = uj.partial(gmi)
-    hess_cov = hess - np.einsum("...kij,...k->...ij", chr_vals, du)
-
+    du, hess_cov = covariant_hessian(uj, chr_vals)
     grad_sq = np.einsum("...ij,...i,...j->...", np.linalg.inv(gamma_vals), du, du)
     uv = uj.value
     w = np.sqrt(uv**2 + grad_sq)

@@ -36,6 +36,12 @@ class TestRunConfig:
         ({"path_plan": [0, 1, 1]}, "permutation"),
         ({"eps_list": []}, "eps_list"),
         ({"surprise": 1}, "unknown config keys"),
+        ({"tolerances": 5}, "tolerances must be an object"),
+        ({"extent": "a"}, "extent"),
+        ({"h": "a"}, "step size"),
+        ({"eps_list": 0.1}, "eps_list must be a list"),
+        ({"path_plan": 5}, "path_plan must be a list"),
+        ({"checks": "weyl"}, "checks must be a list"),
     ])
     def test_rejects(self, data, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -61,6 +67,9 @@ class TestRunConfig:
         ({"variant": "ellipsoid", "semi_axes": [1.0, -1.0, 1.0, 1.0]}, "bad family"),
         ({"variant": "radial_graph", "kind": "wavelet"}, "kind"),
         ({"variant": "sphere", "color": "red"}, "unused"),
+        ("sphere", "family must be an object"),
+        ({"variant": "sphere", "dim": 4}, "dimension must be 2 or 3"),
+        ({"variant": "ellipsoid", "semi_axes": [1, 1]}, "dimension must be 2 or 3"),
     ])
     def test_family_rejects(self, family, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -119,6 +128,12 @@ class TestMain:
     def test_config_error_exit_2(self, capsys):
         assert main(["verify", "--resolution", "4", "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_type_error_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps({"family": {"variant": "sphere", "dim": 4}}))
+        assert main(["verify", "--config", str(path), "--quiet"]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

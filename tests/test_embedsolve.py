@@ -117,8 +117,7 @@ class TestSolver:
         # c^2 g: frame eigenvalues mu scale by c^-2, lambda by c^-1, and the
         # coordinate tensor by c
         c = 1.7
-        scaled = MetricJet.from_coeff_array(
-            ellipsoid_field.metric.as_jet().coeffs * c**2, nvars=3)
+        scaled = MetricJet(ellipsoid_field.metric.jet * c**2)
         f2 = IntrinsicField.from_metric(scaled, 0, ellipsoid_field.coords)
         chi2 = solve_contracted_gauss(f2)
         assert np.abs(chi2.values - c * ellipsoid_chi.values).max() < 1e-9
@@ -144,9 +143,7 @@ class TestSolver:
         coords = np.zeros((3, 3))
         coords[1, 0] = 0.1
         coords[2, 1] = -0.2
-        entries = [[Jet.constant(np.full(3, float(i == j)), 3, 2)
-                    for j in range(3)] for i in range(3)]
-        flat = MetricJet(entries)
+        flat = MetricJet(Jet.constant(np.broadcast_to(np.eye(3), (3, 3, 3)), 3, 2))
         field = IntrinsicField.from_metric(flat, 0, coords)
         with pytest.raises(ObstructionError) as exc:
             solve_contracted_gauss(field)
@@ -176,8 +173,9 @@ class TestField:
         assert np.abs(cs.ricci - ellipsoid_field.ricci).max() < 1e-10
 
     def test_array_roundtrip(self, ellipsoid_field):
-        coeffs = ellipsoid_field.metric.as_jet().coeffs
-        back = IntrinsicField.from_arrays(0, ellipsoid_field.coords, coeffs)
+        coeffs = ellipsoid_field.metric.jet.coeffs
+        back = IntrinsicField.from_metric(MetricJet(Jet(3, 4, coeffs)), 0,
+                                          ellipsoid_field.coords)
         assert np.abs(back.g() - ellipsoid_field.g()).max() < 1e-14
         assert np.abs(back.ricci - ellipsoid_field.ricci).max() < 1e-12
 
@@ -187,7 +185,7 @@ class TestField:
     def test_light_metric_jets_match_full(self, grid7):
         mj = metric_jets(Ellipsoid(AXES), 0, grid7, order=4)
         full = evaluate_grid(Ellipsoid(AXES), 0, grid7).metric
-        assert np.abs(mj.as_jet().coeffs - full.as_jet().coeffs).max() < 1e-12
+        assert np.abs(mj.jet.coeffs - full.jet.coeffs).max() < 1e-12
 
 
 class TestEmbeddability:
@@ -253,9 +251,6 @@ class TestReconstruct:
         rec = reconstruct(field, chi, h=2e-2)
         assert rec.isometry_sup < 5e-7
         assert rec.holonomy_sup < 1e-7
-        center, radius, dev = rec.sphere_fit()
-        assert radius == pytest.approx(1.0, abs=1e-6)
-        assert dev < 1e-6
         truth = evaluate_grid(RoundSphere(1.0), 0, grid5).X
         _, _, rms = align_rigid(rec.X, truth)
         assert rms < 1e-6

@@ -22,8 +22,7 @@ def conformal_metric(pts, phi_fn, n=3, order=4):
     pts = np.asarray(pts, dtype=float)
     xs = [Jet.variable(pts[..., i], i, n, order) for i in range(n)]
     p2 = phi_fn(xs) ** 2
-    zero = Jet.constant(np.zeros(pts.shape[:-1]), n, order)
-    return MetricJet([[p2 if i == j else zero for j in range(n)] for i in range(n)])
+    return MetricJet(Jet(n, order, np.eye(n)[:, :, None] * p2.coeffs[..., None, None, :]))
 
 
 def sphere_metric(pts, radius=1.0, n=3, order=4):
@@ -88,11 +87,7 @@ class TestRoundSphere:
 class TestFlat:
     def test_constant_metric(self):
         a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-        entries = [
-            [Jet.constant(np.full(4, a[i, j]), 3, 4) for j in range(3)]
-            for i in range(3)
-        ]
-        cs = curvature(MetricJet(entries))
+        cs = curvature(MetricJet(Jet.constant(np.broadcast_to(a, (4, 3, 3)), 3, 4)))
         np.testing.assert_allclose(cs.riemann, 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-12)
@@ -108,14 +103,12 @@ class TestFlat:
             xs[2] + 0.06 * xs[0] * xs[0] - 0.1 * xs[1],
         ]
         jac = [[y.derivative(i) for i in range(3)] for y in ys]
-        entries = [
-            [
-                jac[0][i] * jac[0][j] + jac[1][i] * jac[1][j] + jac[2][i] * jac[2][j]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        cs = curvature(MetricJet(entries))
+        coeffs = np.empty(pts.shape[:-1] + (3, 3, jac[0][0].coeffs.shape[-1]))
+        for i in range(3):
+            for j in range(3):
+                g_ij = jac[0][i] * jac[0][j] + jac[1][i] * jac[1][j] + jac[2][i] * jac[2][j]
+                coeffs[..., i, j, :] = g_ij.coeffs
+        cs = curvature(MetricJet(Jet(3, 4, coeffs)))
         np.testing.assert_allclose(cs.riemann, 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-7)
@@ -149,12 +142,12 @@ class TestTensorSymmetries:
 
     def test_inverse_jets(self):
         mj = bumpy_metric(SAMPLE_PTS)
-        inv = mj.inverse_entries()
+        inv = mj.inverse()
         for i in range(3):
             for j in range(3):
                 acc = None
                 for k in range(3):
-                    t = mj.entries[i][k] * inv[k][j]
+                    t = mj.jet[..., i, k] * inv[..., k, j]
                     acc = t if acc is None else acc + t
                 want = 1.0 if i == j else 0.0
                 np.testing.assert_allclose(acc.value, want, atol=1e-12)
@@ -166,10 +159,8 @@ class TestScaling:
     def test_constant_rescaling_laws(self):
         c = 1.7
         base = curvature(sphere_metric(SAMPLE_PTS))
-        scaled_entries = [
-            [e * (c * c) for e in row] for row in sphere_metric(SAMPLE_PTS).entries
-        ]
-        scaled = curvature(MetricJet(scaled_entries))
+        scaled_jet = sphere_metric(SAMPLE_PTS).jet * (c * c)
+        scaled = curvature(MetricJet(scaled_jet))
         np.testing.assert_allclose(scaled.scalar, base.scalar / c**2, rtol=1e-10)
         np.testing.assert_allclose(scaled.ricci, base.ricci, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(
@@ -242,8 +233,8 @@ class TestSectional:
 class TestCovariantDerivative:
     def test_metric_is_parallel(self):
         mj = bumpy_metric(SAMPLE_PTS)
-        g_jet = mj.as_jet().truncate(1)
-        out = covariant_antisym(mj, g_jet)
+        g_jet = mj.jet.truncate(1)
+        out = covariant_antisym(mj.christoffels().value, g_jet)
         np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_artificial_perturbation_detected(self):
@@ -251,48 +242,52 @@ class TestCovariantDerivative:
         mj = bumpy_metric(pts)
         x1 = Jet.variable(pts[..., 0], 0, 3, 1)
         bump = x1.coeffs[..., None, None, :] * np.zeros((3, 3, 1))
-        pert = mj.as_jet().truncate(1)
+        pert = mj.jet.truncate(1)
         coeffs = pert.coeffs.copy()
         coeffs[..., 0, 0, :] += 0.1 * x1.coeffs
         pert = Jet(3, 1, coeffs)
         assert bump.shape[-3:-1] == (3, 3)
-        out = covariant_antisym(mj, pert)
+        out = covariant_antisym(mj.christoffels().value, pert)
         assert np.abs(out).max() > 1e-3
 
     def test_symmetry_required(self):
         mj = bumpy_metric(SAMPLE_PTS)
-        t = mj.as_jet().truncate(1)
+        t = mj.jet.truncate(1)
         coeffs = t.coeffs.copy()
         coeffs[..., 0, 1, 0] += 1.0
         with pytest.raises(ValueError):
-            covariant_antisym(mj, Jet(3, 1, coeffs))
+            covariant_antisym(mj.christoffels().value, Jet(3, 1, coeffs))
 
 
 class TestMetricJetValidation:
     def test_rejects_indefinite_metric(self):
         bad = np.diag([1.0, -1.0, 1.0])
-        entries = [
-            [Jet.constant(bad[i, j], 3, 2) for j in range(3)] for i in range(3)
-        ]
         with pytest.raises(DomainError):
-            MetricJet(entries)
+            MetricJet(Jet.constant(bad, 3, 2))
 
     def test_rejects_asymmetric_jets(self):
-        x = Jet.variable(0.0, 0, 3, 2)
-        one = Jet.constant(1.0, 3, 2)
-        zero = Jet.constant(0.0, 3, 2)
-        entries = [
-            [one, x, zero],
-            [zero, one, zero],
-            [zero, zero, one],
-        ]
+        coeffs = Jet.constant(np.eye(3), 3, 2).coeffs
+        coeffs[0, 1] = Jet.variable(0.0, 0, 3, 2).coeffs
         with pytest.raises(ValueError):
-            MetricJet(entries)
+            MetricJet(Jet(3, 2, coeffs))
+
+    def test_one_ulp_asymmetry_comes_out_exactly_symmetric(self):
+        coeffs = bumpy_metric(SAMPLE_PTS).jet.coeffs.copy()
+        lo = np.tril_indices(3, -1)
+        coeffs[..., lo[0], lo[1], :] = np.nextafter(coeffs[..., lo[0], lo[1], :], np.inf)
+        assert not np.array_equal(coeffs, np.swapaxes(coeffs, -3, -2))
+        mj = MetricJet(Jet(3, 4, coeffs))
+        g = mj.jet.coeffs
+        assert np.array_equal(g, np.swapaxes(g, -3, -2))
+        gamma = mj.christoffels().coeffs
+        assert np.array_equal(gamma, np.swapaxes(gamma, -3, -2))
+        ric = curvature(mj).ricci_jet.coeffs
+        assert np.array_equal(ric, np.swapaxes(ric, -3, -2))
 
     def test_coeff_array_round_trip(self):
         mj = bumpy_metric(SAMPLE_PTS)
-        arr = mj.as_jet().coeffs
-        back = MetricJet.from_coeff_array(arr, nvars=3)
+        arr = mj.jet.coeffs
+        back = MetricJet(Jet(3, mj.order, arr))
         assert back.order == mj.order
         np.testing.assert_allclose(back.values(), mj.values(), rtol=1e-14)
 

@@ -63,10 +63,7 @@ def central_diff(fn, point, gamma, h=1e-3):
 
 ANALYTIC = [
     ("exp", lambda j: j.exp(), np.exp, None),
-    ("log", lambda j: j.log(), np.log, "positive"),
     ("sqrt", lambda j: j.sqrt(), np.sqrt, "positive"),
-    ("sin", lambda j: j.sin(), np.sin, None),
-    ("cos", lambda j: j.cos(), np.cos, None),
     ("reciprocal", lambda j: j.reciprocal(), lambda t: 1.0 / t, "nonzero"),
 ]
 
@@ -98,16 +95,6 @@ def test_third_and_fourth_order_partials_converge():
     assert f.partial((0, 3, 0)) == pytest.approx(8 * base, rel=1e-12)
     assert f.partial((2, 2, 0)) == pytest.approx(4 * base, rel=1e-12)
     assert f.partial((1, 3, 0)) == pytest.approx(8 * base, rel=1e-12)
-
-
-def test_eval_offset_matches_taylor():
-    point = np.array([0.5, 0.1, -0.2])
-    x, y, z = make_xyz(point, order=5)
-    f = (x * y + z * z + 1.2).log()
-    delta = np.array([1e-2, -2e-2, 1.5e-2])
-    exact = math.log((point[0] + delta[0]) * (point[1] + delta[1]) + (point[2] + delta[2]) ** 2 + 1.2)
-    # order-5 truncation error is O(|delta|^6)
-    assert f.eval_offset(delta) == pytest.approx(exact, abs=1e-10)
 
 
 def test_derivative_jet_consistency():
@@ -207,8 +194,13 @@ def test_domain_rejections():
         x.reciprocal()
     with pytest.raises(DomainError):
         (x - 1.0).sqrt()
-    with pytest.raises(DomainError):
-        (x - 1.0).log()
+
+
+def test_zeros_are_slot_major_through_truncation():
+    z = Jet.zeros((5,), (3, 3), 3, 4)
+    assert z.batch_shape == (5, 3, 3) and not z.coeffs.any()
+    for jet in (z, z.truncate(2)):
+        assert jet[..., 1, 2].coeffs.flags["C_CONTIGUOUS"]
 
 
 def test_mismatched_jets_rejected():
@@ -258,24 +250,9 @@ def test_product_rule(f):
 
 @given(jets3())
 @settings(max_examples=150, deadline=None)
-def test_exp_log_round_trip(f):
-    g = f.exp()  # strictly positive constant term by construction
-    back = g.log()
-    np.testing.assert_allclose(back.coeffs, f.coeffs, rtol=1e-8, atol=1e-7)
-
-
-@given(jets3())
-@settings(max_examples=150, deadline=None)
 def test_sqrt_squares_back(f):
     g = f * f + 1.0
     r = g.sqrt()
     np.testing.assert_allclose((r * r).coeffs, g.coeffs, rtol=1e-9, atol=1e-8)
     recip = g.reciprocal()
     np.testing.assert_allclose((recip * g).coeffs, Jet.constant(1.0, 3, 3).coeffs, atol=1e-9)
-
-
-@given(jets3())
-@settings(max_examples=100, deadline=None)
-def test_trig_pythagoras(f):
-    s, c = f.sin(), f.cos()
-    np.testing.assert_allclose((s * s + c * c).coeffs, Jet.constant(1.0, 3, 3).coeffs, atol=1e-9)

@@ -5,13 +5,11 @@ import pytest
 
 from weylcheck.errors import DomainError
 from weylcheck.surfaces import (
-    ChartPoint,
     Ellipsoid,
     RadialGraph,
     RoundSphere,
     ball_grid,
     epsilon_family,
-    evaluate,
     evaluate_grid,
     metric_values,
     radial_graph_bump,
@@ -50,9 +48,7 @@ class TestChartGeometry:
 
     def test_chart_point_validation(self):
         with pytest.raises(DomainError):
-            ChartPoint(0, (1.5, 1.2, 0.0))
-        with pytest.raises(ValueError):
-            ChartPoint(2, (0.0, 0.0, 0.0))
+            evaluate_grid(RoundSphere(1.0), 0, np.array([1.5, 1.2, 0.0]))
 
 
 class TestRoundSphere:
@@ -73,7 +69,7 @@ class TestRoundSphere:
             np.testing.assert_allclose(sd.scalar_gauss, 6.0 / r**2, rtol=1e-12)
 
     def test_single_point_evaluate(self):
-        sd = evaluate(RoundSphere(1.0), ChartPoint(0, (0.0, 0.0, 0.0)))
+        sd = evaluate_grid(RoundSphere(1.0), 0, np.zeros(3))
         np.testing.assert_allclose(sd.X, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(sd.g, 4.0 * np.eye(3), rtol=1e-14)
         np.testing.assert_allclose(sd.chi, 4.0 * np.eye(3), rtol=1e-13)
@@ -120,7 +116,7 @@ class TestEmbeddingIdentities:
         pts = sample_points(12, seed=11)
         sd = evaluate_grid(fam, 0, pts)
         amb = fam.ambient_jets(0, pts)
-        gam = sd.metric.christoffel_values()
+        gam = sd.metric.christoffels().value
         e_vals = np.stack(
             [np.stack([x.derivative(i).value for x in amb], -1) for i in range(3)], -2
         )
