@@ -8,14 +8,22 @@ linearization of that map fed with exact jet derivatives of g and Ricci, so
 the Codazzi residual carries no grid-differencing noise.
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
-along coordinate lines with classical RK4, filling the chart ball in a
-fixed axis-ascending sweep; a second fill in the reversed order measures
-holonomy, the path dependence that appears exactly when chi fails Codazzi.
+along coordinate lines with classical RK4 on the grid's integer lattice.
+The fill follows the path plan's axes: the line through the center, then
+the plane, then the ball, each outward from the center by lattice levels,
+and each level is one array step over all of its nodes.  A second fill in
+the reversed order measures holonomy, the path dependence that appears
+exactly when chi fails Codazzi.  The RK4 stage data of a level is evaluated
+before it marches, in _continuous_data calls of at most STAGE_POINTS chart
+points: at the default h a level has up to ~2700 stage points, and putting
+them through curvature() at once raises the peak memory of a reconstruct
+by about a fifth.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from functools import lru_cache
 from typing import Callable, Optional
@@ -231,8 +239,7 @@ class ChiField:
 
     def at(self, pts):
         """Re-solve at arbitrary chart points (family-backed fields only)."""
-        g, _, chi = _continuous_data(self.field, pts)
-        return chi
+        return _continuous_data(self.field, pts)[1]
 
 
 def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
@@ -257,7 +264,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
 
 
 def _continuous_data(field, pts):
-    """(g, Gamma, chi) at arbitrary chart points, for integration."""
+    """(Gamma, chi, chi g^{-1}) at arbitrary chart points, for integration."""
     if field.family is None:
         raise ValueError("off-grid evaluation needs a family-backed field")
     pts = np.asarray(pts, dtype=float)
@@ -266,7 +273,8 @@ def _continuous_data(field, pts):
     ric = cs.ricci
     if field.perturbation is not None:
         ric = ric + field.perturbation(pts, 1).value
-    return cs.metric, cs.christoffel, _chi_values(cs.metric, ric, field.chart, pts)[0]
+    chi = _chi_values(cs.metric, ric, field.chart, pts)[0]
+    return cs.christoffel, chi, chi @ cs.metric_inv
 
 
 # ------------------------------------------------- Codazzi embeddability
@@ -350,6 +358,24 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 
 # ----------------------------------------------------- frame integration
 
+STAGE_POINTS = 512   # most chart points per march _continuous_data call
+
+
+def _lattice(coords):
+    """A grid's integer lattice: (idx, spacing, center row).
+
+    spacing is the step between the first coordinate's values, idx the
+    coordinates in units of it (rounded), and the center row the node at
+    the chart origin.
+    """
+    center = int(np.argmin(np.linalg.norm(coords, axis=-1)))
+    if np.linalg.norm(coords[center]) > 1e-12:
+        raise ValueError("field grid has no center node")
+    axis_vals = np.unique(np.round(coords[:, 0], 12))
+    spacing = float(axis_vals[1] - axis_vals[0])
+    return np.rint(coords / spacing).astype(int), spacing, center
+
+
 @dataclasses.dataclass
 class FrameState:
     """Position, tangent frame rows, and unit normal in the ambient space."""
@@ -373,11 +399,8 @@ class FrameState:
         them with a zero last component leaves e_{n+1} as the unique unit
         normal making [E_1..E_n, N] positively oriented (det L > 0).
         """
-        k0 = int(np.argmin(np.linalg.norm(field.coords, axis=-1)))
-        if np.linalg.norm(field.coords[k0]) > 1e-12:
-            raise ValueError("field grid has no center node")
         n = field.n
-        chol = np.linalg.cholesky(field.g()[k0])
+        chol = np.linalg.cholesky(field.g()[_lattice(field.coords)[2]])
         e = np.zeros((n, n + 1))
         e[:, :n] = chol
         nvec = np.zeros(n + 1)
@@ -396,79 +419,85 @@ class Reconstruction:
     drift_limit: float
 
 
-def _rhs(axis, gamma, chi, ginv, e, nrm):
+def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
     de = np.einsum("lkj,lkp->ljp", gamma[:, :, axis, :], e) \
         - chi[:, axis, :, None] * nrm[:, None, :]
-    dn = np.einsum("lj,ljp->lp", (chi @ ginv)[:, axis, :], e)
+    dn = np.einsum("lj,ljp->lp", chi_ginv[:, axis, :], e)
     return e[:, axis], de, dn
 
 
 def _integrate_batch(field, starts, axis, sign, spacing, h, x, e, nrm):
-    """March a batch of frame states one lattice segment along an axis."""
+    """March a batch of frame states one lattice segment along an axis.
+
+    The stage data of all substeps (the starts, then each substep's
+    midpoints and ends) is evaluated before the march, STAGE_POINTS chart
+    points per _continuous_data call.
+    """
     nsub = max(1, int(round(spacing / h)))
     dt = sign * spacing / nsub
     unit = np.zeros(3)
     unit[axis] = 1.0
-    data0 = _continuous_data(field, starts)
+    offsets = np.array([t for s in range(nsub) for t in (s * dt + dt / 2.0, s * dt + dt)])
+    pts = np.concatenate([starts[None], starts + offsets[:, None, None] * unit]).reshape(-1, 3)
+    parts = [_continuous_data(field, pts[i:i + STAGE_POINTS])
+             for i in range(0, len(pts), STAGE_POINTS)]
+    stages = [np.concatenate(p).reshape((2 * nsub + 1, len(starts)) + p[0].shape[1:])
+              for p in zip(*parts)]
+
+    def f(row, e, nrm):
+        return _rhs(axis, *(d[row] for d in stages), e, nrm)
+
     for s in range(nsub):
-        t0 = s * dt
-        datam = _continuous_data(field, starts + (t0 + dt / 2.0) * unit)
-        datae = _continuous_data(field, starts + (t0 + dt) * unit)
-
-        def f(data, x, e, nrm):
-            g, gamma, chi = data
-            return _rhs(axis, gamma, chi, np.linalg.inv(g), e, nrm)
-
-        k1 = f(data0, x, e, nrm)
-        k2 = f(datam, x + dt / 2 * k1[0], e + dt / 2 * k1[1], nrm + dt / 2 * k1[2])
-        k3 = f(datam, x + dt / 2 * k2[0], e + dt / 2 * k2[1], nrm + dt / 2 * k2[2])
-        k4 = f(datae, x + dt * k3[0], e + dt * k3[1], nrm + dt * k3[2])
+        k1 = f(2 * s, e, nrm)
+        k2 = f(2 * s + 1, e + dt / 2 * k1[1], nrm + dt / 2 * k1[2])
+        k3 = f(2 * s + 1, e + dt / 2 * k2[1], nrm + dt / 2 * k2[2])
+        k4 = f(2 * s + 2, e + dt * k3[1], nrm + dt * k3[2])
         x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         e = e + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         nrm = nrm + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        data0 = datae
     return x, e, nrm
 
 
 def _sweep_fill(field, seed, plan, h, drift_limit):
+    """Frame states marched from the seed over the lattice in plan order.
+
+    With plan (a, b, c) the fill covers the line through the center along
+    a, then the (a, b) plane along b, then the ball along c.  Each stage
+    moves outward by levels |idx[axis]| = 1, 2, ..., the + side first: a
+    level is one _integrate_batch call from the filled nodes one step back
+    toward the center to the unfilled nodes of the stage at that level,
+    and a side ends at its first level without such a pair.  Returns the
+    positions and the sup of the frame drift |E E^T - g| over the nodes.
+    """
     coords = field.coords
+    idx, spacing, center = _lattice(coords)
     total = coords.shape[0]
-    axes_vals = np.unique(np.round(coords[:, 0], 12))
-    spacing = float(axes_vals[1] - axes_vals[0])
-    idx = np.rint(coords / spacing).astype(int)
-    lookup = {tuple(row): k for k, row in enumerate(idx)}
-    if (0, 0, 0) not in lookup:
-        raise ValueError("field grid has no center node")
+    reach = int(np.abs(idx).max())
+    rows = np.full((2 * reach + 1,) * 3, -1)     # lattice index + reach -> row
+    rows[tuple((idx + reach).T)] = np.arange(total)
 
     xs = np.zeros((total, 4))
     es = np.zeros((total, 3, 4))
     ns = np.zeros((total, 4))
     done = np.zeros(total, dtype=bool)
-    k0 = lookup[(0, 0, 0)]
-    xs[k0], es[k0], ns[k0] = seed.X, seed.E, seed.N
-    done[k0] = True
+    xs[center], es[center], ns[center] = seed.X, seed.E, seed.N
+    done[center] = True
 
     gvals = field.g()
     iso_sup = 0.0
-
-    def advance(axis, active_mask):
-        nonlocal iso_sup
+    a, b, c = plan
+    for axis, in_stage in ((a, (idx[:, b] == 0) & (idx[:, c] == 0)),
+                           (b, idx[:, c] == 0),
+                           (c, np.ones(total, dtype=bool))):
         for sign in (1, -1):
-            level = 1
-            while True:
-                targets = []
-                sources = []
-                for k in np.nonzero(active_mask & ~done)[0]:
-                    if idx[k][axis] != sign * level:
-                        continue
-                    prev = tuple(idx[k] - sign * np.eye(3, dtype=int)[axis])
-                    if prev in lookup and done[lookup[prev]]:
-                        targets.append(k)
-                        sources.append(lookup[prev])
-                if not targets:
+            back = reach - sign * np.eye(3, dtype=int)[axis]
+            for level in itertools.count(1):
+                targets = np.nonzero(in_stage & ~done & (idx[:, axis] == sign * level))[0]
+                sources = rows[tuple((idx[targets] + back).T)]
+                reached = (sources >= 0) & done[sources]
+                targets, sources = targets[reached], sources[reached]
+                if not targets.size:
                     break
-                targets = np.asarray(targets)
-                sources = np.asarray(sources)
                 x, e, nrm = _integrate_batch(
                     field, coords[sources], axis, sign, spacing, h,
                     xs[sources], es[sources], ns[sources])
@@ -485,15 +514,9 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
                         f"{where['coords']}; chi is inconsistent with g"
                     )
                 iso_sup = max(iso_sup, float(drift.max()))
-                level += 1
-
-    a, b, c = plan
-    advance(a, (idx[:, b] == 0) & (idx[:, c] == 0))
-    advance(b, idx[:, c] == 0)
-    advance(c, np.ones(total, dtype=bool))
     if not done.all():
         raise IntegrationError("sweep failed to reach every grid node")
-    return xs, es, ns, iso_sup
+    return xs, iso_sup
 
 
 def reconstruct(field: IntrinsicField, chi: ChiField,
@@ -512,17 +535,17 @@ def reconstruct(field: IntrinsicField, chi: ChiField,
         raise ValueError("path_plan must be a permutation of (0, 1, 2)")
     if chi.field is not field:
         raise ValueError("chi was solved on a different field")
+    center = _lattice(field.coords)[2]
     if seed is None:
         seed = FrameState.seed(field)
-    bad = seed.residuals(field.g()[int(np.argmin(np.linalg.norm(field.coords, axis=-1)))])
+    bad = seed.residuals(field.g()[center])
     if max(bad.values()) > 1e-10:
         raise ValueError(f"seed frame violates its invariants: {bad}")
 
-    xs, _, _, iso = _sweep_fill(field, seed, tuple(path_plan), h, drift_limit)
+    xs, iso = _sweep_fill(field, seed, tuple(path_plan), h, drift_limit)
     holo = None
     if with_holonomy:
-        xs2, _, _, iso2 = _sweep_fill(field, seed, tuple(reversed(path_plan)),
-                                      h, drift_limit)
+        xs2, iso2 = _sweep_fill(field, seed, tuple(reversed(path_plan)), h, drift_limit)
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())
     return Reconstruction(coords=field.coords, X=xs, isometry_sup=iso,

@@ -60,6 +60,8 @@ class MetricJet:
             raise ValueError(f"metric jet in {n} variables needs trailing ({n}, {n}) "
                              f"slot axes, got batch shape {jet.batch_shape}")
         coeffs = jet.coeffs
+        if not np.isfinite(coeffs).all():
+            raise DomainError("metric jets are not finite")
         lo = np.tril_indices(n, -1)
         if not np.allclose(coeffs[..., lo[1], lo[0], :], coeffs[..., lo[0], lo[1], :],
                            rtol=1e-8, atol=1e-10):
@@ -258,8 +260,10 @@ def frame_transform(g, t=None):
 
 
 def _frame_riemann(riemann, frame):
-    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
-                     riemann, frame, frame, frame, frame)
+    """R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time."""
+    for _ in range(4):
+        riemann = np.einsum("...ijkl,...ia->...jkla", riemann, frame)
+    return riemann
 
 
 def _sectional_exact(n, gvals, riemann, scalar):

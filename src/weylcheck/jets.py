@@ -68,7 +68,6 @@ def _basis(nvars, order):
                 mul_k.append(index[tuple(a + b for a, b in zip(gi, gj))])
     mul_i = np.array(mul_i, dtype=np.int64)
     mul_j = np.array(mul_j, dtype=np.int64)
-    mul_k = np.array(mul_k, dtype=np.int64)
     scatter = np.zeros((mul_i.size, count))
     scatter[np.arange(mul_i.size), mul_k] = 1.0
 
@@ -91,7 +90,6 @@ def _basis(nvars, order):
         count=count,
         mul_i=mul_i,
         mul_j=mul_j,
-        mul_k=mul_k,
         scatter=scatter,
         derivs=tuple(derivs),
     )
@@ -250,11 +248,7 @@ class Jet:
             self._check_compatible(other)
             b = _basis(self.nvars, self.order)
             prod = self.coeffs[..., b.mul_i] * other.coeffs[..., b.mul_j]
-            if prod.ndim == 1:
-                out = np.bincount(b.mul_k, weights=prod, minlength=b.count)
-            else:
-                out = prod @ b.scatter
-            return Jet(self.nvars, self.order, out)
+            return Jet(self.nvars, self.order, prod @ b.scatter)
         other = np.asarray(other, dtype=float)
         return Jet(self.nvars, self.order, self.coeffs * other[..., None])
 

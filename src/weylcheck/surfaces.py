@@ -63,8 +63,8 @@ def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
 
 class RoundSphere:
     def __init__(self, radius, dim=3):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.dim = dim
 
@@ -75,15 +75,19 @@ class RoundSphere:
         return f"RoundSphere(radius={self.radius}, dim={self.dim})"
 
 
+def _semi_axes(semi_axes):
+    axes = tuple(float(a) for a in semi_axes)
+    if not all(0 < a < np.inf for a in axes):
+        raise ValueError("semi-axes must be positive and finite")
+    return axes
+
+
 class Ellipsoid:
     """Axis-aligned ellipsoid, parametrized by scaling the unit sphere."""
 
     def __init__(self, semi_axes):
-        axes = tuple(float(a) for a in semi_axes)
-        if any(a <= 0 for a in axes):
-            raise ValueError("semi-axes must be positive")
-        self.semi_axes = axes
-        self.dim = len(axes) - 1
+        self.semi_axes = _semi_axes(semi_axes)
+        self.dim = len(self.semi_axes) - 1
 
     def ambient_jets(self, chart, pts, order=AMBIENT_ORDER):
         comps = unit_sphere_jets(chart, pts, order)
@@ -131,14 +135,14 @@ def epsilon_family(base: RadialGraph, eps: float) -> RadialGraph:
 
 
 def radial_graph_constant(c=1.0, dim=3):
-    if c <= 0:
-        raise ValueError("constant must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError("constant must be positive and finite")
     return RadialGraph(lambda comps: Jet.constant(
         np.full(comps[0].batch_shape, c), comps[0].nvars, comps[0].order), dim=dim)
 
 
 def radial_graph_ellipsoid(semi_axes):
-    axes = tuple(float(a) for a in semi_axes)
+    axes = _semi_axes(semi_axes)
 
     def u(comps):
         s = None

@@ -175,6 +175,24 @@ class TestMain:
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command,family,code,frag", [
+        ("verify", {"variant": "sphere", "radius": 1e200}, 3, "not finite"),
+        ("verify", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
+        ("solve", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
+        ("verify", {"variant": "radial_graph", "kind": "constant", "value": 1e-320},
+         3, "not finite"),
+        ("verify", {"variant": "sphere", "radius": float("nan")}, 2, "finite"),
+    ])
+    def test_nonfinite_metric_exit_code(self, tmp_path, capsys, command, family, code,
+                                        frag):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"family": family, "resolution": 5}))
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(path), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert frag in err
+        assert "Traceback" not in err
+
     def test_family_needs_radial_graph(self, capsys):
         assert main(["family", "--resolution", "5", "--quiet"]) == 2
         assert "radial_graph" in capsys.readouterr().err

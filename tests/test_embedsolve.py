@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh as generalized_eigh
 
+from weylcheck import embedsolve
 from weylcheck.embedsolve import (
     ChiField,
     FrameState,
@@ -244,6 +245,55 @@ def grid5():
     return ball_grid(5, 1.2, 3)
 
 
+# reconstruct(h=0.1) on the ball_grid(5) ellipsoid, recorded from a march that
+# evaluated every RK4 stage in a call of its own: batching the stage data by
+# lattice level must not move it
+ELLIPSOID5_X = np.array([
+    [-0.9836082065152028, 0.0, 0.0, -1.2393315467016675],
+    [-0.5769256415641659, -0.6923060045054521, -0.5192284157602649, -1.0903685066886692],
+    [-0.6976732985944191, -0.8372044718000055, 0.0, -0.8790518701161965],
+    [-0.5769256415641659, -0.6923060045054521, 0.5192284157602649, -1.0903685066886692],
+    [-0.6976740553250427, 1.0079476687486286e-17, -0.6279033400612275, -0.8790504400521353],
+    [-0.8823446389151975, 0.0, 0.0, -0.5558645476580165],
+    [-0.6976740553250427, 1.0079476687486286e-17, 0.6279033400612275, -0.8790504400521353],
+    [-0.576925641564166, 0.6923060045054521, -0.519228415760265, -1.0903685066886692],
+    [-0.6976732985944191, 0.8372044718000055, 0.0, -0.8790518701161965],
+    [-0.576925641564166, 0.6923060045054521, 0.519228415760265, -1.0903685066886692],
+    [0.0, -1.1803263202934957, 0.0, -1.2393365443092086],
+    [0.0, -0.8372065057510718, -0.6279039179120641, -0.879051978030943],
+    [0.0, -1.0588121420489862, 0.0, -0.5558670824276474],
+    [0.0, -0.8372065057510718, 0.6279039179120641, -0.879051978030943],
+    [0.0, 0.0, -0.8852515946583709, -1.239324278980521],
+    [0.0, 0.0, -0.7941120962311531, -0.5558611675842926],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.7941120962311531, -0.5558611675842926],
+    [0.0, 0.0, 0.8852515946583709, -1.239324278980521],
+    [0.0, 0.8372065057510718, -0.6279039179120641, -0.8790519780309429],
+    [0.0, 1.0588121420489862, 0.0, -0.5558670824276474],
+    [0.0, 0.8372065057510718, 0.6279039179120641, -0.8790519780309429],
+    [0.0, 1.1803263202934955, 0.0, -1.2393365443092088],
+    [0.5769256415641659, -0.6923060045054518, -0.519228415760265, -1.090368506688669],
+    [0.697673298594419, -0.8372044718000052, 0.0, -0.8790518701161965],
+    [0.5769256415641659, -0.6923060045054518, 0.519228415760265, -1.090368506688669],
+    [0.6976740553250426, -1.6476242661985675e-17, -0.6279033400612275, -0.8790504400521353],
+    [0.8823446389151975, 0.0, 0.0, -0.5558645476580165],
+    [0.6976740553250426, -1.6476242661985675e-17, 0.6279033400612275, -0.8790504400521353],
+    [0.5769256415641659, 0.6923060045054518, -0.519228415760265, -1.090368506688669],
+    [0.697673298594419, 0.8372044718000052, 0.0, -0.8790518701161965],
+    [0.5769256415641659, 0.6923060045054518, 0.519228415760265, -1.090368506688669],
+    [0.9836082065152028, 0.0, 0.0, -1.2393315467016675],
+])
+ELLIPSOID5_ISOMETRY = 3.407058343807279e-05
+ELLIPSOID5_HOLONOMY = 1.0988773683271085e-05
+
+
+@pytest.fixture(scope="module")
+def ellipsoid5(grid5):
+    field = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5)
+    chi = solve_contracted_gauss(field)
+    return field, chi, reconstruct(field, chi, h=0.1)
+
+
 class TestReconstruct:
     def test_round_sphere(self, grid5):
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
@@ -272,6 +322,44 @@ class TestReconstruct:
         chi = solve_contracted_gauss(field)
         with pytest.raises(IntegrationError, match="drift"):
             reconstruct(field, chi, h=2e-2, drift_limit=1e-18)
+
+    def test_pinned_ellipsoid(self, ellipsoid5):
+        rec = ellipsoid5[2]
+        assert np.abs(rec.X - ELLIPSOID5_X).max() <= 1e-12
+        assert rec.isometry_sup == pytest.approx(ELLIPSOID5_ISOMETRY, rel=1e-9)
+        assert rec.holonomy_sup == pytest.approx(ELLIPSOID5_HOLONOMY, rel=1e-9)
+
+    def test_stage_points_cap(self, ellipsoid5, monkeypatch):
+        field, chi, rec = ellipsoid5
+        calls = []
+        data = embedsolve._continuous_data
+
+        def counted(f, pts):
+            calls.append(len(pts))
+            return data(f, pts)
+
+        monkeypatch.setattr(embedsolve, "_continuous_data", counted)
+        reconstruct(field, chi, h=0.1)
+        default_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(embedsolve, "STAGE_POINTS", 7)
+        capped = reconstruct(field, chi, h=0.1)
+        assert max(calls) <= 7
+        assert len(calls) > default_calls
+        assert np.abs(capped.X - rec.X).max() <= 1e-12
+
+    def test_no_center_node(self, grid5):
+        pts = grid5[np.linalg.norm(grid5, axis=-1) > 0]
+        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, pts)
+        with pytest.raises(ValueError, match="no center node"):
+            reconstruct(field, solve_contracted_gauss(field), h=0.1)
+
+    def test_unreachable_node(self, grid5):
+        hole = np.all(np.isclose(grid5, [0.6, 0.0, 0.0]), axis=-1)
+        assert hole.sum() == 1
+        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5[~hole])
+        with pytest.raises(IntegrationError, match="sweep failed to reach every grid node"):
+            reconstruct(field, solve_contracted_gauss(field), h=0.1)
 
     def test_input_validation(self, grid5, sphere_field, sphere_chi):
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
