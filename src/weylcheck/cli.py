@@ -7,7 +7,7 @@ byte-identical reports except for the wall-time section.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
 3 numerical-domain error (nonpositive curvature, cone obstruction, frame
-drift).
+drift, a singular matrix or a jet with zero constant term to invert).
 """
 
 from __future__ import annotations
@@ -510,11 +510,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        report, code = run(args.command, cfg)
+        # overflow, division by an underflowed zero and NaN are reported by
+        # the finiteness checks (exit 3), not as numpy warnings on stderr
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            report, code = run(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IntegrationError, ConvergenceError) as exc:
+    except (DomainError, IntegrationError, ConvergenceError,
+            np.linalg.LinAlgError, ZeroDivisionError) as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 3
     text = canonical_json(report) + "\n"

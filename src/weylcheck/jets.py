@@ -15,6 +15,17 @@ products are stored slot-major (Jet.zeros): the slot axes are outermost in
 memory, so each entry is one contiguous block, which products gather from much
 faster than from a strided view.  Truncation keeps that layout.
 
+A product is a Cauchy product formed with elementwise numpy alone: both
+operands are gathered monomial-first (through their transposes) at every
+(i, j) monomial pair of total degree <= order, multiplied, and the pairs are
+summed in layers.  Layer t holds the t-th pair, in generation order, of every
+output monomial with more than t pairs; ranking the outputs by pair count
+makes each later layer an in-place add into a suffix of layer 0.  So each
+coefficient is the sum of its pairs in generation order, the same bits for a
+point whatever batch it is in.  Product outputs are monomial-major: the
+monomial axis is outermost in memory, so each coefficient is one contiguous
+block, which is what the next product gathers.
+
 Coefficients are stored against a graded lexicographic monomial basis; the
 basis of a lower order is always a prefix of the basis of a higher order, so
 truncation and differentiation are cheap slices.  The coefficient of the
@@ -59,17 +70,24 @@ def _basis(nvars, order):
     exps = np.array(monos, dtype=np.int64)
     degrees = exps.sum(axis=1)
 
-    mul_i, mul_j, mul_k = [], [], []
+    # Product layers (module docstring): pairs[k] lists the (i, j) pairs of
+    # output monomial k in generation order; layer t is (first, start, stop),
+    # its products prod[start:stop] adding into the outputs ranked first on.
+    pairs = [[] for _ in range(count)]
     for i, gi in enumerate(monos):
         for j, gj in enumerate(monos):
             if degrees[i] + degrees[j] <= order:
-                mul_i.append(i)
-                mul_j.append(j)
-                mul_k.append(index[tuple(a + b for a, b in zip(gi, gj))])
-    mul_i = np.array(mul_i, dtype=np.int64)
-    mul_j = np.array(mul_j, dtype=np.int64)
-    scatter = np.zeros((mul_i.size, count))
-    scatter[np.arange(mul_i.size), mul_k] = 1.0
+                pairs[index[tuple(a + b for a, b in zip(gi, gj))]].append((i, j))
+    ranked = sorted(range(count), key=lambda k: len(pairs[k]))
+    rank = np.empty(count, dtype=np.int64)
+    rank[ranked] = np.arange(count)
+    mul_i, mul_j, layers = [], [], []
+    for t in range(len(pairs[ranked[-1]])):
+        first = next(r for r, k in enumerate(ranked) if len(pairs[k]) > t)
+        layers.append((first, len(mul_i), len(mul_i) + count - first))
+        for k in ranked[first:]:
+            mul_i.append(pairs[k][t][0])
+            mul_j.append(pairs[k][t][1])
 
     derivs = []
     if order >= 1:
@@ -88,9 +106,10 @@ def _basis(nvars, order):
         monos=tuple(monos),
         index=index,
         count=count,
-        mul_i=mul_i,
-        mul_j=mul_j,
-        scatter=scatter,
+        mul_i=np.array(mul_i, dtype=np.int64),
+        mul_j=np.array(mul_j, dtype=np.int64),
+        layers=tuple(layers[1:]),
+        rank=rank,
         derivs=tuple(derivs),
     )
 
@@ -247,8 +266,18 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             b = _basis(self.nvars, self.order)
-            prod = self.coeffs[..., b.mul_i] * other.coeffs[..., b.mul_j]
-            return Jet(self.nvars, self.order, prod @ b.scatter)
+            x, y = self.coeffs, other.coeffs
+            # .T reverses the axes, so pad the operand with fewer batch axes
+            # on the left first, or the transposed batch axes would misalign.
+            if x.ndim < y.ndim:
+                x = x.reshape((1,) * (y.ndim - x.ndim) + x.shape)
+            elif y.ndim < x.ndim:
+                y = y.reshape((1,) * (x.ndim - y.ndim) + y.shape)
+            prod = x.T.take(b.mul_i, axis=0) * y.T.take(b.mul_j, axis=0)
+            out = prod[: b.count]
+            for first, start, stop in b.layers:
+                out[first:] += prod[start:stop]
+            return Jet(self.nvars, self.order, out.take(b.rank, axis=0).T)
         other = np.asarray(other, dtype=float)
         return Jet(self.nvars, self.order, self.coeffs * other[..., None])
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestCanonicalJson:
         assert canonical_json(json.loads(s)) == s
 
 
+NONFINITE_CASES = [
+    ("verify", {"variant": "sphere", "radius": 1e200}, 3, "not finite"),
+    ("verify", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
+    ("solve", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
+    ("verify", {"variant": "radial_graph", "kind": "constant", "value": 1e-320},
+     3, "not finite"),
+    ("verify", {"variant": "sphere", "radius": float("nan")}, 2, "finite"),
+]
+
+
 @pytest.fixture()
 def sphere_cfg(tmp_path):
     path = tmp_path / "cfg.json"
@@ -175,14 +186,7 @@ class TestMain:
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command,family,code,frag", [
-        ("verify", {"variant": "sphere", "radius": 1e200}, 3, "not finite"),
-        ("verify", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
-        ("solve", {"variant": "ellipsoid", "semi_axes": [1e170] * 4}, 3, "not finite"),
-        ("verify", {"variant": "radial_graph", "kind": "constant", "value": 1e-320},
-         3, "not finite"),
-        ("verify", {"variant": "sphere", "radius": float("nan")}, 2, "finite"),
-    ])
+    @pytest.mark.parametrize("command,family,code,frag", NONFINITE_CASES)
     def test_nonfinite_metric_exit_code(self, tmp_path, capsys, command, family, code,
                                         frag):
         path = tmp_path / "overflow.json"
@@ -191,6 +195,29 @@ class TestMain:
             assert main([command, "--config", str(path), "--quiet"]) == code
         err = capsys.readouterr().err
         assert frag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,family,code,frag", NONFINITE_CASES)
+    def test_nonfinite_metric_prints_no_runtime_warning(self, tmp_path, capsys, command,
+                                                        family, code, frag):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"family": family, "resolution": 5}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--quiet"]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"),
+                                     ZeroDivisionError("jet constant term is zero")])
+    def test_numerical_exception_exit_3(self, monkeypatch, capsys, exc):
+        def raise_exc(command, cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", raise_exc)
+        assert main(["verify", "--resolution", "5", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical-domain error: {exc}" in err
         assert "Traceback" not in err
 
     def test_family_needs_radial_graph(self, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcheck.errors import DomainError
-from weylcheck.jets import Jet, basis_monomials
+from weylcheck.jets import MAX_ORDER, Jet, basis_monomials
 
 
 def make_xyz(point, order=4):
@@ -213,7 +213,66 @@ def test_mismatched_jets_rejected():
         a + c
 
 
-small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
+def _product_pairs(nvars, order):
+    """(i, j, k) for every monomial pair i * j = k, in generation order."""
+    monos = basis_monomials(nvars, order)
+    index = {m: k for k, m in enumerate(monos)}
+    return [
+        (i, j, index[tuple(a + b for a, b in zip(gi, gj))])
+        for i, gi in enumerate(monos)
+        for j, gj in enumerate(monos)
+        if sum(gi) + sum(gj) <= order
+    ]
+
+
+def _random_jet(rng, batch, nvars, order):
+    return Jet(nvars, order, rng.standard_normal(batch + (len(basis_monomials(nvars, order)),)))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_product_matches_pair_loop(nvars, order):
+    rng = np.random.default_rng(100 * nvars + order)
+    f, g = (_random_jet(rng, (7,), nvars, order) for _ in range(2))
+    expected = np.zeros_like(f.coeffs)
+    for i, j, k in _product_pairs(nvars, order):
+        expected[:, k] += f.coeffs[:, i] * g.coeffs[:, j]
+    prod = f * g
+    # each coefficient sums its pairs in generation order, as this loop does
+    np.testing.assert_array_equal(prod.coeffs, expected)
+    assert prod.coeffs[:, -1].flags["C_CONTIGUOUS"]  # monomial-major
+
+
+@pytest.mark.parametrize("nvars,order", [(3, 5), (3, 4), (2, 6), (3, 1)])
+def test_product_is_batch_invariant(nvars, order):
+    rng = np.random.default_rng(order)
+    f, g = (_random_jet(rng, (128,), nvars, order) for _ in range(2))
+    batched = {n: (f[:n] * g[:n]).coeffs for n in (2, 13, 128)}
+    for p in range(128):
+        alone = (f[p] * g[p]).coeffs
+        np.testing.assert_array_equal((f[p:p + 1] * g[p:p + 1]).coeffs[0], alone)
+        for n, coeffs in batched.items():
+            if p < n:
+                np.testing.assert_array_equal(coeffs[p], alone)
+
+
+@pytest.mark.parametrize("fbatch,gbatch", [((5,), (4, 5)), ((), (4, 5)), ((4, 1), (3,))])
+def test_product_broadcasts_batch_axes(fbatch, gbatch):
+    nvars, order = 3, 4
+    rng = np.random.default_rng(7)
+    f = _random_jet(rng, fbatch, nvars, order)
+    g = _random_jet(rng, gbatch, nvars, order)
+    # the dense formula products used to be formed with
+    i, j, k = np.array(_product_pairs(nvars, order)).T
+    scatter = np.zeros((k.size, f.coeffs.shape[-1]))
+    scatter[np.arange(k.size), k] = 1.0
+    expected = (f.coeffs[..., i] * g.coeffs[..., j]) @ scatter
+    for prod in (f * g, g * f):
+        assert prod.coeffs.shape == expected.shape
+        np.testing.assert_allclose(prod.coeffs, expected, rtol=1e-13, atol=1e-13)
+
+
+small =st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
 
 
 @st.composite
