@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .intrinsic import build_geodesic_graph, diameter
+from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
 from .surfaces import GRID_EXTENT, chart_cover_grids, evaluate_grid, metric_fn
 
 
@@ -44,9 +44,8 @@ class EvaluatedGrid:
         self.support = np.concatenate([sd.support for _, sd in parts])
         self.scalar = np.concatenate([cs.scalar for cs in states])
         self.laplacian = np.concatenate([cs.laplacian_scalar for cs in states])
-        self.ricci_norm = np.concatenate([cs.ricci_norm for cs in states])
-        self.sectional_min = np.concatenate([cs.sectional_min for cs in states])
-        self.sectional_max = np.concatenate([cs.sectional_max for cs in states])
+        self.ricci_norm = np.concatenate([ricci_norm(cs) for cs in states])
+        self.sectional_min = np.concatenate([sectional_extremes(cs).kmin for cs in states])
 
     @property
     def n(self):
@@ -133,6 +132,8 @@ def _default_tol(rhs):
 def _report(name, eg, lhs_field, lhs_idx, rhs_field, rhs_idx, constants, tol):
     lhs = float(lhs_field[lhs_idx])
     rhs = float(rhs_field[rhs_idx])
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DomainError(f"{name}: lhs {lhs!r} or rhs {rhs!r} is not finite")
     if tol is None:
         tol = _default_tol(rhs)
     return BoundReport(
@@ -170,7 +171,7 @@ def weyl_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundReport:
 
 
 def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
-                     tol: Optional[float] = None, landmarks: int = 64) -> BoundReport:
+                     tol: Optional[float] = None) -> BoundReport:
     """sup H^2 against C d^2 sup(2R^2 - Delta R + (n-1)^2 R / (64 d^2)).
 
     d may be passed directly (exact diameters in tests); otherwise it is
@@ -180,7 +181,7 @@ def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
     d_source = "provided"
     if d is None:
         gg = build_geodesic_graph(metric_fn(eg.family), n, eg.resolution, eg.extent)
-        d = diameter(gg, landmarks=landmarks).value
+        d = diameter(gg).value
         d_source = "graph"
     big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 4.0)
     lhs = eg.H**2

@@ -7,7 +7,8 @@ byte-identical reports except for the wall-time section.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
 3 numerical-domain error (nonpositive curvature, cone obstruction, frame
-drift, a singular matrix or a jet with zero constant term to invert).
+drift, a singular matrix, a jet with zero constant term to invert, a float
+overflow or a bound side that is not finite).
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, IntegrationError, ConvergenceError,
-            np.linalg.LinAlgError, ZeroDivisionError) as exc:
+            np.linalg.LinAlgError, ZeroDivisionError, OverflowError) as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 3
     text = canonical_json(report) + "\n"

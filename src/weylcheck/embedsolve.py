@@ -7,6 +7,10 @@ result back to coordinates.  First derivatives of chi come from the
 linearization of that map fed with exact jet derivatives of g and Ricci, so
 the Codazzi residual carries no grid-differencing noise.
 
+IntrinsicField.from_family builds metric jets of order 3, as the solver
+reads Ricci (order m - 2) to first derivatives and Codazzi reads Christoffel
+values; order 4 gives the same bits (see weylcheck.jets).
+
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice.
 The fill follows the path plan's axes: the line through the center, then
@@ -47,7 +51,7 @@ from .surfaces import (
 SOLVE_RESIDUAL_LIMIT = 1e-9
 
 
-def metric_jets(family, chart, pts, order=4) -> MetricJet:
+def metric_jets(family, chart, pts, order) -> MetricJet:
     """Induced-metric jets of the family at chart points, any order >= 1."""
     return MetricJet(induced_metric(family.ambient_jets(chart, pts, order=order + 1)))
 
@@ -95,8 +99,8 @@ class IntrinsicField:
                    perturbation=perturbation)
 
     @classmethod
-    def from_family(cls, family, chart, pts, order=4, perturbation=None):
-        mj = metric_jets(family, chart, pts, order=order)
+    def from_family(cls, family, chart, pts, perturbation=None):
+        mj = metric_jets(family, chart, pts, order=3)
         return cls.from_metric(mj, chart, pts, family=family,
                                perturbation=perturbation)
 

@@ -12,6 +12,13 @@ tensor an (n, n, n, n)-slot Jet and Ricci an (n, n)-slot Jet.  Products are
 formed one slot entry at a time, once per independent entry, on views of
 those arrays.
 
+Orders.  A field is formed at the order its readers use: for a metric of
+order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
+Ricci and the scalar curvature order m - 2.  A CurvatureState holds values
+of the metric, its inverse, Christoffel, lowered Riemann, Ricci, scalar
+curvature and (for m >= 4) its Laplacian, plus the Ricci jet; the per-point
+summaries sectional_extremes(cs) and ricci_norm(cs) are formed on request.
+
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  The lowered
 curvature tensor riemann[..., i, j, k, l] contracts with u^i v^j u^k v^l to
 the (unnormalized) sectional numerator of the plane spanned by u and v; on
@@ -35,6 +42,8 @@ from .jets import Jet
 
 # charts overlap in an annulus as long as 1 < extent < chart cap
 DEFAULT_EXTENT = 1.2
+# Dijkstra sources diameter() runs on graphs above resolution 9
+LANDMARKS = 64
 
 
 def _mirror_upper(coeffs):
@@ -85,10 +94,11 @@ class MetricJet:
         return np.ascontiguousarray(self.jet.value)
 
     def inverse(self):
-        """Adjugate-over-determinant inverse, an (n, n)-slot Jet of the same order."""
+        """Adjugate-over-determinant inverse, an (n, n)-slot Jet one order
+        below the metric (cached)."""
         if self._inv is not None:
             return self._inv
-        e = self.jet
+        e = self.jet.truncate(self.order - 1)
         if self.n == 2:
             det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
             r = det.reciprocal()
@@ -107,7 +117,7 @@ class MetricJet:
                      (1, 1): c11 * r, (1, 2): c12 * r, (2, 2): c22 * r}
         else:
             raise ValueError(f"unsupported dimension {self.n}")
-        inv = Jet(self.n, self.order, np.empty_like(e.coeffs))
+        inv = Jet(self.n, e.order, np.empty_like(e.coeffs))
         for (i, j), ent in upper.items():
             inv[..., i, j] = inv[..., j, i] = ent
         self._inv = inv
@@ -121,7 +131,7 @@ class MetricJet:
         if m < 1:
             raise ValueError("metric jets must carry at least first derivatives")
         g = self.jet
-        ginv = self.inverse().truncate(m - 1)
+        ginv = self.inverse()
         gamma = Jet.zeros(self.batch_shape, (n, n, n), n, m - 1)
         for i in range(n):
             for j in range(i, n):
@@ -149,15 +159,7 @@ class CurvatureState:
     ricci: np.ndarray
     scalar: np.ndarray
     laplacian_scalar: Optional[np.ndarray]
-    sectional_min: np.ndarray
-    sectional_max: np.ndarray
-    ricci_norm: np.ndarray
     ricci_jet: Jet = field(repr=False)
-    scalar_jet: Jet = field(repr=False)
-
-    @property
-    def batch_shape(self):
-        return self.scalar.shape
 
 
 def curvature(mj: MetricJet) -> CurvatureState:
@@ -165,8 +167,8 @@ def curvature(mj: MetricJet) -> CurvatureState:
 
     The metric must carry order >= 2; the scalar-curvature Laplacian needs
     order 4 and is None below that.  All tensor outputs are plain arrays over
-    the batch; Ricci and scalar curvature are additionally returned as jets
-    (order = metric order - 2) so their derivatives stay exact.
+    the batch; Ricci is additionally returned as a jet (order = metric
+    order - 2) so its derivatives stay exact.
     """
     n, m = mj.n, mj.order
     if m < 2:
@@ -210,27 +212,16 @@ def curvature(mj: MetricJet) -> CurvatureState:
         _, hess = covariant_hessian(scalar, gamma_vals)
         lap = np.einsum("...ij,...ij->...", ginv_vals, hess)
 
-    ric_vals = ricci.value
-    ricci_norm = np.sqrt(np.einsum(
-        "...ik,...jl,...ij,...kl->...", ginv_vals, ginv_vals, ric_vals, ric_vals
-    ))
-
-    kmin, kmax = _sectional_exact(n, gvals, riemann, scalar.value)
-
     return CurvatureState(
         n=n,
         metric=gvals,
         metric_inv=ginv_vals,
         christoffel=gamma_vals,
         riemann=riemann,
-        ricci=ric_vals,
+        ricci=ricci.value,
         scalar=scalar.value,
         laplacian_scalar=lap,
-        sectional_min=kmin,
-        sectional_max=kmax,
-        ricci_norm=ricci_norm,
         ricci_jet=ricci,
-        scalar_jet=scalar,
     )
 
 
@@ -266,23 +257,6 @@ def _frame_riemann(riemann, frame):
     return riemann
 
 
-def _sectional_exact(n, gvals, riemann, scalar):
-    if n == 2:
-        half = scalar / 2.0
-        return half.copy(), half.copy()
-    if n == 3:
-        _, frame, _ = frame_transform(gvals)
-        rf = _frame_riemann(riemann, frame)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        op = np.empty(scalar.shape + (3, 3))
-        for a, (i, j) in enumerate(pairs):
-            for b, (k, l) in enumerate(pairs):
-                op[..., a, b] = rf[..., i, j, k, l]
-        ev = np.linalg.eigvalsh(op)
-        return ev[..., 0], ev[..., -1]
-    raise ValueError(f"unsupported dimension {n}")
-
-
 class SectionalRange(NamedTuple):
     kmin: np.ndarray
     kmax: np.ndarray
@@ -299,8 +273,18 @@ def sectional_extremes(cs: CurvatureState, samples: int = 0, seed: int = 0) -> S
     which serves as a cross-check; the exact flag reports whether the result
     is certified rather than sampled.
     """
-    kmin, kmax = cs.sectional_min.copy(), cs.sectional_max.copy()
-    exact = cs.n <= 3
+    if cs.n == 2:
+        kmin = cs.scalar / 2.0
+        kmax = kmin.copy()
+    elif cs.n == 3:
+        _, frame, _ = frame_transform(cs.metric)
+        rf = _frame_riemann(cs.riemann, frame)
+        i, j = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
+        # the operator on the 2-planes (0, 1), (0, 2), (1, 2)
+        ev = np.linalg.eigvalsh(rf[..., i, j, i.T, j.T])
+        kmin, kmax = ev[..., 0], ev[..., -1]
+    else:
+        raise ValueError(f"unsupported dimension {cs.n}")
     if samples > 0:
         rng = np.random.default_rng(seed)
         for _ in range(samples):
@@ -316,7 +300,13 @@ def sectional_extremes(cs: CurvatureState, samples: int = 0, seed: int = 0) -> S
             k = num / gram
             kmin = np.minimum(kmin, k)
             kmax = np.maximum(kmax, k)
-    return SectionalRange(kmin, kmax, exact)
+    return SectionalRange(kmin, kmax, True)
+
+
+def ricci_norm(cs: CurvatureState) -> np.ndarray:
+    """|Ric|_g = sqrt(g^ik g^jl R_ij R_kl) per point."""
+    ginv = cs.metric_inv
+    return np.sqrt(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, cs.ricci, cs.ricci))
 
 
 def adapted_sectional_sums(cs: CurvatureState):
@@ -486,13 +476,13 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
                          adjacency=adj, num_edges=rows.size)
 
 
-def diameter(gg: GeodesicGraph, landmarks: int = 64) -> DiameterEstimate:
+def diameter(gg: GeodesicGraph) -> DiameterEstimate:
     """Largest shortest-path distance found from a landmark set.
 
-    Small graphs (resolution <= 9 per axis, or no more nodes than
-    landmarks) run every node as a source, and the value is then exactly the
-    diameter of the graph.  Larger ones use farthest-point-sampled
-    landmarks, and the value is a lower bound on the graph diameter: the
+    Graphs of resolution <= 9 per axis run every node as a source, and the
+    value is then exactly the diameter of the graph.  Larger ones (at least
+    162 nodes for n = 2, 1030 for n = 3) run LANDMARKS farthest-point-sampled
+    sources, and the value is a lower bound on the graph diameter: the
     sampling can miss the farthest pair.
 
     The graph diameter only approximates the geodesic diameter, with no
@@ -501,7 +491,7 @@ def diameter(gg: GeodesicGraph, landmarks: int = 64) -> DiameterEstimate:
     paths are confined to the stencil's directions, which lengthens them.
     """
     total = gg.num_nodes
-    if gg.resolution <= 9 or landmarks >= total:
+    if gg.resolution <= 9:
         dist = dijkstra(gg.adjacency, directed=False)
         if np.isinf(dist).any():
             raise DomainError("geodesic graph is disconnected")
@@ -511,14 +501,11 @@ def diameter(gg: GeodesicGraph, landmarks: int = 64) -> DiameterEstimate:
     best = 0.0
     mind = None
     source = 0
-    used = []
-    for _ in range(landmarks):
-        used.append(source)
+    for _ in range(LANDMARKS):
         dist = dijkstra(gg.adjacency, directed=False, indices=[source])[0]
         if np.isinf(dist).any():
             raise DomainError("geodesic graph is disconnected")
         best = max(best, float(dist.max()))
         mind = dist if mind is None else np.minimum(mind, dist)
         source = int(np.argmax(mind))
-    return DiameterEstimate(best, total, gg.num_edges, len(used),
-                            gg.resolution, gg.extent)
+    return DiameterEstimate(best, total, gg.num_edges, LANDMARKS, gg.resolution, gg.extent)

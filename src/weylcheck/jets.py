@@ -31,9 +31,12 @@ basis of a lower order is always a prefix of the basis of a higher order, so
 truncation and differentiation are cheap slices.  The coefficient of the
 monomial x^gamma is (d^gamma f) / gamma!, so derivatives are exact reads.
 
-Downstream code keeps metric jets at order 4 (the scalar-curvature Laplacian
-needs four metric derivatives); the generating chart maps run one order higher
-internally because the metric is a product of first derivatives.
+A coefficient of degree d has the same bits at every order >= d: a product
+sums the same pairs in the same order, and the series terms of reciprocal,
+sqrt and exp beyond degree d multiply the exact-zero constant term of
+(self - value).  So each field is formed at the order its readers use: metric
+jets of order 4 for the scalar-curvature Laplacian, order 3 for the solver,
+from chart maps one order higher (the metric is a product of derivatives).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Families are maps from the unit n-sphere into R^{n+1}: round spheres,
 ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
 field at a chart point is produced by exact jet arithmetic: the chart map
 runs at order 5 so the induced metric carries order 4, enough for the
-scalar-curvature Laplacian downstream; the second fundamental form carries
-order 2 so its covariant derivatives stay exact.
+scalar-curvature Laplacian downstream; the normal and the second fundamental
+form carry order 1 for the exact first derivatives Codazzi reads, and
+rho = |X|^2/2 order 2 for its Hessian in the support identities.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
@@ -201,7 +202,7 @@ class SurfaceData:
     """Fields of a family over a batch of chart points.
 
     The scalar entries are arrays over the batch; metric is a MetricJet of
-    order 4 and chi_jet a Jet of order 2 whose trailing batch axes are the
+    order 4 and chi_jet a Jet of order 1 whose trailing batch axes are the
     (n, n) tensor slots.
     """
 
@@ -275,7 +276,7 @@ class SurfaceData:
 
     def codazzi_residual(self):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
-        out = covariant_antisym(self.curvature().christoffel, self.chi_jet.truncate(1))
+        out = covariant_antisym(self.curvature().christoffel, self.chi_jet)
         return np.abs(out).max(axis=(-3, -2, -1))
 
     def support_identities(self):
@@ -345,8 +346,8 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
     metric = MetricJet(induced_metric(amb))
 
-    # normal: generalized cross product of the tangent rows, order 2
-    rows = [[x.derivative(i).truncate(2) for x in amb] for i in range(n)]
+    # normal: generalized cross product of the tangent rows, order 1
+    rows = [[x.derivative(i).truncate(1) for x in amb] for i in range(n)]
     raw = []
     for a in range(n + 1):
         minor = [[rows[i][b] for b in range(n + 1) if b != a] for i in range(n)]
@@ -362,12 +363,12 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     sign = np.where(xdotn >= 0, 1.0, -1.0)
     normal = [c * sign for c in normal]
 
-    chi_jet = Jet.constant(np.zeros(pts.shape[:-1] + (n, n)), n, 2)
+    chi_jet = Jet.constant(np.zeros(pts.shape[:-1] + (n, n)), n, 1)
     for i in range(n):
         for j in range(i, n):
             acc = None
             for a in range(n + 1):
-                t = amb[a].derivative(i).derivative(j).truncate(2) * normal[a]
+                t = amb[a].derivative(i).derivative(j).truncate(1) * normal[a]
                 acc = t if acc is None else acc + t
             chi_jet[..., i, j] = chi_jet[..., j, i] = -acc
 

@@ -208,6 +208,16 @@ class TestMain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("diameter", [1e300, 1e-300])
+    def test_extreme_diameter_exit_3(self, tmp_path, capsys, diameter):
+        path = tmp_path / "diameter.json"
+        path.write_text(json.dumps({"diameter": diameter, "resolution": 5}))
+        assert main(["verify", "--config", str(path), "--checks", "diam-weyl",
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical-domain error:" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"),
                                      ZeroDivisionError("jet constant term is zero")])
     def test_numerical_exception_exit_3(self, monkeypatch, capsys, exc):

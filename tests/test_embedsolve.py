@@ -20,7 +20,14 @@ from weylcheck.errors import IntegrationError, ObstructionError
 from weylcheck.intrinsic import MetricJet
 from weylcheck.jets import Jet
 from weylcheck.matmap import SymMatrix, cone_report, phi, phi_inverse
-from weylcheck.surfaces import Ellipsoid, RoundSphere, ball_grid, evaluate_grid
+from weylcheck.surfaces import (
+    Ellipsoid,
+    RoundSphere,
+    ball_grid,
+    evaluate_grid,
+    radial_graph_bump,
+    radial_graph_random,
+)
 
 AXES = (1.0, 1.2, 0.9, 1.05)
 
@@ -175,13 +182,28 @@ class TestField:
 
     def test_array_roundtrip(self, ellipsoid_field):
         coeffs = ellipsoid_field.metric.jet.coeffs
-        back = IntrinsicField.from_metric(MetricJet(Jet(3, 4, coeffs)), 0,
+        order = ellipsoid_field.metric.order
+        back = IntrinsicField.from_metric(MetricJet(Jet(3, order, coeffs)), 0,
                                           ellipsoid_field.coords)
         assert np.abs(back.g() - ellipsoid_field.g()).max() < 1e-14
         assert np.abs(back.ricci - ellipsoid_field.ricci).max() < 1e-12
 
     def test_grid_resolution_inferred(self, ellipsoid_field):
         assert ellipsoid_field.grid_resolution() == 7
+
+    @pytest.mark.parametrize("family", [Ellipsoid(AXES), radial_graph_bump(0.1),
+                                        radial_graph_random(seed=23, amp=0.05)],
+                             ids=["ellipsoid", "bump", "random-23"])
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_solve_does_not_depend_on_metric_order(self, grid7, family, chart):
+        field = IntrinsicField.from_family(family, chart, grid7)
+        full = IntrinsicField.from_metric(metric_jets(family, chart, grid7, order=4),
+                                          chart, grid7, family=family)
+        chi, chi_full = solve_contracted_gauss(field), solve_contracted_gauss(full)
+        for name in ("values", "d_values", "residuals", "gaps"):
+            assert getattr(chi, name).tobytes() == getattr(chi_full, name).tobytes(), name
+        assert codazzi_residual_field(field, chi).tobytes() \
+            == codazzi_residual_field(full, chi_full).tobytes()
 
     def test_light_metric_jets_match_full(self, grid7):
         mj = metric_jets(Ellipsoid(AXES), 0, grid7, order=4)

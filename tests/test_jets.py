@@ -272,6 +272,29 @@ def test_product_broadcasts_batch_axes(fbatch, gbatch):
         np.testing.assert_allclose(prod.coeffs, expected, rtol=1e-13, atol=1e-13)
 
 
+TRUNCATION_OPS = {
+    "product": lambda f, g: f * g,
+    "reciprocal": lambda f, g: f.reciprocal(),
+    "sqrt": lambda f, g: f.sqrt(),
+    "exp": lambda f, g: f.exp(),
+}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("op", sorted(TRUNCATION_OPS))
+def test_truncation_commutes_bit_for_bit(nvars, op):
+    # a coefficient of degree d has the same bits at every order >= d
+    fn = TRUNCATION_OPS[op]
+    rng = np.random.default_rng(nvars)
+    for top in range(1, MAX_ORDER + 1):
+        f, g = (_random_jet(rng, (9,), nvars, top) for _ in range(2))
+        f.coeffs[..., 0] = rng.uniform(0.5, 2.0, size=9)  # inside every domain
+        full = fn(f, g).coeffs
+        for d in range(top):
+            low = fn(f.truncate(d), g.truncate(d)).coeffs
+            assert low.tobytes() == full[..., : low.shape[-1]].tobytes(), (top, d)
+
+
 small =st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
 
 
