@@ -33,6 +33,7 @@ from .bounds import (
     weyl_report,
 )
 from .embedsolve import (
+    MAX_SUBSTEPS,
     IntrinsicField,
     align_rigid,
     embeddability_check,
@@ -46,12 +47,13 @@ from .surfaces import (
     RoundSphere,
     ball_grid,
     epsilon_family,
-    evaluate_grid,
     metric_values,
+    principal_curvatures,
     radial_graph_bump,
     radial_graph_constant,
     radial_graph_ellipsoid,
     radial_graph_random,
+    surface_values,
 )
 
 VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
@@ -137,6 +139,16 @@ class RunConfig:
             raise ConfigError("theta must be positive when given")
         if not _is_positive(self.h):
             raise ConfigError("step size h must be positive")
+        # strict: the spacing reconstruct() reads from the grid lies within
+        # 1e-12 of this one, and it allows a step 1e-9 above its own
+        spacing = 2.0 * self.extent / (self.resolution - 1)
+        if self.h > spacing:
+            raise ConfigError(f"step size h {self.h} exceeds the lattice "
+                              f"spacing {spacing} = 2 extent / (resolution - 1)")
+        if spacing / self.h > MAX_SUBSTEPS + 0.5:   # round(spacing / h) > MAX
+            raise ConfigError(f"step size h {self.h} needs more than "
+                              f"{MAX_SUBSTEPS} RK4 substeps per lattice spacing "
+                              f"{spacing}")
         if not all(_is_int(p) for p in self.path_plan) \
                 or sorted(self.path_plan) != [0, 1, 2]:
             raise ConfigError("path_plan must be a permutation of (0, 1, 2)")
@@ -368,7 +380,7 @@ def cmd_solve(cfg: RunConfig):
 
     if cfg.compare_truth:
         t0 = time.perf_counter()
-        truth = evaluate_grid(family, cfg.chart, pts).chi
+        _, _, truth = surface_values(family, cfg.chart, pts)
         rel = float(np.abs(chi.values - truth).max() / np.abs(truth).max())
         sections["truth"] = {"chi_rel_error": rel, "passed": bool(rel <= 1e-6)}
         timing["truth"] = time.perf_counter() - t0
@@ -391,7 +403,7 @@ def cmd_reconstruct(cfg: RunConfig):
     timing["reconstruct"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    truth = evaluate_grid(family, cfg.chart, pts).X
+    truth, _, _ = surface_values(family, cfg.chart, pts)
     _, _, rms = align_rigid(rec.X, truth)
     timing["align"] = time.perf_counter() - t0
     tol = _tol(cfg, "reconstruct", 1e-4)
@@ -421,11 +433,10 @@ def cmd_family(cfg: RunConfig):
     t0 = time.perf_counter()
     for eps in cfg.eps_list:
         fam_eps = epsilon_family(family, float(eps))
-        sd = evaluate_grid(fam_eps, cfg.chart, pts)
-        g_eps = metric_values(fam_eps, cfg.chart, pts)
+        _, g_eps, chi_eps = surface_values(fam_eps, cfg.chart, pts)
         rows.append({
             "eps": float(eps),
-            "min_chi_eigenvalue": float(sd.principal_curvatures.min()),
+            "min_chi_eigenvalue": float(principal_curvatures(g_eps, chi_eps).min()),
             "metric_deviation": float(np.abs(g_eps - g_base).max()),
         })
     timing["family"] = time.perf_counter() - t0

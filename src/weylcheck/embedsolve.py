@@ -364,6 +364,14 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 
 STAGE_POINTS = 512   # most chart points per march _continuous_data call
 
+# Most RK4 substeps per lattice segment that a run configuration may ask for.
+# A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
+# (Christoffel 27, chi 9, chi g^-1 9, the point 3), about 0.8 kB per start and
+# substep, twice that while the chunks are joined.  The largest level has 45
+# starts at resolution 9, 109 at 13 and 305 at 21, so 1000 substeps keep it
+# near 35, 84 and 234 MB.
+MAX_SUBSTEPS = 1000
+
 
 def _lattice(coords):
     """A grid's integer lattice: (idx, spacing, center row).
@@ -437,7 +445,7 @@ def _integrate_batch(field, starts, axis, sign, spacing, h, x, e, nrm):
     midpoints and ends) is evaluated before the march, STAGE_POINTS chart
     points per _continuous_data call.
     """
-    nsub = max(1, int(round(spacing / h)))
+    nsub = int(round(spacing / h))
     dt = sign * spacing / nsub
     unit = np.zeros(3)
     unit[axis] = 1.0
@@ -531,7 +539,8 @@ def reconstruct(field: IntrinsicField, chi: ChiField,
     The lattice fills in the path_plan's axis order (a line, then a plane,
     then the ball); holonomy is the sup of |X - X'| between this fill and
     one in the reversed order, and vanishes to integrator accuracy exactly
-    when chi satisfies the Codazzi relation.
+    when chi satisfies the Codazzi relation.  Each lattice segment takes
+    round(spacing / h) RK4 substeps, so h may not exceed the spacing.
     """
     if field.n != 3:
         raise ValueError("reconstruction is three-dimensional only")
@@ -539,7 +548,12 @@ def reconstruct(field: IntrinsicField, chi: ChiField,
         raise ValueError("path_plan must be a permutation of (0, 1, 2)")
     if chi.field is not field:
         raise ValueError("chi was solved on a different field")
-    center = _lattice(field.coords)[2]
+    _, spacing, center = _lattice(field.coords)
+    # the spacing is read from coordinates rounded to 12 decimals, so a step
+    # equal to the nominal spacing 2 extent / (resolution - 1) must pass
+    if not 0.0 < h <= spacing * (1.0 + 1e-9):
+        raise ValueError(f"step h {h:g} must be positive and at most the "
+                         f"lattice spacing {spacing:g}")
     if seed is None:
         seed = FrameState.seed(field)
     bad = seed.residuals(field.g()[center])

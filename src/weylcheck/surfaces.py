@@ -2,11 +2,16 @@
 
 Families are maps from the unit n-sphere into R^{n+1}: round spheres,
 ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
-field at a chart point is produced by exact jet arithmetic: the chart map
-runs at order 5 so the induced metric carries order 4, enough for the
+field at a chart point is produced by exact jet arithmetic, with the chart
+map at the order the field's readers need.  Only evaluate_grid runs it at
+order 5: the induced metric then carries order 4, enough for the
 scalar-curvature Laplacian downstream; the normal and the second fundamental
 form carry order 1 for the exact first derivatives Codazzi reads, and
 rho = |X|^2/2 order 2 for its Hessian in the support identities.
+surface_values runs it at order 2 for the values of X, g and chi, and
+metric_values at order 1 for the values of g.  A coefficient has the same
+bits at every order that holds it (see weylcheck.jets), so the three agree
+bit for bit.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
@@ -198,6 +203,11 @@ def _det_jets(rows):
     raise ValueError("determinant supported for sizes 2 and 3")
 
 
+def principal_curvatures(g, chi):
+    """Eigenvalues of chi relative to g per point, ascending (.., n)."""
+    return np.linalg.eigvalsh(frame_transform(g, chi)[2])
+
+
 class SurfaceData:
     """Fields of a family over a batch of chart points.
 
@@ -250,7 +260,7 @@ class SurfaceData:
 
     @property
     def principal_curvatures(self):
-        return np.linalg.eigvalsh(self._chi_frame())
+        return principal_curvatures(self.g, self.chi)
 
     @property
     def scalar_gauss(self):
@@ -337,17 +347,13 @@ def induced_metric(amb):
     return _gram(tangent, Jet.zeros(amb[0].batch_shape, (n, n), n, amb[0].order - 1))
 
 
-def evaluate_grid(family, chart, pts) -> SurfaceData:
-    """Evaluate every surface field of the family at chart points (.., n)."""
-    pts = np.asarray(pts, dtype=float)
-    n = family.dim
-    if pts.shape[-1] != n:
-        raise ValueError(f"points must have {n} coordinates")
-    amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
-    metric = MetricJet(induced_metric(amb))
-
-    # normal: generalized cross product of the tangent rows, order 1
-    rows = [[x.derivative(i).truncate(1) for x in amb] for i in range(n)]
+def _normal_chi(amb, order):
+    """Unit normal jets, oriented so that X.N >= 0, and the second fundamental
+    form as an (n, n)-slot Jet, both of the given order; the ambient jets X^a
+    have order >= order + 2."""
+    n = amb[0].nvars
+    # normal: generalized cross product of the tangent rows
+    rows = [[x.derivative(i).truncate(order) for x in amb] for i in range(n)]
     raw = []
     for a in range(n + 1):
         minor = [[rows[i][b] for b in range(n + 1) if b != a] for i in range(n)]
@@ -363,14 +369,30 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     sign = np.where(xdotn >= 0, 1.0, -1.0)
     normal = [c * sign for c in normal]
 
-    chi_jet = Jet.constant(np.zeros(pts.shape[:-1] + (n, n)), n, 1)
+    chi_jet = Jet.constant(np.zeros(amb[0].batch_shape + (n, n)), n, order)
     for i in range(n):
         for j in range(i, n):
             acc = None
             for a in range(n + 1):
-                t = amb[a].derivative(i).derivative(j).truncate(1) * normal[a]
+                t = amb[a].derivative(i).derivative(j).truncate(order) * normal[a]
                 acc = t if acc is None else acc + t
             chi_jet[..., i, j] = chi_jet[..., j, i] = -acc
+    return normal, chi_jet
+
+
+def _check_points(family, pts):
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1] != family.dim:
+        raise ValueError(f"points must have {family.dim} coordinates")
+    return pts
+
+
+def evaluate_grid(family, chart, pts) -> SurfaceData:
+    """Evaluate every surface field of the family at chart points (.., n)."""
+    pts = _check_points(family, pts)
+    amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
+    metric = MetricJet(induced_metric(amb))
+    normal, chi_jet = _normal_chi(amb, 1)
 
     rho = None
     for x in amb:
@@ -386,13 +408,26 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
                        rho, support)
 
 
-def metric_values(family, chart, pts):
-    """Induced-metric values (.., n, n), from ambient jets of order 1 only
-    and products of plain values, with no jet products."""
-    n = family.dim
-    amb = family.ambient_jets(chart, pts, order=1)
+def surface_values(family, chart, pts):
+    """Values (X, g, chi) at chart points (.., n): the embedding (.., n+1),
+    the induced metric and the second fundamental form (.., n, n), from
+    ambient jets of order 2; the same bits as evaluate_grid's X, g and chi."""
+    amb = family.ambient_jets(chart, _check_points(family, pts), order=2)
+    x_vals = np.stack([x.value for x in amb], axis=-1)
+    return x_vals, _metric_values(amb), _normal_chi(amb, 0)[1].value
+
+
+def _metric_values(amb):
+    """Induced-metric values (.., n, n) of ambient jets of order >= 1, from
+    products of plain values, with no jet products."""
+    n = amb[0].nvars
     tangent = [[x.derivative(i).value for x in amb] for i in range(n)]
     return _gram(tangent, np.empty(amb[0].batch_shape + (n, n)))
+
+
+def metric_values(family, chart, pts):
+    """Induced-metric values (.., n, n), from ambient jets of order 1 only."""
+    return _metric_values(family.ambient_jets(chart, pts, order=1))
 
 
 def metric_fn(family):

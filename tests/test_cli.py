@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weylcheck import cli
+from weylcheck import bounds, cli, embedsolve, surfaces
 from weylcheck.cli import (
     ConfigError,
     RunConfig,
@@ -13,6 +13,7 @@ from weylcheck.cli import (
     main,
 )
 from weylcheck.errors import DomainError
+from weylcheck.jets import Jet
 from weylcheck.surfaces import Ellipsoid, RadialGraph, RoundSphere
 
 
@@ -43,6 +44,10 @@ class TestRunConfig:
         ({"eps_list": 0.1}, "eps_list must be a list"),
         ({"path_plan": 5}, "path_plan must be a list"),
         ({"checks": "weyl"}, "checks must be a list"),
+        ({"h": 0.7, "resolution": 5}, "exceeds the lattice spacing 0.6 "),
+        ({"h": 1e300, "resolution": 5}, "exceeds the lattice spacing 0.6 "),
+        ({"h": 1e-9, "resolution": 5}, "more than 1000 RK4 substeps"),
+        ({"h": 5e-324}, "RK4 substeps"),
     ])
     def test_rejects(self, data, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -230,6 +235,17 @@ class TestMain:
         assert f"numerical-domain error: {exc}" in err
         assert "Traceback" not in err
 
+    def test_tiny_step_exit_2_before_any_march(self, tmp_path, monkeypatch, capsys):
+        marched = []
+        monkeypatch.setattr(embedsolve, "_integrate_batch",
+                            lambda *args: marched.append(args))
+        path = tmp_path / "tiny_h.json"
+        path.write_text(json.dumps({"h": 1e-9, "resolution": 5}))
+        assert main(["reconstruct", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: step size h 1e-09 needs more than" in err
+        assert marched == []
+
     def test_family_needs_radial_graph(self, capsys):
         assert main(["family", "--resolution", "5", "--quiet"]) == 2
         assert "radial_graph" in capsys.readouterr().err
@@ -273,6 +289,47 @@ class TestSolveAndFamily:
         assert devs[0] > devs[1] > devs[2]
         assert all(r["min_chi_eigenvalue"] > 0 for r in rows)
         capsys.readouterr()
+
+
+VALUE_JOBS = [
+    ("family", {"variant": "radial_graph", "kind": "bump", "amplitude": 0.1}, {}),
+    ("solve", {"variant": "ellipsoid", "semi_axes": [1.0, 1.2, 0.9, 1.05]}, {}),
+    ("reconstruct", {"variant": "ellipsoid", "semi_axes": [1.0, 1.2, 0.9, 1.05]},
+     {"h": 0.1}),
+]
+
+
+@pytest.mark.parametrize("command,family,extra", VALUE_JOBS)
+def test_value_commands_skip_evaluate_grid(tmp_path, monkeypatch, capsys, command,
+                                           family, extra):
+    """family, solve and reconstruct read values only, never the order-5 grid."""
+    def boom(*args):
+        raise AssertionError("evaluate_grid called")
+
+    for module in (surfaces, bounds, embedsolve, cli):
+        if hasattr(module, "evaluate_grid"):
+            monkeypatch.setattr(module, "evaluate_grid", boom)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": family, "resolution": 5, **extra}))
+    assert main([command, "--config", str(path), "--quiet"]) == 0
+    capsys.readouterr()
+
+
+def test_family_multiplies_no_jet_above_order_2(tmp_path, monkeypatch, capsys):
+    orders = set()
+    mul = Jet.__mul__
+
+    def recording(self, other):
+        if isinstance(other, Jet):
+            orders.add(max(self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", recording)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": VALUE_JOBS[0][1], "resolution": 5}))
+    assert main(["family", "--config", str(path), "--quiet"]) == 0
+    assert orders and max(orders) <= 2
+    capsys.readouterr()
 
 
 class TestDeterminism:

@@ -370,6 +370,16 @@ class TestReconstruct:
         assert len(calls) > default_calls
         assert np.abs(capped.X - rec.X).max() <= 1e-12
 
+    def test_step_bounded_by_lattice_spacing(self, sphere_field, sphere_chi):
+        # 0.4 lies a few ulps above the spacing read from the grid7 lattice,
+        # 0.3999999999999999, and must pass
+        rec = reconstruct(sphere_field, sphere_chi, h=0.4, drift_limit=1.0,
+                          with_holonomy=False)
+        assert rec.X.shape == (sphere_field.coords.shape[0], 4)
+        for h in (0.41, 1e300, 0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="lattice spacing 0.4"):
+                reconstruct(sphere_field, sphere_chi, h=h)
+
     def test_no_center_node(self, grid5):
         pts = grid5[np.linalg.norm(grid5, axis=-1) > 0]
         field = IntrinsicField.from_family(Ellipsoid(AXES), 0, pts)

@@ -17,6 +17,7 @@ from weylcheck.surfaces import (
     radial_graph_ellipsoid,
     radial_graph_forms,
     radial_graph_random,
+    surface_values,
     transition_coords,
     unit_sphere_jets,
 )
@@ -163,6 +164,32 @@ class TestEmbeddingIdentities:
         sd = evaluate_grid(FAMILIES[name], 0, pts)
         fast = metric_values(FAMILIES[name], 0, pts)
         np.testing.assert_allclose(fast, sd.g, rtol=1e-12, atol=1e-14)
+
+
+VALUE_FAMILIES = {
+    "sphere": RoundSphere(1.0),
+    "ellipsoid": Ellipsoid(AXES),
+    "bump": radial_graph_bump(0.1),
+    "random-23": radial_graph_random(seed=23),
+}
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+@pytest.mark.parametrize("name", sorted(VALUE_FAMILIES))
+def test_surface_values_bytes_match_evaluate_grid(name, chart):
+    """Order-2 values: X, g and chi bit for bit as the order-5 pipeline."""
+    fam = VALUE_FAMILIES[name]
+    pts = np.concatenate([ball_grid(5), sample_points(20, seed=19)])
+    sd = evaluate_grid(fam, chart, pts)
+    for got, want in zip(surface_values(fam, chart, pts), (sd.X, sd.g, sd.chi)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_grid, surface_values])
+def test_point_width_checked(evaluate):
+    with pytest.raises(ValueError, match="3 coordinates"):
+        evaluate(RoundSphere(1.0), 0, np.zeros((4, 2)))
 
 
 class TestSphereSupportExact:
