@@ -60,6 +60,16 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
                 "gauss-residual", "codazzi-residual", "support-identities")
 RESIDUAL_TOL = 1e-7
 
+# Largest grid resolution a run may ask for, from a memory estimate.  verify,
+# the hungriest command, peaks at about 60 order-5 jets (56 float64
+# coefficients each, 26.25 KiB in all) per grid point: one order-5 jet
+# product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
+# holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
+# stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1.80 GiB at resolution 51,
+# 2.01 GiB at 53.  At 51 the largest lattice level of a reconstruct with
+# MAX_SUBSTEPS substeps holds about 1.4 GiB of stage data.
+MAX_RESOLUTION = 51
+
 
 class ConfigError(ValueError):
     """The run configuration is invalid."""
@@ -116,6 +126,10 @@ class RunConfig:
         if not _is_int(self.resolution) or self.resolution < 5 \
                 or self.resolution % 2 == 0:
             raise ConfigError("resolution must be an odd integer >= 5")
+        if self.resolution > MAX_RESOLUTION:
+            raise ConfigError(f"resolution {self.resolution} exceeds the cap "
+                              f"{MAX_RESOLUTION}, the largest grid whose "
+                              f"estimated peak memory stays under 2 GiB")
         if not _is_positive(self.extent) or not 1.0 < self.extent < 1.8:
             raise ConfigError("extent must lie in (1, 1.8)")
         if not _is_int(self.chart) or self.chart not in (0, 1):

@@ -15,17 +15,24 @@ Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice.
 The fill follows the path plan's axes: the line through the center, then
 the plane, then the ball, each outward from the center by lattice levels,
-and each level is one array step over all of its nodes.  A second fill in
-the reversed order measures holonomy, the path dependence that appears
-exactly when chi fails Codazzi.  The RK4 stage data of a level is evaluated
-before it marches, in _continuous_data calls of at most STAGE_POINTS chart
-points: at the default h a level has up to ~2700 stage points, and putting
-them through curvature() at once raises the peak memory of a reconstruct
-by about a fifth.
+and each level is one array step over all of its nodes.  A plan pass over
+the lattice alone lists a fill's levels before anything marches.  A second
+fill in the reversed order measures holonomy, the path dependence that
+appears exactly when chi fails Codazzi.  The RK4 stage data comes from one
+stream per fill: the stage points of consecutive levels, in fill order, go
+through _continuous_data in calls of exactly STAGE_POINTS chart points (only
+a fill's last call is shorter), and a level marches as soon as its last
+point is evaluated.  The stream holds one level's rows plus one call's:
+a whole fill evaluated ahead would take about 3 GB at resolution 21 with
+MAX_SUBSTEPS substeps, and putting a large level through curvature() at
+once raises the peak memory of a reconstruct by about a fifth.  Evaluation
+is point by point and jet products are batch-invariant, so the split into
+calls does not move a bit.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import warnings
@@ -362,14 +369,15 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 
 # ----------------------------------------------------- frame integration
 
-STAGE_POINTS = 512   # most chart points per march _continuous_data call
+STAGE_POINTS = 512   # chart points per march _continuous_data call
 
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
 # (Christoffel 27, chi 9, chi g^-1 9, the point 3), about 0.8 kB per start and
-# substep, twice that while the chunks are joined.  The largest level has 45
-# starts at resolution 9, 109 at 13 and 305 at 21, so 1000 substeps keep it
-# near 35, 84 and 234 MB.
+# substep.  A fill's stage-data stream holds one level's rows plus one
+# STAGE_POINTS chunk; the largest level has 45 starts at resolution 9, 109 at
+# 13 and 305 at 21, so 1000 substeps keep it near 35, 84 and 234 MB, where a
+# whole fill evaluated ahead would take about 3 GB at resolution 21.
 MAX_SUBSTEPS = 1000
 
 
@@ -438,23 +446,71 @@ def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
     return e[:, axis], de, dn
 
 
-def _integrate_batch(field, starts, axis, sign, spacing, h, x, e, nrm):
-    """March a batch of frame states one lattice segment along an axis.
-
-    The stage data of all substeps (the starts, then each substep's
-    midpoints and ends) is evaluated before the march, STAGE_POINTS chart
-    points per _continuous_data call.
-    """
-    nsub = int(round(spacing / h))
-    dt = sign * spacing / nsub
+def _stage_points(starts, axis, dt, nsub):
+    """A level's RK4 stage points, (2 nsub + 1) rows of len(starts): the
+    starts, then each substep's midpoints and ends along the axis."""
     unit = np.zeros(3)
     unit[axis] = 1.0
     offsets = np.array([t for s in range(nsub) for t in (s * dt + dt / 2.0, s * dt + dt)])
-    pts = np.concatenate([starts[None], starts + offsets[:, None, None] * unit]).reshape(-1, 3)
-    parts = [_continuous_data(field, pts[i:i + STAGE_POINTS])
-             for i in range(0, len(pts), STAGE_POINTS)]
-    stages = [np.concatenate(p).reshape((2 * nsub + 1, len(starts)) + p[0].shape[1:])
-              for p in zip(*parts)]
+    return np.concatenate([starts[None], starts + offsets[:, None, None] * unit]).reshape(-1, 3)
+
+
+def _take_rows(parts, size):
+    """Move the first size rows of the evaluated parts (a list of tuples of
+    arrays, consumed in place) into one tuple of arrays."""
+    rows = tuple(np.empty((size,) + a.shape[1:]) for a in parts[0])
+    at = 0
+    while at < size:
+        part = parts.pop(0)
+        k = min(size - at, len(part[0]))
+        for out, a in zip(rows, part):
+            out[at:at + k] = a[:k]
+        if k < len(part[0]):
+            # a copy, so the rest does not keep the whole part alive
+            parts.insert(0, tuple(a[k:].copy() for a in part))
+        at += k
+    return rows
+
+
+def _stage_stream(field, blocks):
+    """_continuous_data for each block of chart points, one block at a time.
+
+    The blocks' points are taken as one sequence and evaluated in calls of
+    exactly STAGE_POINTS points, only the last call shorter, so one call may
+    span several blocks.  A block's rows are yielded as soon as its last point
+    is evaluated, and blocks are read only as the calls reach them: the
+    stream holds one block's rows plus at most one call's.  Evaluation is
+    point by point, so the rows do not depend on how the calls split them.
+    """
+    pending = []                     # evaluated rows not yet handed out
+    sizes = collections.deque()      # row counts of blocks not yet handed out
+    rest = np.zeros((0, 3))          # points read but not yet evaluated
+    for block in blocks:
+        sizes.append(len(block))
+        pts = np.concatenate([rest, block])
+        full = len(pts) - len(pts) % STAGE_POINTS
+        for i in range(0, full, STAGE_POINTS):
+            pending.append(_continuous_data(field, pts[i:i + STAGE_POINTS]))
+            while sizes and sum(len(p[0]) for p in pending) >= sizes[0]:
+                yield _take_rows(pending, sizes.popleft())
+        rest = pts[full:]
+    if len(rest):
+        pending.append(_continuous_data(field, rest))
+    while sizes:
+        yield _take_rows(pending, sizes.popleft())
+
+
+def _integrate_batch(stages, axis, dt, x, e, nrm):
+    """March a batch of frame states one lattice segment along an axis.
+
+    stages is the batch's RK4 stage data, evaluated by the caller: one
+    level's rows from the fill's stage-data stream, which holds that level
+    plus at most one STAGE_POINTS chunk.  It gives (Gamma, chi, chi g^-1) at
+    the starts, then at each substep's midpoints and ends, len(x) rows each
+    (_stage_points).
+    """
+    stages = [d.reshape((-1, len(x)) + d.shape[1:]) for d in stages]
+    nsub = len(stages[0]) // 2
 
     def f(row, e, nrm):
         return _rhs(axis, *(d[row] for d in stages), e, nrm)
@@ -470,33 +526,24 @@ def _integrate_batch(field, starts, axis, sign, spacing, h, x, e, nrm):
     return x, e, nrm
 
 
-def _sweep_fill(field, seed, plan, h, drift_limit):
-    """Frame states marched from the seed over the lattice in plan order.
+def _fill_levels(idx, center, plan):
+    """The levels of one fill, in march order: (axis, sign, targets, sources).
 
     With plan (a, b, c) the fill covers the line through the center along
     a, then the (a, b) plane along b, then the ball along c.  Each stage
     moves outward by levels |idx[axis]| = 1, 2, ..., the + side first: a
-    level is one _integrate_batch call from the filled nodes one step back
-    toward the center to the unfilled nodes of the stage at that level,
-    and a side ends at its first level without such a pair.  Returns the
-    positions and the sup of the frame drift |E E^T - g| over the nodes.
+    level joins the unfilled nodes of the stage at that level (targets) to
+    the filled nodes one step back toward the center (sources), and a side
+    ends at its first level without such a pair.  Reads the lattice alone;
+    raises IntegrationError when the levels miss a node.
     """
-    coords = field.coords
-    idx, spacing, center = _lattice(coords)
-    total = coords.shape[0]
+    total = idx.shape[0]
     reach = int(np.abs(idx).max())
     rows = np.full((2 * reach + 1,) * 3, -1)     # lattice index + reach -> row
     rows[tuple((idx + reach).T)] = np.arange(total)
-
-    xs = np.zeros((total, 4))
-    es = np.zeros((total, 3, 4))
-    ns = np.zeros((total, 4))
     done = np.zeros(total, dtype=bool)
-    xs[center], es[center], ns[center] = seed.X, seed.E, seed.N
     done[center] = True
-
-    gvals = field.g()
-    iso_sup = 0.0
+    levels = []
     a, b, c = plan
     for axis, in_stage in ((a, (idx[:, b] == 0) & (idx[:, c] == 0)),
                            (b, idx[:, c] == 0),
@@ -510,24 +557,54 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
                 targets, sources = targets[reached], sources[reached]
                 if not targets.size:
                     break
-                x, e, nrm = _integrate_batch(
-                    field, coords[sources], axis, sign, spacing, h,
-                    xs[sources], es[sources], ns[sources])
-                xs[targets], es[targets], ns[targets] = x, e, nrm
+                levels.append((axis, sign, targets, sources))
                 done[targets] = True
-                drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(
-                    axis=(-2, -1))
-                worst = int(np.argmax(drift))
-                if drift[worst] > drift_limit:
-                    where = field.location(int(targets[worst]))
-                    raise IntegrationError(
-                        f"frame drift {drift[worst]:.3g} exceeds "
-                        f"{drift_limit:.3g} at chart {where['chart']}, coords "
-                        f"{where['coords']}; chi is inconsistent with g"
-                    )
-                iso_sup = max(iso_sup, float(drift.max()))
     if not done.all():
         raise IntegrationError("sweep failed to reach every grid node")
+    return levels
+
+
+def _sweep_fill(field, seed, plan, h, drift_limit):
+    """Frame states marched from the seed over the lattice in plan order.
+
+    The levels come from _fill_levels, which fails before anything marches
+    when they miss a node.  Each level is one _integrate_batch call, fed by
+    one stage-data stream for the whole fill (_stage_stream) that holds one
+    level's rows plus one STAGE_POINTS chunk.  Returns the positions and the
+    sup of the frame drift |E E^T - g| over the nodes.
+    """
+    coords = field.coords
+    idx, spacing, center = _lattice(coords)
+    levels = _fill_levels(idx, center, plan)
+    nsub = int(round(spacing / h))
+    step = spacing / nsub
+    stream = _stage_stream(field, (_stage_points(coords[sources], axis, sign * step, nsub)
+                                   for axis, sign, _, sources in levels))
+
+    total = coords.shape[0]
+    xs = np.zeros((total, 4))
+    es = np.zeros((total, 3, 4))
+    ns = np.zeros((total, 4))
+    xs[center], es[center], ns[center] = seed.X, seed.E, seed.N
+
+    gvals = field.g()
+    iso_sup = 0.0
+    for axis, sign, targets, sources in levels:
+        # the stage data goes straight into the call, so nothing keeps a
+        # level's rows alive while the stream evaluates the next one
+        x, e, nrm = _integrate_batch(next(stream), axis, sign * step,
+                                     xs[sources], es[sources], ns[sources])
+        xs[targets], es[targets], ns[targets] = x, e, nrm
+        drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))
+        worst = int(np.argmax(drift))
+        if drift[worst] > drift_limit:
+            where = field.location(int(targets[worst]))
+            raise IntegrationError(
+                f"frame drift {drift[worst]:.3g} exceeds "
+                f"{drift_limit:.3g} at chart {where['chart']}, coords "
+                f"{where['coords']}; chi is inconsistent with g"
+            )
+        iso_sup = max(iso_sup, float(drift.max()))
     return xs, iso_sup
 
 

@@ -246,6 +246,19 @@ class TestMain:
         assert "config error: step size h 1e-09 needs more than" in err
         assert marched == []
 
+    @pytest.mark.parametrize("resolution", [cli.MAX_RESOLUTION + 2, 10**9 + 1])
+    def test_resolution_cap_exit_2_before_any_computation(self, monkeypatch, capsys,
+                                                          resolution):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda *args: ran.append(args))
+        assert main(["verify", "--resolution", str(resolution), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: resolution {resolution} exceeds the cap " \
+               f"{cli.MAX_RESOLUTION}" in err
+        assert ran == []
+        assert RunConfig.from_dict({"resolution": cli.MAX_RESOLUTION}).resolution \
+            == cli.MAX_RESOLUTION
+
     def test_family_needs_radial_graph(self, capsys):
         assert main(["family", "--resolution", "5", "--quiet"]) == 2
         assert "radial_graph" in capsys.readouterr().err

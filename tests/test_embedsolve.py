@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh as generalized_eigh
@@ -309,6 +311,47 @@ ELLIPSOID5_ISOMETRY = 3.407058343807279e-05
 ELLIPSOID5_HOLONOMY = 1.0988773683271085e-05
 
 
+# reconstruct(h=0.1) on the ball_grid(5) random-23 graph, recorded from the
+# march that evaluated each lattice level's stage data in calls of its own
+RANDOM5_X = np.array([
+    [-1.0751935861746487, -0.03644633372492857, -0.03885986238721677, -1.104253443631626],
+    [-0.658593231511867, -0.6061855613519629, -0.6076558001322235, -0.958059803634502],
+    [-0.7308082145982544, -0.6880563959532955, -0.027313589134230085, -0.7761502994323948],
+    [-0.6399832431300109, -0.5876342978965664, 0.5202137254760977, -0.9986696967511833],
+    [-0.7583077826055706, -0.02604451052112332, -0.7175623456696771, -0.7648237530969839],
+    [-0.8865554405507803, -0.01614907677460679, -0.01721844789755402, -0.48928427870267627],
+    [-0.7535832601597641, -0.026094834361103558, 0.6571379299691059, -0.8147265646107335],
+    [-0.6565269719113629, 0.5383001359218613, -0.6069234115503354, -0.9958940529720123],
+    [-0.7537825128984247, 0.659121061551702, -0.028615533278691485, -0.8131450356367154],
+    [-0.6622277179187791, 0.5439893253044173, 0.5410968472810885, -1.036388803140866],
+    [-0.09834730089810205, -0.9952508149949391, -0.04045682930372068, -1.149635782222919],
+    [-0.07037732793705802, -0.7220469577976126, -0.7230355689942437, -0.797927922844746],
+    [-0.04625750238069177, -0.8673828631048084, -0.018565597728482434, -0.5275666224398827],
+    [-0.07069011345244028, -0.7060082462329067, 0.6488441565675955, -0.85050057496159],
+    [-0.09897856153800295, -0.03923462107677128, -1.0395575014274907, -1.153632952468053],
+    [-0.04501764209184783, -0.01784475910676613, -0.8960458972064232, -0.509802892625324],
+    [0.0, 0.0, 0.0, 0.0],
+    [-0.04386497790841268, -0.017388017612330657, 0.8845378900333283, -0.5586011288670574],
+    [-0.0987903147120375, -0.03916032752286541, 0.9435768808546565, -1.2211555554405582],
+    [-0.07069620488328159, 0.6496319498369043, -0.7082708602309186, -0.8475609038970421],
+    [-0.04524813998853054, 0.8539243596256202, -0.02013569191593663, -0.572174428981157],
+    [-0.07016845002124637, 0.6771226740554149, 0.6744063989020974, -0.8907723425333901],
+    [-0.09818461023003633, 0.906668546238227, -0.042594940535686125, -1.2103793403314909],
+    [0.48786384543002814, -0.6125865156836492, -0.6142616702608349, -1.0532899866931105],
+    [0.6204656460573644, -0.7226725001321832, -0.03097116759938929, -0.8800806933719234],
+    [0.4805013883968097, -0.605124344823494, 0.5313057147087397, -1.092740878929087],
+    [0.6199027276130725, -0.029803814891197572, -0.7240465168134921, -0.8786422907498188],
+    [0.8546827547607854, -0.019884804497760367, -0.021201924788865564, -0.6024747471602602],
+    [0.6363518644767192, -0.029724024217530343, 0.6767548330939716, -0.9255154417257032],
+    [0.4643627675539509, 0.5168800781867223, -0.5917484322672006, -1.0878161808302464],
+    [0.605893368137885, 0.6486628996600377, -0.032637611602713626, -0.9274329473810141],
+    [0.4809060242330021, 0.533481543637646, 0.5303898553855855, -1.1303496760218912],
+    [0.8506448894881196, -0.04155827805797555, -0.04431098881094705, -1.2591470923851709],
+])
+RANDOM5_ISOMETRY = 4.4607811040986434e-05
+RANDOM5_HOLONOMY = 1.103945772417539e-05
+
+
 @pytest.fixture(scope="module")
 def ellipsoid5(grid5):
     field = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5)
@@ -351,6 +394,13 @@ class TestReconstruct:
         assert rec.isometry_sup == pytest.approx(ELLIPSOID5_ISOMETRY, rel=1e-9)
         assert rec.holonomy_sup == pytest.approx(ELLIPSOID5_HOLONOMY, rel=1e-9)
 
+    def test_pinned_random_graph(self, grid5):
+        field = IntrinsicField.from_family(radial_graph_random(23), 0, grid5)
+        rec = reconstruct(field, solve_contracted_gauss(field), h=0.1)
+        assert np.abs(rec.X - RANDOM5_X).max() <= 1e-12
+        assert rec.isometry_sup == pytest.approx(RANDOM5_ISOMETRY, rel=1e-9)
+        assert rec.holonomy_sup == pytest.approx(RANDOM5_HOLONOMY, rel=1e-9)
+
     def test_stage_points_cap(self, ellipsoid5, monkeypatch):
         field, chi, rec = ellipsoid5
         calls = []
@@ -369,6 +419,53 @@ class TestReconstruct:
         assert max(calls) <= 7
         assert len(calls) > default_calls
         assert np.abs(capped.X - rec.X).max() <= 1e-12
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_continuous_data_same_bits_in_any_batch(self, grid5, perturb):
+        field = IntrinsicField.from_family(radial_graph_random(23), 0, grid5)
+        if perturb:
+            field = field.perturbed(diag_ramp_perturbation())
+        pts = np.random.default_rng(5).uniform(-0.69, 0.69, (600, 3))
+        whole = embedsolve._continuous_data(field, pts)
+        cuts = np.cumsum([1, 7, 512])
+        parts = [embedsolve._continuous_data(field, p) for p in np.split(pts, cuts)]
+        for one, split in zip(whole, zip(*parts)):
+            assert np.array_equal(one, np.concatenate(split))
+
+    @pytest.mark.parametrize("chunk", [512, 100, 7])
+    def test_stream_calls_are_full_chunks(self, ellipsoid5, monkeypatch, chunk):
+        field, chi, rec = ellipsoid5
+        monkeypatch.setattr(embedsolve, "STAGE_POINTS", chunk)
+        idx, spacing, center = embedsolve._lattice(field.coords)
+        nsub = int(round(spacing / 0.1))
+        expected = []
+        for plan in ((0, 1, 2), (2, 1, 0)):
+            levels = embedsolve._fill_levels(idx, center, plan)
+            points = (2 * nsub + 1) * sum(len(sources) for *_, sources in levels)
+            full, last = divmod(points, chunk)
+            expected += [chunk] * full + ([last] if last else [])
+        calls = []
+        data = embedsolve._continuous_data
+
+        def counted(f, pts):
+            calls.append(len(pts))
+            return data(f, pts)
+
+        monkeypatch.setattr(embedsolve, "_continuous_data", counted)
+        streamed = reconstruct(field, chi, h=0.1)
+        assert calls == expected
+        assert np.array_equal(streamed.X, rec.X)
+
+    @pytest.mark.parametrize("plan", list(itertools.permutations(range(3))))
+    def test_fill_levels_cover_lattice_once(self, grid7, plan):
+        idx, _, center = embedsolve._lattice(grid7)
+        filled = [center]
+        for axis, sign, targets, sources in embedsolve._fill_levels(idx, center, plan):
+            assert np.isin(sources, filled).all()
+            assert np.array_equal(idx[targets] - sign * np.eye(3, dtype=int)[axis],
+                                  idx[sources])
+            filled.extend(targets)
+        assert sorted(filled) == list(range(len(grid7)))
 
     def test_step_bounded_by_lattice_spacing(self, sphere_field, sphere_chi):
         # 0.4 lies a few ulps above the spacing read from the grid7 lattice,
