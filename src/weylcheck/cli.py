@@ -66,8 +66,12 @@ RESIDUAL_TOL = 1e-7
 # product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
 # holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
 # stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1.80 GiB at resolution 51,
-# 2.01 GiB at 53.  At 51 the largest lattice level of a reconstruct with
-# MAX_SUBSTEPS substeps holds about 1.4 GiB of stage data.
+# 2.01 GiB at 53.  Measured with tracemalloc, verify on the ellipsoid
+# (1, 1.2, 0.9, 1.05) peaks at 9.9, 7.9 and 7.8 KiB per point of both charts
+# at resolutions 9, 13 and 17 (13.2, 13.1 and 13.0 KiB while curvature()
+# still formed a whole Riemann jet), so the estimate keeps a wide margin.
+# At 51 the largest lattice level of a reconstruct with MAX_SUBSTEPS
+# substeps holds about 1.4 GiB of stage data.
 MAX_RESOLUTION = 51
 
 
@@ -172,6 +176,16 @@ class RunConfig:
             raise ConfigError("compare_truth must be true or false")
         if not all(isinstance(p, (str, type(None))) for p in (self.out, self.grid_dump)):
             raise ConfigError("out and grid_dump must be path strings")
+        for path in (self.out, self.grid_dump):
+            if not path:    # an empty path writes nothing
+                continue
+            if "\0" in path:
+                raise ConfigError(f"cannot write {path!r}: the path holds a NUL byte")
+            if not Path(path).parent.is_dir():
+                raise ConfigError(f"cannot write {path}: no directory "
+                                  f"{Path(path).parent}")
+            if Path(path).is_dir():
+                raise ConfigError(f"cannot write {path}: it is a directory")
 
     # out and grid_dump route output, they do not shape it; leaving them
     # out keeps reports byte-identical across different destinations.
@@ -365,7 +379,15 @@ def _write_grid_dump(eg, path):
         for key in header[n + 1:]:
             cells.append(format(float(cols[key][k]), ".17g"))
         rows.append("\t".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write(path, "\n".join(rows) + "\n")
+
+
+def _write(path, text):
+    """Write text to the file path; a failure is a config error (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_solve(cfg: RunConfig):
@@ -540,6 +562,9 @@ def main(argv=None) -> int:
         # the finiteness checks (exit 3), not as numpy warnings on stderr
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             report, code = run(args.command, cfg)
+        text = canonical_json(report) + "\n"
+        if cfg.out:
+            _write(cfg.out, text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -547,9 +572,6 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, ZeroDivisionError, OverflowError) as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 3
-    text = canonical_json(report) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
     if not args.quiet:
         print(render_text(report))
     return code

@@ -7,17 +7,22 @@ estimate of the diameter of a two-chart geometry.
 
 Storage.  Every tensor field is one Jet whose trailing batch axes are its
 slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
-(n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet, the Riemann
-tensor an (n, n, n, n)-slot Jet and Ricci an (n, n)-slot Jet.  Products are
-formed one slot entry at a time, once per independent entry, on views of
-those arrays.
+(n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet and Ricci an
+(n, n)-slot Jet.  Products are formed one slot entry at a time, once per
+independent entry, on views of those arrays.  No Riemann Jet is stored: the
+Ricci jet is summed from the entries R^mu_{s mu nu} its trace reads, and
+the Riemann tensor is formed from values of Gamma and its first partials,
+by the same formula applied to plain arrays.
 
 Orders.  A field is formed at the order its readers use: for a metric of
 order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
-Ricci and the scalar curvature order m - 2.  A CurvatureState holds values
-of the metric, its inverse, Christoffel, lowered Riemann, Ricci, scalar
-curvature and (for m >= 4) its Laplacian, plus the Ricci jet; the per-point
-summaries sectional_extremes(cs) and ricci_norm(cs) are formed on request.
+Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
+are views of the leading coefficients of the order-(m - 1) jets.
+curvature() forms the inverse once per call and keeps no jet beyond the
+Ricci jet.  A CurvatureState holds values of the metric, its inverse,
+Christoffel, lowered Riemann, Ricci, scalar curvature and (for m >= 4) its
+Laplacian, plus the Ricci jet; the per-point summaries
+sectional_extremes(cs) and ricci_norm(cs) are formed on request.
 
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  The lowered
 curvature tensor riemann[..., i, j, k, l] contracts with u^i v^j u^k v^l to
@@ -38,7 +43,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .jets import Jet
+from .jets import Jet, basis_monomials
 
 # charts overlap in an annulus as long as 1 < extent < chart cap
 DEFAULT_EXTENT = 1.2
@@ -84,7 +89,6 @@ class MetricJet:
             np.linalg.cholesky(self.values())
         except np.linalg.LinAlgError:
             raise DomainError("metric is not positive definite") from None
-        self._inv = None
 
     @property
     def batch_shape(self):
@@ -95,9 +99,7 @@ class MetricJet:
 
     def inverse(self):
         """Adjugate-over-determinant inverse, an (n, n)-slot Jet one order
-        below the metric (cached)."""
-        if self._inv is not None:
-            return self._inv
+        below the metric.  Not cached: curvature() forms it once per call."""
         e = self.jet.truncate(self.order - 1)
         if self.n == 2:
             det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
@@ -120,18 +122,19 @@ class MetricJet:
         inv = Jet(self.n, e.order, np.empty_like(e.coeffs))
         for (i, j), ent in upper.items():
             inv[..., i, j] = inv[..., j, i] = ent
-        self._inv = inv
         return inv
 
-    def christoffels(self):
+    def christoffels(self, ginv=None):
         """Gamma^k_{ij} one order below the metric, an (n, n, n)-slot Jet
-        [..., k, i, j].  Not cached: curvature() forms it once and keeps its
-        values, which is all that later consumers need."""
+        [..., k, i, j], from the inverse ginv (formed here when not given).
+        Not cached: curvature() forms it once and keeps its values, which is
+        all that later consumers need."""
         n, m = self.n, self.order
         if m < 1:
             raise ValueError("metric jets must carry at least first derivatives")
         g = self.jet
-        ginv = self.inverse()
+        if ginv is None:
+            ginv = self.inverse()
         gamma = Jet.zeros(self.batch_shape, (n, n, n), n, m - 1)
         for i in range(n):
             for j in range(i, n):
@@ -162,6 +165,70 @@ class CurvatureState:
     ricci_jet: Jet = field(repr=False)
 
 
+def _riemann_up(n, dgamma, gamma, r, s, mu, nu):
+    """R^r_{s mu nu} = d_mu Gamma^r_{nu s} - d_nu Gamma^r_{mu s}
+    + sum_lam Gamma^r_{mu lam} Gamma^lam_{nu s} - Gamma^r_{nu lam} Gamma^lam_{mu s}.
+
+    One formula for Jets and for value arrays alike: gamma[..., k, i, j] is
+    Gamma^k_{ij} and dgamma(v, k, i, j) is d_v Gamma^k_{ij}.
+    """
+    acc = dgamma(mu, r, nu, s) - dgamma(nu, r, mu, s)
+    for lam in range(n):
+        acc = acc + gamma[..., r, mu, lam] * gamma[..., lam, nu, s]
+        acc = acc - gamma[..., r, nu, lam] * gamma[..., lam, mu, s]
+    return acc
+
+
+def _ricci(gamma: Jet, order) -> Jet:
+    """Ricci[..., s, nu] = R^mu_{s mu nu} at the given order, an (n, n)-slot
+    Jet, formed from the Riemann entries its trace reads: the mu terms are
+    added in order, with an exact zero at mu = nu.  The upper triangle is
+    formed and mirrored."""
+    n = gamma.nvars
+    # an order-`order` view: a lower order's basis is a prefix of a higher one's
+    gamma_t = Jet(n, order, gamma.coeffs[..., :len(basis_monomials(n, order))])
+
+    def dgamma(v, k, i, j):
+        return gamma[..., k, i, j].derivative(v)
+
+    def entry(s, mu, nu):
+        """R^mu_{s mu nu}: zero on mu = nu, antisymmetric in (mu, nu)."""
+        if mu == nu:
+            return Jet(n, order, np.zeros_like(gamma_t.coeffs[..., 0, 0, 0, :]))
+        if mu < nu:
+            return _riemann_up(n, dgamma, gamma_t, mu, s, mu, nu)
+        return -_riemann_up(n, dgamma, gamma_t, mu, s, nu, mu)
+
+    ricci = Jet.zeros(gamma.batch_shape[:-3], (n, n), n, order)
+    for s in range(n):
+        for nu in range(s, n):
+            acc = entry(s, 0, nu)
+            for mu in range(1, n):
+                acc = acc + entry(s, mu, nu)
+            ricci[..., s, nu] = acc
+    _mirror_upper(ricci.coeffs)
+    return ricci
+
+
+def _riemann_values(gamma: Jet):
+    """R^r_{s mu nu} values [..., r, s, mu, nu] from the values of Gamma and
+    of its first partials, stored slot-major like a slot Jet's values."""
+    n = gamma.nvars
+    gv = gamma.value
+    dvals = [gamma.partial(u) for u in np.eye(n, dtype=int)]
+    batch = gv.shape[:-3]
+    up = np.moveaxis(np.zeros((n, n, n, n) + batch), (0, 1, 2, 3), (-4, -3, -2, -1))
+    for r in range(n):
+        for s in range(n):
+            for mu in range(n):
+                for nu in range(mu + 1, n):
+                    acc = _riemann_up(n, lambda v, k, i, j: dvals[v][..., k, i, j],
+                                      gv, r, s, mu, nu)
+                    up[..., r, s, mu, nu] = acc
+                    up[..., r, s, nu, mu] = -acc
+    return up
+
+
 def curvature(mj: MetricJet) -> CurvatureState:
     """Run the full intrinsic pipeline on a metric jet field.
 
@@ -174,27 +241,11 @@ def curvature(mj: MetricJet) -> CurvatureState:
     if m < 2:
         raise ValueError("curvature needs metric jets of order >= 2")
     ro = m - 2
-    gamma = mj.christoffels()
-    gamma_t = gamma.truncate(ro)
+    ginv = mj.inverse()
+    gamma = mj.christoffels(ginv)
+    ricci = _ricci(gamma, ro)
 
-    # up[..., r, s, mu, nu] = R^r_{s mu nu}, formed for mu < nu
-    up = Jet.zeros(mj.batch_shape, (n, n, n, n), n, ro)
-    for r in range(n):
-        for s in range(n):
-            for mu in range(n):
-                for nu in range(mu + 1, n):
-                    acc = gamma[..., r, nu, s].derivative(mu) \
-                        - gamma[..., r, mu, s].derivative(nu)
-                    for lam in range(n):
-                        acc = acc + gamma_t[..., r, mu, lam] * gamma_t[..., lam, nu, s]
-                        acc = acc - gamma_t[..., r, nu, lam] * gamma_t[..., lam, mu, s]
-                    up[..., r, s, mu, nu] = acc
-                    up[..., r, s, nu, mu] = -acc
-
-    # ricci[..., s, nu] = R^mu_{s mu nu}, upper triangle mirrored
-    ricci = Jet(n, ro, _mirror_upper(np.trace(up.coeffs, axis1=-5, axis2=-3)))
-
-    ginv_t = mj.inverse().truncate(ro)
+    ginv_t = Jet(n, ro, ginv.coeffs[..., :len(basis_monomials(n, ro))])
     scalar = None
     for s in range(n):
         for nu in range(n):
@@ -203,7 +254,7 @@ def curvature(mj: MetricJet) -> CurvatureState:
 
     gvals = mj.values()
     ginv_vals = np.linalg.inv(gvals)
-    riemann = np.einsum("...rl,...lsmn->...rsmn", gvals, up.value)
+    riemann = np.einsum("...rl,...lsmn->...rsmn", gvals, _riemann_values(gamma))
     # a copy: a view would keep the whole Christoffel jet alive in the state
     gamma_vals = np.ascontiguousarray(gamma.value)
 
@@ -250,13 +301,6 @@ def frame_transform(g, t=None):
     return chol, np.swapaxes(inv, -1, -2), tf
 
 
-def _frame_riemann(riemann, frame):
-    """R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time."""
-    for _ in range(4):
-        riemann = np.einsum("...ijkl,...ia->...jkla", riemann, frame)
-    return riemann
-
-
 class SectionalRange(NamedTuple):
     kmin: np.ndarray
     kmax: np.ndarray
@@ -278,7 +322,10 @@ def sectional_extremes(cs: CurvatureState, samples: int = 0, seed: int = 0) -> S
         kmax = kmin.copy()
     elif cs.n == 3:
         _, frame, _ = frame_transform(cs.metric)
-        rf = _frame_riemann(cs.riemann, frame)
+        # R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time
+        rf = cs.riemann
+        for _ in range(4):
+            rf = np.einsum("...ijkl,...ia->...jkla", rf, frame)
         i, j = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
         # the operator on the 2-planes (0, 1), (0, 2), (1, 2)
         ev = np.linalg.eigvalsh(rf[..., i, j, i.T, j.T])
@@ -307,21 +354,6 @@ def ricci_norm(cs: CurvatureState) -> np.ndarray:
     """|Ric|_g = sqrt(g^ik g^jl R_ij R_kl) per point."""
     ginv = cs.metric_inv
     return np.sqrt(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, cs.ricci, cs.ricci))
-
-
-def adapted_sectional_sums(cs: CurvatureState):
-    """Ricci eigenvalues and the plane curvatures of the eigenframe.
-
-    Returns (mu, kappa) with mu[..., i] the Ricci eigenvalues relative to g
-    (ascending) and kappa[..., i, j] the sectional curvature of the plane of
-    adapted frame vectors i and j; each mu[..., i] equals kappa[..., i, :].sum().
-    """
-    _, frame, ric_f = frame_transform(cs.metric, cs.ricci)
-    mu, q = np.linalg.eigh(ric_f)
-    frame = frame @ q
-    rf = _frame_riemann(cs.riemann, frame)
-    kappa = np.einsum("...abab->...ab", rf)
-    return mu, kappa
 
 
 def covariant_antisym(christoffel, t: Jet) -> np.ndarray:

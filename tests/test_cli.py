@@ -48,6 +48,8 @@ class TestRunConfig:
         ({"h": 1e300, "resolution": 5}, "exceeds the lattice spacing 0.6 "),
         ({"h": 1e-9, "resolution": 5}, "more than 1000 RK4 substeps"),
         ({"h": 5e-324}, "RK4 substeps"),
+        ({"grid_dump": "/"}, "it is a directory"),
+        ({"out": "report\0.json"}, "NUL byte"),
     ])
     def test_rejects(self, data, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -394,3 +396,61 @@ class TestGridDump:
         h_vals = {float(row[4]) for row in body}
         assert all(abs(v - 3.0) < 1e-9 for v in h_vals)
         capsys.readouterr()
+
+
+class TestOutputPaths:
+    """An --out or grid_dump path that cannot be written is a config error."""
+
+    @pytest.mark.parametrize("key", ["out", "grid_dump"])
+    def test_missing_directory_exit_2_before_any_computation(self, tmp_path, monkeypatch,
+                                                             capsys, key):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda *args: ran.append(args))
+        dest = tmp_path / "missing" / "report.txt"
+        argv = ["verify", "--quiet"]
+        if key == "out":
+            argv += ["--out", str(dest)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: str(dest)}))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {dest}: no directory {dest.parent}" in err
+        assert "Traceback" not in err
+        assert ran == []
+
+    def test_write_failure_exit_2(self, tmp_path, monkeypatch, capsys):
+        folder = tmp_path / "removed"
+        folder.mkdir()
+        dest = folder / "report.json"
+
+        def run(command, cfg):
+            folder.rmdir()
+            return {"command": command}, 0
+
+        monkeypatch.setattr(cli, "run", run)
+        assert main(["verify", "--out", str(dest), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {dest}: No such file or directory" in err
+        assert "Traceback" not in err
+
+    def test_grid_dump_write_failure_exit_2(self, tmp_path, monkeypatch, capsys):
+        folder = tmp_path / "removed"
+        folder.mkdir()
+        dest = folder / "grid.tsv"
+        grid = cli.evaluate_family_grid
+
+        def grid_then_remove(*args):
+            eg = grid(*args)
+            folder.rmdir()
+            return eg
+
+        monkeypatch.setattr(cli, "evaluate_family_grid", grid_then_remove)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resolution": 5, "checks": ["weyl"],
+                                    "grid_dump": str(dest)}))
+        assert main(["verify", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {dest}: No such file or directory" in err
+        assert "Traceback" not in err

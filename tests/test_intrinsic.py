@@ -1,21 +1,33 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import full_riemann_curvature
+from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import (
     CurvatureState,
     MetricJet,
-    adapted_sectional_sums,
     build_geodesic_graph,
     covariant_antisym,
     curvature,
     diameter,
+    frame_transform,
     ricci_norm,
     sectional_extremes,
 )
 from weylcheck.jets import Jet
+from weylcheck.surfaces import (
+    Ellipsoid,
+    RoundSphere,
+    ball_grid,
+    evaluate_grid,
+    radial_graph_bump,
+    radial_graph_random,
+)
 
 
 def conformal_metric(pts, phi_fn, n=3, order=4):
@@ -229,6 +241,17 @@ class TestSectional:
         assert kmax[0] > kmin[0] + 1e-3
 
     def test_adapted_frame_plane_sums(self):
+        def adapted_sectional_sums(cs):
+            """Ricci eigenvalues mu[..., i] relative to g (ascending) and the
+            sectional curvatures kappa[..., i, j] of the planes of adapted
+            frame vectors i and j; each mu[..., i] equals kappa[..., i, :].sum()."""
+            _, frame, ric_f = frame_transform(cs.metric, cs.ricci)
+            mu, q = np.linalg.eigh(ric_f)
+            f = frame @ q
+            kappa = np.einsum("...ijkl,...ia,...jb,...ka,...lb->...ab",
+                              cs.riemann, f, f, f, f)
+            return mu, kappa
+
         for mj in (sphere_metric(SAMPLE_PTS), bumpy_metric(SAMPLE_PTS)):
             cs = curvature(mj)
             mu, kappa = adapted_sectional_sums(cs)
@@ -296,6 +319,61 @@ class TestMetricJetValidation:
         back = MetricJet(Jet(3, mj.order, arr))
         assert back.order == mj.order
         np.testing.assert_allclose(back.values(), mj.values(), rtol=1e-14)
+
+
+ORACLE_FAMILIES = {
+    "ellipsoid": lambda: Ellipsoid((1.0, 1.2, 0.9, 1.05)),
+    "sphere": lambda: RoundSphere(1.0),
+    "bump": lambda: radial_graph_bump(0.1),
+    "random-23": lambda: radial_graph_random(23, 0.05),
+}
+CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "riemann", "ricci",
+                    "scalar", "laplacian_scalar")
+
+
+def assert_same_bits(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFullRiemannOracle:
+    """curvature() keeps every bit of the full-Riemann-jet pipeline."""
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_bit_identical(self, name, chart):
+        fam = ORACLE_FAMILIES[name]()
+        grid = ball_grid(13)
+        assert len(grid) == 925
+        for pts in (grid[300:301], grid[:37], grid):
+            for order in (2, 3, 4):
+                mj = metric_jets(fam, chart, pts, order)
+                got, want = curvature(mj), full_riemann_curvature(mj)
+                for f in CURVATURE_FIELDS:
+                    assert_same_bits(getattr(got, f), getattr(want, f))
+                assert_same_bits(got.ricci_jet.coeffs, want.ricci_jet.coeffs)
+
+
+class TestCurvatureMemory:
+    def test_order4_peak_per_point(self):
+        mj = evaluate_grid(ORACLE_FAMILIES["ellipsoid"](), 0, ball_grid(13)).metric
+        assert mj.order == 4
+        curvature(mj)   # the jet basis tables are built once per process
+        gc.collect()
+        tracemalloc.start()
+        try:
+            curvature(mj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a full (n, n, n, n)-slot Riemann jet took this to 15.5 KiB a point
+        assert peak / mj.batch_shape[0] <= 10 * 1024
+        held = [k for k, v in vars(mj).items() if isinstance(v, Jet) and v is not mj.jet]
+        assert held == []
 
 
 class TestDiameter:
