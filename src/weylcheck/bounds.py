@@ -45,7 +45,7 @@ class EvaluatedGrid:
         self.scalar = np.concatenate([cs.scalar for cs in states])
         self.laplacian = np.concatenate([cs.laplacian_scalar for cs in states])
         self.ricci_norm = np.concatenate([ricci_norm(cs) for cs in states])
-        self.sectional_min = np.concatenate([sectional_extremes(cs).kmin for cs in states])
+        self.sectional_min = np.concatenate([sectional_extremes(cs)[0] for cs in states])
 
     @property
     def n(self):

@@ -177,8 +177,10 @@ class RunConfig:
         if not all(isinstance(p, (str, type(None))) for p in (self.out, self.grid_dump)):
             raise ConfigError("out and grid_dump must be path strings")
         for path in (self.out, self.grid_dump):
-            if not path:    # an empty path writes nothing
+            if path is None:
                 continue
+            if not path:
+                raise ConfigError("cannot write '': the path is empty")
             if "\0" in path:
                 raise ConfigError(f"cannot write {path!r}: the path holds a NUL byte")
             if not Path(path).parent.is_dir():

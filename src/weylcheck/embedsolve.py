@@ -1,11 +1,12 @@
 """Pointwise inversion of the contracted Gauss relation, the Codazzi
 integrability gate, and reconstruction of the embedding from frame ODEs.
 
-The solver works per point: reduce Ricci to a g-orthonormal frame, invert
-the eigenvalue system of A -> tr(A)A - A^2 in closed form (n = 3), push the
-result back to coordinates.  First derivatives of chi come from the
-linearization of that map fed with exact jet derivatives of g and Ricci, so
-the Codazzi residual carries no grid-differencing noise.
+The solver inverts Ric = tr_g(chi) chi - chi g^{-1} chi per point in closed
+form (n = 3): chi = sqrt(det E / (2 det g)) g E^{-1} g with E = R g - 2 Ric,
+which exists exactly where E is positive definite relative to g (see
+_chi_values).  First derivatives of chi come from the product rule on that
+formula fed with exact jet derivatives of g and Ricci, so the Codazzi
+residual carries no grid-differencing noise.
 
 IntrinsicField.from_family builds metric jets of order 3, as the solver
 reads Ricci (order m - 2) to first derivatives and Codazzi reads Christoffel
@@ -43,14 +44,14 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from .errors import ConvergenceError, DomainError, IntegrationError, ObstructionError
-from .intrinsic import MetricJet, covariant_antisym, curvature, frame_transform
+from .intrinsic import MetricJet, covariant_antisym, curvature
 from .jets import Jet
-from .matmap import _gaps_closed_form_3
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
     ball_grid,
     induced_metric,
+    principal_curvatures,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -145,27 +146,22 @@ def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
 
 # ------------------------------------------------------------- the solver
 
-def _frame_chi(g, ric):
-    """Closed-form SPD solution per point, n = 3.
+def _chi_values(g, ginv, ric, chart, coords):
+    """chi = s g E^{-1} g with E = R g - 2 Ric and s = sqrt(det E / (2 det g)),
+    or ObstructionError at the first of the chart points coords whose Ricci
+    leaves the solvable cone; returns (chi, R, E^{-1}, s, gaps).
 
-    Returns (chi, frame_chi, frame_ric, gaps); gaps is min_i(sum mu - 2 mu_i)
-    per point, nonpositive where the input leaves the solvable cone.
+    Cayley-Hamilton turns tr(A) A - A^2 = Ric, chi's equation in a
+    g-orthonormal frame, into sigma_2(A) I - sigma_3(A) A^{-1} = Ric; the
+    trace gives sigma_2 = R / 2, hence A = 2 sigma_3 E^{-1} with
+    sigma_3 = sqrt(det E / 8).  E's eigenvalues relative to g are the
+    t_i = sum(mu) - 2 mu_i of matmap._gaps_closed_form_3 (mu: Ricci's), and
+    the cone is t_i > 0 for all i, which makes every mu_i > 0 as
+    t_i + t_j = 2 mu_k.  gaps, the eps-gap per point, is the least t_i.
     """
-    chol, _, ric_f = frame_transform(g, ric)
-    ric_f = 0.5 * (ric_f + np.swapaxes(ric_f, -1, -2))
-    mu, q = np.linalg.eigh(ric_f)
-    t = np.sum(mu, axis=-1, keepdims=True) - 2.0 * mu
-    gaps = np.minimum(t.min(axis=-1), np.where(mu[..., 0] > 0, np.inf, 0.0))
-    lam = _gaps_closed_form_3(np.where((gaps > 0)[..., None], mu, 1.0))
-    a = (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
-    chi = chol @ a @ np.swapaxes(chol, -1, -2)
-    return chi, a, ric_f, gaps
-
-
-def _chi_values(g, ric, chart, coords):
-    """_frame_chi, raising ObstructionError at the first of the chart points
-    coords whose Ricci leaves the solvable cone."""
-    chi, a, ric_f, gaps = _frame_chi(g, ric)
+    r = np.einsum("...ab,...ba->...", ginv, ric)
+    e = r[..., None, None] * g - 2.0 * ric
+    gaps = principal_curvatures(g, e)[..., 0]
     bad = np.nonzero(gaps <= 0)[0]
     if bad.size:
         k = int(bad[0])
@@ -175,66 +171,18 @@ def _chi_values(g, ric, chart, coords):
             f"coords {where['coords']}: eps-gap {gaps[k]:.6g}",
             point=where, margin=float(gaps[k]),
         )
-    return chi, a, ric_f, gaps
-
-
-_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _sym_to_vec(m):
-    return np.stack([m[..., a, b] for a, b in _SYM_PAIRS], axis=-1)
-
-
-def _vec_to_sym(v):
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    for k, (a, b) in enumerate(_SYM_PAIRS):
-        out[..., a, b] = v[..., k]
-        out[..., b, a] = v[..., k]
-    return out
-
-
-def _chi_derivatives(field, chi, ginv):
-    """d chi / dx_k by linearizing tr_g(chi) chi - chi g^{-1} chi = Ric.
-
-    The unknown D_k solves tr(g^{-1}D) chi + tau D - D g^{-1} chi
-    - chi g^{-1} D = dRic - tr(dG chi) chi + chi dG chi with dG = d(g^{-1});
-    the right side uses exact jet partials of g and Ricci.
-    """
-    n = field.n
-    dg = np.stack([field.metric.jet.derivative(k).value for k in range(n)], axis=-1)
-    dric = np.stack([field.ricci_jet.derivative(k).value for k in range(n)],
-                    axis=-1)
-    dginv = -np.einsum("...ab,...bck,...cd->...adk", ginv, dg, ginv)
-
-    tau = np.einsum("...ab,...ba->...", ginv, chi)
-    gchi = ginv @ chi
-
-    cols = []
-    for a, b in _SYM_PAIRS:
-        s = np.zeros((3, 3))
-        s[a, b] = s[b, a] = 1.0
-        ms = np.einsum("...ab,ba->...", ginv, s)[..., None, None] * chi \
-            + tau[..., None, None] * s \
-            - s @ gchi - np.swapaxes(gchi, -1, -2) @ s
-        cols.append(_sym_to_vec(ms))
-    mmat = np.stack(cols, axis=-1)
-
-    rhs = dric \
-        - np.einsum("...abk,...ba->...k", dginv, chi)[..., None, None, :] * chi[..., None] \
-        + np.einsum("...ab,...bck,...cd->...adk", chi, dginv, chi)
-    rhs_vec = np.stack([_sym_to_vec(rhs[..., k]) for k in range(n)], axis=-1)
-    sol = np.linalg.solve(mmat, rhs_vec)
-    return np.stack([_vec_to_sym(sol[..., k]) for k in range(n)], axis=-1)
+    einv = np.linalg.inv(e)
+    s = np.sqrt(np.linalg.det(e) / (2.0 * np.linalg.det(g)))
+    return s[..., None, None] * (g @ einv @ g), r, einv, s, gaps
 
 
 class ChiField:
     """Solver output: chi with first derivatives over the field's grid."""
 
-    def __init__(self, field, values, d_values, frame_values, residuals, gaps):
+    def __init__(self, field, values, d_values, residuals, gaps):
         self.field = field
         self.values = values
         self.d_values = d_values          # (..., n, n, n), last axis = d/dx_k
-        self.frame_values = frame_values
         self.residuals = residuals
         self.gaps = gaps
 
@@ -246,7 +194,7 @@ class ChiField:
         return Jet.linear(self.values, self.d_values, self.n)
 
     def principal_min(self):
-        return np.linalg.eigvalsh(self.frame_values)[..., 0]
+        return principal_curvatures(self.field.g(), self.values)[..., 0]
 
     def at(self, pts):
         """Re-solve at arbitrary chart points (family-backed fields only)."""
@@ -254,15 +202,22 @@ class ChiField:
 
 
 def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
-    """The unique SPD chi with tr_g(chi) chi - chi g^{-1} chi = Ric.
+    """The unique SPD chi with tr_g(chi) chi - chi g^{-1} chi = Ric (n = 3),
+    and its first derivatives.
 
-    Raises ObstructionError at the first point whose Ricci leaves the
-    solvable cone, reporting its eps-gap.
+    chi is the closed form s g E^{-1} g of _chi_values, E = R g - 2 Ric.
+    d chi / dx_k is the product rule on it, fed by exact jet partials of g
+    and Ricci: dR = tr(g^{-1} dRic) - tr(g^{-1} dg g^{-1} Ric),
+    dE = dR g + R dg - 2 dRic, ds / s = (tr(E^{-1} dE) - tr(g^{-1} dg)) / 2.
+    Raises ObstructionError at the first point where E is not positive
+    definite relative to g, reporting its eps-gap (E's least eigenvalue).
     """
+    if field.n != 3:
+        raise ValueError("the contracted-Gauss solve is three-dimensional only")
     g = field.g()
     ric = field.ricci
-    chi, a, ric_f, gaps = _chi_values(g, ric, field.chart, field.coords)
     ginv = np.linalg.inv(g)
+    chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
     tau = np.einsum("...ab,...ba->...", ginv, chi)
     res = tau[..., None, None] * chi - chi @ ginv @ chi - ric
     residuals = np.abs(res).max(axis=(-2, -1))
@@ -270,8 +225,19 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     if worst > SOLVE_RESIDUAL_LIMIT:
         raise ConvergenceError("solver residual above the per-point limit",
                                residual=worst)
-    d_chi = _chi_derivatives(field, chi, ginv)
-    return ChiField(field, chi, d_chi, a, residuals, gaps)
+    # leading axis k: the partials d/dx_k
+    dg = np.stack([field.metric.jet.derivative(k).value for k in range(3)])
+    dric = np.stack([field.ricci_jet.derivative(k).value for k in range(3)])
+    dr = np.einsum("...ab,k...ba->k...", ginv, dric) \
+        - np.einsum("...ab,k...bc,...ca->k...", ginv, dg, ginv @ ric)
+    de = dr[..., None, None] * g + r[..., None, None] * dg - 2.0 * dric
+    ds_s = 0.5 * (np.einsum("...ab,k...ba->k...", einv, de)
+                  - np.einsum("...ab,k...ba->k...", ginv, dg))
+    w = g @ einv                      # d (g E^{-1} g) = dg W^T + W dg - W dE W^T
+    wt = np.swapaxes(w, -1, -2)
+    d_chi = ds_s[..., None, None] * chi \
+        + s[..., None, None] * (dg @ wt + w @ dg - w @ de @ wt)
+    return ChiField(field, chi, np.moveaxis(d_chi, 0, -1), residuals, gaps)
 
 
 def _continuous_data(field, pts):
@@ -284,7 +250,7 @@ def _continuous_data(field, pts):
     ric = cs.ricci
     if field.perturbation is not None:
         ric = ric + field.perturbation(pts, 1).value
-    chi = _chi_values(cs.metric, ric, field.chart, pts)[0]
+    chi = _chi_values(cs.metric, cs.metric_inv, ric, field.chart, pts)[0]
     return cs.christoffel, chi, chi @ cs.metric_inv
 
 

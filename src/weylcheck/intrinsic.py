@@ -36,7 +36,7 @@ sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse
@@ -301,53 +301,27 @@ def frame_transform(g, t=None):
     return chol, np.swapaxes(inv, -1, -2), tf
 
 
-class SectionalRange(NamedTuple):
-    kmin: np.ndarray
-    kmax: np.ndarray
-    exact: bool
-
-
-def sectional_extremes(cs: CurvatureState, samples: int = 0, seed: int = 0) -> SectionalRange:
-    """Sectional-curvature range per point.
+def sectional_extremes(cs: CurvatureState):
+    """Sectional-curvature range (kmin, kmax) per point.
 
     For n = 2 the single curvature, for n = 3 the exact eigenvalue range of
     the operator on 2-planes (every 2-plane in dimension 3 is an eigenplane
-    mixture, so the range is tight).  samples > 0 additionally evaluates that
-    many random planes and widens the reported range if a sample escapes it,
-    which serves as a cross-check; the exact flag reports whether the result
-    is certified rather than sampled.
+    mixture, so the range is tight).
     """
     if cs.n == 2:
         kmin = cs.scalar / 2.0
-        kmax = kmin.copy()
-    elif cs.n == 3:
-        _, frame, _ = frame_transform(cs.metric)
-        # R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time
-        rf = cs.riemann
-        for _ in range(4):
-            rf = np.einsum("...ijkl,...ia->...jkla", rf, frame)
-        i, j = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
-        # the operator on the 2-planes (0, 1), (0, 2), (1, 2)
-        ev = np.linalg.eigvalsh(rf[..., i, j, i.T, j.T])
-        kmin, kmax = ev[..., 0], ev[..., -1]
-    else:
+        return kmin, kmin.copy()
+    if cs.n != 3:
         raise ValueError(f"unsupported dimension {cs.n}")
-    if samples > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            u = rng.standard_normal(cs.n)
-            v = rng.standard_normal(cs.n)
-            num = np.einsum("...ijkl,i,j,k,l->...", cs.riemann, u, v, u, v)
-            uu = np.einsum("...ij,i,j->...", cs.metric, u, u)
-            vv = np.einsum("...ij,i,j->...", cs.metric, v, v)
-            uv = np.einsum("...ij,i,j->...", cs.metric, u, v)
-            gram = uu * vv - uv * uv
-            if np.any(gram < 1e-12):
-                continue
-            k = num / gram
-            kmin = np.minimum(kmin, k)
-            kmax = np.maximum(kmax, k)
-    return SectionalRange(kmin, kmax, True)
+    _, frame, _ = frame_transform(cs.metric)
+    # R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time
+    rf = cs.riemann
+    for _ in range(4):
+        rf = np.einsum("...ijkl,...ia->...jkla", rf, frame)
+    i, j = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
+    # the operator on the 2-planes (0, 1), (0, 2), (1, 2)
+    ev = np.linalg.eigvalsh(rf[..., i, j, i.T, j.T])
+    return ev[..., 0], ev[..., -1]
 
 
 def ricci_norm(cs: CurvatureState) -> np.ndarray:

@@ -204,7 +204,8 @@ def _det_jets(rows):
 
 
 def principal_curvatures(g, chi):
-    """Eigenvalues of chi relative to g per point, ascending (.., n)."""
+    """Eigenvalues of a symmetric 2-tensor (chi: the principal curvatures)
+    relative to g per point, ascending (.., n)."""
     return np.linalg.eigvalsh(frame_transform(g, chi)[2])
 
 

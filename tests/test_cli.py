@@ -50,6 +50,8 @@ class TestRunConfig:
         ({"h": 5e-324}, "RK4 substeps"),
         ({"grid_dump": "/"}, "it is a directory"),
         ({"out": "report\0.json"}, "NUL byte"),
+        ({"out": ""}, "the path is empty"),
+        ({"grid_dump": ""}, "the path is empty"),
     ])
     def test_rejects(self, data, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -417,6 +419,16 @@ class TestOutputPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"config error: cannot write {dest}: no directory {dest.parent}" in err
+        assert "Traceback" not in err
+        assert ran == []
+
+    def test_empty_out_exit_2_before_any_computation(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda *args: ran.append(args))
+        assert main(["verify", "--resolution", "5", "--checks", "weyl", "--out", "",
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write '': the path is empty" in err
         assert "Traceback" not in err
         assert ran == []
 

@@ -19,7 +19,7 @@ from weylcheck.embedsolve import (
     solve_contracted_gauss,
 )
 from weylcheck.errors import IntegrationError, ObstructionError
-from weylcheck.intrinsic import MetricJet
+from weylcheck.intrinsic import MetricJet, frame_transform
 from weylcheck.jets import Jet
 from weylcheck.matmap import SymMatrix, cone_report, phi, phi_inverse
 from weylcheck.surfaces import (
@@ -80,7 +80,7 @@ class TestSolver:
         chol = np.linalg.cholesky(g)
         inv = np.linalg.inv(chol)
         ric_f = inv @ ellipsoid_field.ricci @ np.swapaxes(inv, -1, -2)
-        a = ellipsoid_chi.frame_values
+        a = frame_transform(g, ellipsoid_chi.values)[2]
         tra = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
         assert np.abs(tra * a - a @ a - ric_f).max() < 1e-9
 
@@ -90,9 +90,10 @@ class TestSolver:
         chol = np.linalg.cholesky(g)
         inv = np.linalg.inv(chol)
         ric_f = inv @ ellipsoid_field.ricci @ np.swapaxes(inv, -1, -2)
+        frame_values = frame_transform(g, ellipsoid_chi.values)[2]
         for k in range(0, ric_f.shape[0], 9):
             a = phi_inverse(SymMatrix(ric_f[k]))
-            assert np.abs(a.mat - ellipsoid_chi.frame_values[k]).max() < 1e-10
+            assert np.abs(a.mat - frame_values[k]).max() < 1e-10
             back = phi(a)
             assert np.abs(back.mat - ric_f[k]).max() < 1e-10
 
@@ -131,23 +132,34 @@ class TestSolver:
         f2 = IntrinsicField.from_metric(scaled, 0, ellipsoid_field.coords)
         chi2 = solve_contracted_gauss(f2)
         assert np.abs(chi2.values - c * ellipsoid_chi.values).max() < 1e-9
-        lam1 = np.linalg.eigvalsh(ellipsoid_chi.frame_values)
-        lam2 = np.linalg.eigvalsh(chi2.frame_values)
+        lam1 = np.linalg.eigvalsh(frame_transform(ellipsoid_field.g(), ellipsoid_chi.values)[2])
+        lam2 = np.linalg.eigvalsh(frame_transform(f2.g(), chi2.values)[2])
         assert np.abs(lam2 - lam1 / c).max() < 1e-10
         assert np.abs(chi2.gaps - ellipsoid_chi.gaps / c**2).max() < 1e-10
 
-    def test_derivatives_match_differencing(self, ellipsoid_field,
-                                            ellipsoid_chi):
-        # jet-propagated d chi vs central differences of fresh solves
-        sample = ellipsoid_field.coords[::13]
-        want = ellipsoid_chi.d_values[::13]
+    @pytest.mark.parametrize("family, perturbation", [
+        (Ellipsoid(AXES), None),
+        (radial_graph_random(23), diag_ramp_perturbation()),
+    ], ids=["ellipsoid", "random-23-diag-ramp"])
+    def test_derivatives_match_differencing(self, grid7, family, perturbation):
+        # jet-propagated d chi vs central differences of fresh solves, also
+        # on Ricci data that no embedding produced
+        field = IntrinsicField.from_family(family, 0, grid7, perturbation=perturbation)
+        chi = solve_contracted_gauss(field)
+        sample = field.coords[::13]
+        want = chi.d_values[::13]
         delta = 1e-5
         for k in range(3):
             off = np.zeros(3)
             off[k] = delta
-            fd = (ellipsoid_chi.at(sample + off) - ellipsoid_chi.at(sample - off)) \
-                / (2.0 * delta)
+            fd = (chi.at(sample + off) - chi.at(sample - off)) / (2.0 * delta)
             assert np.abs(fd - want[..., k]).max() < 1e-6
+
+    def test_rejects_other_dimensions(self):
+        field = IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9)), 0,
+                                           ball_grid(7, 1.2, 2))
+        with pytest.raises(ValueError, match="three-dimensional"):
+            solve_contracted_gauss(field)
 
     def test_flat_metric_is_obstructed(self):
         coords = np.zeros((3, 3))
