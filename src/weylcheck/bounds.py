@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
-from .surfaces import GRID_EXTENT, chart_cover_grids, evaluate_grid, metric_fn
+from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn
 
 
 class EvaluatedGrid:
@@ -61,30 +61,28 @@ class EvaluatedGrid:
             "coords": [float(c) for c in self.coords[index]],
         }
 
+    def per_point(self, fn):
+        """fn(SurfaceData) of both charts' parts, joined along the point axis."""
+        return np.concatenate([fn(sd) for _, sd in self.parts])
+
     def table(self):
         """Per-point columns in a fixed order, for grid dumps."""
-        cols = {
+        return {
             "chart": self.chart_ids,
             "coords": self.coords,
             "H": self.H,
             "R": self.scalar,
             "lap_R": self.laplacian,
             "chi_norm": self.chi_norm,
-            "gauss_residual": np.concatenate(
-                [sd.gauss_residual() for _, sd in self.parts]
-            ),
-            "codazzi_residual": np.concatenate(
-                [sd.codazzi_residual() for _, sd in self.parts]
-            ),
+            "gauss_residual": self.per_point(lambda sd: sd.gauss_residual()),
+            "codazzi_residual": self.per_point(lambda sd: sd.codazzi_residual()),
         }
-        return cols
 
 
 def evaluate_family_grid(family, resolution, extent=GRID_EXTENT) -> EvaluatedGrid:
-    parts = [
-        (chart, evaluate_grid(family, chart, pts))
-        for chart, pts in chart_cover_grids(resolution, extent, family.dim)
-    ]
+    """The family over the chart ball of both charts, which cover the sphere."""
+    pts = ball_grid(resolution, extent, family.dim)
+    parts = [(chart, evaluate_grid(family, chart, pts)) for chart in (0, 1)]
     return EvaluatedGrid(family, resolution, extent, parts)
 
 
@@ -231,24 +229,3 @@ def second_deriv_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> Bound
                   int(np.argmax(rhs)), constants, tol)
     rep.passed = bool(rep.passed and extra_ok)
     return rep
-
-
-def support_floor(eg: EvaluatedGrid, x0=None) -> float:
-    """min over the grid of (X - X0).N; X0 defaults to the grid centroid.
-
-    Positive exactly when X0 sits inside the convex body, so a nonpositive
-    floor raises rather than returning.
-    """
-    if x0 is None:
-        x0 = eg.X.mean(axis=0)
-    x0 = np.asarray(x0, dtype=float)
-    vals = np.einsum("ka,ka->k", eg.X - x0, eg.N)
-    floor = float(vals.min())
-    if floor <= 0:
-        where = eg.location(int(np.argmin(vals)))
-        raise DomainError(
-            f"support floor {floor:.6g} is not positive; base point {x0.tolist()} "
-            f"is outside the body (worst point: chart {where['chart']}, "
-            f"coords {where['coords']})"
-        )
-    return floor

@@ -42,6 +42,8 @@ from .embedsolve import (
 )
 from .errors import ConvergenceError, DomainError, IntegrationError
 from .surfaces import (
+    CHART_RADIUS,
+    GRID_EXTENT,
     Ellipsoid,
     RadialGraph,
     RoundSphere,
@@ -65,11 +67,12 @@ RESIDUAL_TOL = 1e-7
 # coefficients each, 26.25 KiB in all) per grid point: one order-5 jet
 # product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
 # holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
-# stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1.80 GiB at resolution 51,
-# 2.01 GiB at 53.  Measured with tracemalloc, verify on the ellipsoid
-# (1, 1.2, 0.9, 1.05) peaks at 9.9, 7.9 and 7.8 KiB per point of both charts
-# at resolutions 9, 13 and 17 (13.2, 13.1 and 13.0 KiB while curvature()
-# still formed a whole Riemann jet), so the estimate keeps a wide margin.
+# stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1841 MiB at resolution 51,
+# 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc, verify on the
+# ellipsoid (1, 1.2, 0.9, 1.05) peaks at 9.9, 7.9 and 7.8 KiB per point of
+# both charts at resolutions 9, 13 and 17 (13.2, 13.1 and 13.0 KiB while
+# curvature() still formed a whole Riemann jet), so the estimate keeps a
+# wide margin.
 # At 51 the largest lattice level of a reconstruct with MAX_SUBSTEPS
 # substeps holds about 1.4 GiB of stage data.
 MAX_RESOLUTION = 51
@@ -91,7 +94,7 @@ def _is_positive(x):
 class RunConfig:
     family: dict = dc_field(default_factory=lambda: {"variant": "sphere"})
     resolution: int = 9
-    extent: float = 1.2
+    extent: float = GRID_EXTENT
     chart: int = 0
     checks: tuple = VALID_CHECKS
     tolerances: dict = dc_field(default_factory=dict)
@@ -134,8 +137,8 @@ class RunConfig:
             raise ConfigError(f"resolution {self.resolution} exceeds the cap "
                               f"{MAX_RESOLUTION}, the largest grid whose "
                               f"estimated peak memory stays under 2 GiB")
-        if not _is_positive(self.extent) or not 1.0 < self.extent < 1.8:
-            raise ConfigError("extent must lie in (1, 1.8)")
+        if not _is_positive(self.extent) or not 1.0 < self.extent < CHART_RADIUS:
+            raise ConfigError(f"extent must lie in (1, {CHART_RADIUS:g})")
         if not _is_int(self.chart) or self.chart not in (0, 1):
             raise ConfigError("chart must be 0 or 1")
         for name in self.checks:
@@ -346,20 +349,18 @@ def cmd_verify(cfg: RunConfig):
             sections[check] = second_deriv_report(
                 eg, cfg.tolerances.get("second-deriv")).to_dict()
         elif check == "gauss-residual":
-            vals = np.concatenate([sd.gauss_residual() for _, sd in eg.parts])
             sections[check] = _residual_section(
-                eg, vals, _tol(cfg, check, RESIDUAL_TOL))
+                eg, eg.per_point(lambda sd: sd.gauss_residual()),
+                _tol(cfg, check, RESIDUAL_TOL))
         elif check == "codazzi-residual":
-            vals = np.concatenate([sd.codazzi_residual() for _, sd in eg.parts])
             sections[check] = _residual_section(
-                eg, vals, _tol(cfg, check, RESIDUAL_TOL))
+                eg, eg.per_point(lambda sd: sd.codazzi_residual()),
+                _tol(cfg, check, RESIDUAL_TOL))
         elif check == "support-identities":
-            parts = [sd.support_identities() for _, sd in eg.parts]
+            vals = eg.per_point(lambda sd: np.stack(sd.support_identities(), axis=-1))
             tol = _tol(cfg, check, RESIDUAL_TOL)
-            subs = {}
-            for k, label in enumerate(("hessian", "gradient", "curvature")):
-                subs[label] = _residual_section(
-                    eg, np.concatenate([p[k] for p in parts]), tol)
+            subs = {label: _residual_section(eg, vals[:, k], tol)
+                    for k, label in enumerate(("hessian", "gradient", "curvature"))}
             sections[check] = {
                 "passed": all(s["passed"] for s in subs.values()), **subs}
         timing[check] = time.perf_counter() - t0
@@ -392,16 +393,25 @@ def _write(path, text):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def cmd_solve(cfg: RunConfig):
+def _chart_ball(cfg: RunConfig):
+    """The configured 3-D family and chart ball grid, for solve, reconstruct, family."""
     family = cfg.build_family()
     if family.dim != 3:
         raise ConfigError("this command needs a three-dimensional family")
-    timing = {}
-    pts = ball_grid(cfg.resolution, cfg.extent, 3)
+    return family, ball_grid(cfg.resolution, cfg.extent, 3)
+
+
+def _solved_field(cfg: RunConfig):
+    """(family, pts, field, chi, timing): the timed solve on the chart ball."""
+    family, pts = _chart_ball(cfg)
     t0 = time.perf_counter()
     field = IntrinsicField.from_family(family, cfg.chart, pts)
     chi = solve_contracted_gauss(field)
-    timing["solve"] = time.perf_counter() - t0
+    return family, pts, field, chi, {"solve": time.perf_counter() - t0}
+
+
+def cmd_solve(cfg: RunConfig):
+    family, pts, field, chi, timing = _solved_field(cfg)
     sections = {"solve": {
         "points": int(pts.shape[0]),
         "max_residual": float(chi.residuals.max()),
@@ -426,16 +436,7 @@ def cmd_solve(cfg: RunConfig):
 
 
 def cmd_reconstruct(cfg: RunConfig):
-    family = cfg.build_family()
-    if family.dim != 3:
-        raise ConfigError("this command needs a three-dimensional family")
-    timing = {}
-    pts = ball_grid(cfg.resolution, cfg.extent, 3)
-    t0 = time.perf_counter()
-    field = IntrinsicField.from_family(family, cfg.chart, pts)
-    chi = solve_contracted_gauss(field)
-    timing["solve"] = time.perf_counter() - t0
-
+    family, pts, field, chi, timing = _solved_field(cfg)
     t0 = time.perf_counter()
     rec = reconstruct(field, chi, path_plan=cfg.path_plan, h=cfg.h)
     timing["reconstruct"] = time.perf_counter() - t0
@@ -459,13 +460,10 @@ def cmd_reconstruct(cfg: RunConfig):
 
 
 def cmd_family(cfg: RunConfig):
-    family = cfg.build_family()
-    if family.dim != 3:
-        raise ConfigError("this command needs a three-dimensional family")
+    family, pts = _chart_ball(cfg)
     if not isinstance(family, RadialGraph):
         raise ConfigError("the family command needs a radial_graph family")
     timing = {}
-    pts = ball_grid(cfg.resolution, cfg.extent, 3)
     g_base = metric_values(family, cfg.chart, pts)
     rows = []
     t0 = time.perf_counter()

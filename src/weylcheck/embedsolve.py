@@ -38,13 +38,13 @@ import dataclasses
 import itertools
 import warnings
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
-from .errors import ConvergenceError, DomainError, IntegrationError, ObstructionError
-from .intrinsic import MetricJet, covariant_antisym, curvature
+from .errors import ConvergenceError, IntegrationError, ObstructionError
+from .intrinsic import MetricJet, codazzi_residual, curvature
 from .jets import Jet
 from .surfaces import (
     GRID_EXTENT,
@@ -196,10 +196,6 @@ class ChiField:
     def principal_min(self):
         return principal_curvatures(self.field.g(), self.values)[..., 0]
 
-    def at(self, pts):
-        """Re-solve at arbitrary chart points (family-backed fields only)."""
-        return _continuous_data(self.field, pts)[1]
-
 
 def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     """The unique SPD chi with tr_g(chi) chi - chi g^{-1} chi = Ric (n = 3),
@@ -256,12 +252,6 @@ def _continuous_data(field, pts):
 
 # ------------------------------------------------- Codazzi embeddability
 
-def codazzi_residual_field(field: IntrinsicField, chi: ChiField):
-    """Per-point max-norm of chi_{ij;k} - chi_{ik;j}."""
-    out = covariant_antisym(field.christoffel, chi.as_jet())
-    return np.abs(out).max(axis=(-3, -2, -1))
-
-
 def reference_families():
     """Embedded families used to calibrate the Codazzi threshold."""
     return {
@@ -282,7 +272,7 @@ def codazzi_threshold(resolution, extent=GRID_EXTENT):
             f = IntrinsicField.from_family(fam, chart, pts)
             chi = solve_contracted_gauss(f)
             observed[f"{name}/chart{chart}"] = float(
-                codazzi_residual_field(f, chi).max())
+                codazzi_residual(f.christoffel, chi.as_jet()).max())
     return 10.0 * max(observed.values()), observed
 
 
@@ -309,16 +299,18 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
                         theta: Optional[float] = None) -> EmbeddabilityVerdict:
     """Codazzi gate: embeddable iff sup residual stays below theta.
 
-    theta defaults to the calibrated threshold for the field's grid
-    resolution; the calibration data is echoed in the verdict.
+    theta defaults to the threshold calibrated on the field's chart ball
+    (resolution and extent); the calibration data is echoed in the verdict.
     """
     if field.n != 3:
         raise ValueError("the embeddability gate is three-dimensional only")
-    residuals = codazzi_residual_field(field, chi)
+    residuals = codazzi_residual(field.christoffel, chi.as_jet())
     idx = int(np.argmax(residuals))
     sup = float(residuals[idx])
     if theta is None:
-        theta, observed = codazzi_threshold(field.grid_resolution())
+        # a ball grid reaches its extent exactly, at the ends of each axis
+        extent = float(np.abs(field.coords).max())
+        theta, observed = codazzi_threshold(field.grid_resolution(), extent)
         calibration = {"resolution": field.grid_resolution(),
                        "observed": observed}
     else:

@@ -2,8 +2,9 @@
 
 Everything downstream of a metric happens here: Christoffel symbols, Riemann
 and Ricci tensors, scalar curvature and its Laplacian, sectional-curvature
-ranges, covariant derivatives of symmetric 2-tensors, and a shortest-path
-estimate of the diameter of a two-chart geometry.
+ranges, covariant derivatives of symmetric 2-tensors, the two stereographic
+chart balls (lattice and transition), and a shortest-path estimate of the
+diameter of a two-chart geometry.
 
 Storage.  Every tensor field is one Jet whose trailing batch axes are its
 slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
@@ -45,8 +46,10 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .errors import DomainError
 from .jets import Jet, basis_monomials
 
-# charts overlap in an annulus as long as 1 < extent < chart cap
-DEFAULT_EXTENT = 1.2
+# Charts are evaluated inside |xi| <= CHART_RADIUS; the chart balls |xi| <=
+# extent (default GRID_EXTENT) overlap as long as 1 < extent < CHART_RADIUS.
+CHART_RADIUS = 1.8
+GRID_EXTENT = 1.2
 # Dijkstra sources diameter() runs on graphs above resolution 9
 LANDMARKS = 64
 
@@ -349,6 +352,35 @@ def covariant_antisym(christoffel, t: Jet) -> np.ndarray:
     return cov - np.swapaxes(cov, -1, -2)
 
 
+def codazzi_residual(christoffel, chi: Jet) -> np.ndarray:
+    """Per-point max-norm of the Codazzi residual chi_{ij;k} - chi_{ik;j}."""
+    return np.abs(covariant_antisym(christoffel, chi)).max(axis=(-3, -2, -1))
+
+
+def lattice_axes(resolution, extent):
+    """The lattice's values on each axis, resolution points in [-extent, extent]."""
+    if resolution < 5 or resolution % 2 == 0:
+        raise ValueError("resolution must be odd and >= 5")
+    return np.linspace(-extent, extent, resolution)
+
+
+def ball_lattice(resolution, extent, n):
+    """Lattice points of the chart ball |xi| <= extent in n coordinates:
+    (idx, coords), their (K, n) indices into lattice_axes and coordinates."""
+    axes = lattice_axes(resolution, extent)
+    idx = np.stack(np.meshgrid(*([np.arange(resolution)] * n), indexing="ij"),
+                   axis=-1).reshape(-1, n)
+    coords = axes[idx]
+    keep = np.linalg.norm(coords, axis=1) <= extent + 1e-12
+    return idx[keep], coords[keep]
+
+
+def transition_coords(coords):
+    """The same sphere points in the opposite chart: xi -> xi / |xi|^2."""
+    coords = np.asarray(coords, dtype=float)
+    return coords / np.einsum("...i,...i->...", coords, coords)[..., None]
+
+
 # --------------------------------------------------------------- diameter
 
 
@@ -380,28 +412,23 @@ class DiameterEstimate:
 
 
 def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
-                         extent: float = DEFAULT_EXTENT) -> GeodesicGraph:
+                         extent: float = GRID_EXTENT) -> GeodesicGraph:
     """Build the two-chart shortest-path graph of a metric on the n-sphere.
 
     metric_fn(chart, pts) must return the metric values (m, n, n) at chart
-    points pts (m, n), for chart in {0, 1}.  Nodes are lattice points of
-    spacing 2*extent/(resolution-1) inside the coordinate ball of radius
-    extent in each chart; edges join lattice neighbors (full box stencil,
+    points pts (m, n), for chart in {0, 1}.  Nodes are the ball_lattice
+    points of each chart; edges join lattice neighbors (full box stencil,
     3^n - 1 directions) with length sqrt(d^T g(midpoint) d), and nodes in the
     overlap annulus are stitched to the surrounding lattice cell of their
-    image in the other chart.
+    image in the other chart.  No (row, col) pair repeats: the stencil takes
+    one offset of each +- pair, and every stitch runs from one chart to the
+    other.
     """
-    if resolution < 5 or resolution % 2 == 0:
-        raise ValueError("resolution must be odd and >= 5")
-    if not 1.0 < extent < 1.8:
-        raise ValueError("extent must lie in (1, 1.8) so the chart balls overlap")
-    axes = np.linspace(-extent, extent, resolution)
+    if not 1.0 < extent < CHART_RADIUS:
+        raise ValueError(f"extent must lie in (1, {CHART_RADIUS:g}) for the balls to overlap")
+    idx, coords = ball_lattice(resolution, extent, n)
+    axes = lattice_axes(resolution, extent)
     h = axes[1] - axes[0]
-    idx = np.stack(np.meshgrid(*([np.arange(resolution)] * n), indexing="ij"),
-                   axis=-1).reshape(-1, n)
-    coords = axes[idx]
-    keep = np.linalg.norm(coords, axis=1) <= extent + 1e-12
-    idx, coords = idx[keep], coords[keep]
     per_chart = idx.shape[0]
 
     id_grid = np.full((2,) + (resolution,) * n, -1, dtype=np.int64)
@@ -434,9 +461,8 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
             weights.append(w)
 
     # stitch the overlap: nodes whose inversion lands inside the other ball
-    r2 = np.einsum("mi,mi->m", coords, coords)
-    far = r2 >= (1.0 / extent) ** 2
-    eta = coords[far] / r2[far, None]
+    far = np.einsum("mi,mi->m", coords, coords) >= (1.0 / extent) ** 2
+    eta = transition_coords(coords[far])
     base = np.floor((eta + extent) / h).astype(np.int64)
     for corner in np.ndindex(*((2,) * n)):
         cidx = base + np.array(corner)
@@ -448,7 +474,7 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
             s, d = src[ok2], dst[ok2]
             if s.size == 0:
                 continue
-            target = axes[cidx[ok][ok2]]
+            target = node_coords[d]
             disp = target - eta[ok][ok2]
             mids = (target + eta[ok][ok2]) / 2.0
             g = metric_fn(1 - c, mids)
@@ -462,15 +488,6 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
     weights = np.concatenate(weights)
     order = np.lexsort((cols, rows))
     rows, cols, weights = rows[order], cols[order], weights[order]
-    # keep the shortest copy of any duplicated pair
-    pair_change = np.empty(rows.size, dtype=bool)
-    pair_change[0] = True
-    pair_change[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
-    group = np.cumsum(pair_change) - 1
-    best = np.full(group[-1] + 1, np.inf)
-    np.minimum.at(best, group, weights)
-    first = np.nonzero(pair_change)[0]
-    rows, cols, weights = rows[first], cols[first], best
 
     total = 2 * per_chart
     adj = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(total, total))

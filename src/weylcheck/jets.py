@@ -32,8 +32,8 @@ truncation and differentiation are cheap slices.  The coefficient of the
 monomial x^gamma is (d^gamma f) / gamma!, so derivatives are exact reads.
 
 A coefficient of degree d has the same bits at every order >= d: a product
-sums the same pairs in the same order, and the series terms of reciprocal,
-sqrt and exp beyond degree d multiply the exact-zero constant term of
+sums the same pairs in the same order, and the series terms of reciprocal
+and sqrt beyond degree d multiply the exact-zero constant term of
 (self - value).  So each field is formed at the order its readers use: metric
 jets of order 4 for the scalar-curvature Laplacian, order 3 for the solver,
 from chart maps one order higher (the metric is a product of derivatives).
@@ -191,9 +191,6 @@ class Jet:
     def batch_shape(self):
         return self.coeffs.shape[:-1]
 
-    def coefficient(self, gamma):
-        return self.coeffs[..., _basis(self.nvars, self.order).index[tuple(gamma)]]
-
     def partial(self, gamma):
         """Value of the partial derivative d^gamma f at the base point."""
         gamma = tuple(gamma)
@@ -298,7 +295,7 @@ class Jet:
 
     def __pow__(self, p):
         if not isinstance(p, (int, np.integer)):
-            raise TypeError("jet powers must be integers; use sqrt/exp for the rest")
+            raise TypeError("jet powers must be integers; use sqrt for the rest")
         if p < 0:
             return self.reciprocal() ** (-p)
         out = Jet.constant(np.ones(self.batch_shape), self.nvars, self.order)
@@ -339,11 +336,6 @@ class Jet:
         for k in range(self.order + 1):
             dk.append(binom * c ** (0.5 - k))
             binom *= (0.5 - k) / (k + 1)
-        return self._apply_series(dk)
-
-    def exp(self):
-        c = self.value
-        dk = [np.exp(c) / math.factorial(k) for k in range(self.order + 1)]
         return self._apply_series(dk)
 
     def __repr__(self):

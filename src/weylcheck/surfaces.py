@@ -15,8 +15,9 @@ bit for bit.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
-xi -> xi/|xi|^2.  Grids stay inside |xi| <= 1.2 while charts remain valid up
-to |xi| <= 1.8, so nothing is ever evaluated near a chart boundary.
+xi -> xi/|xi|^2.  Grids are chart balls |xi| <= extent (GRID_EXTENT by
+default) while charts are evaluated up to |xi| <= CHART_RADIUS, so nothing
+is ever evaluated near a chart boundary (see weylcheck.intrinsic).
 """
 
 from __future__ import annotations
@@ -27,24 +28,18 @@ import numpy as np
 
 from .errors import DomainError
 from .intrinsic import (
+    CHART_RADIUS,
+    GRID_EXTENT,
     MetricJet,
-    covariant_antisym,
+    ball_lattice,
+    codazzi_residual,
     covariant_hessian,
     curvature,
     frame_transform,
 )
 from .jets import Jet
 
-CHART_RADIUS = 1.8
-GRID_EXTENT = 1.2
 AMBIENT_ORDER = 5
-
-
-def transition_coords(coords):
-    """Coordinates of the same sphere point in the opposite chart."""
-    coords = np.asarray(coords, dtype=float)
-    r2 = np.sum(coords**2, axis=-1, keepdims=True)
-    return coords / r2
 
 
 def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
@@ -263,13 +258,6 @@ class SurfaceData:
     def principal_curvatures(self):
         return principal_curvatures(self.g, self.chi)
 
-    @property
-    def scalar_gauss(self):
-        """Scalar curvature by the extrinsic route H^2 - tr(chi^2)."""
-        cf = self._chi_frame()
-        h = np.trace(cf, axis1=-2, axis2=-1)
-        return h**2 - np.einsum("...ij,...ij->...", cf, cf)
-
     def curvature(self):
         if self._curv is None:
             self._curv = curvature(self.metric)
@@ -287,8 +275,7 @@ class SurfaceData:
 
     def codazzi_residual(self):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
-        out = covariant_antisym(self.curvature().christoffel, self.chi_jet)
-        return np.abs(out).max(axis=(-3, -2, -1))
+        return codazzi_residual(self.curvature().christoffel, self.chi_jet)
 
     def support_identities(self):
         """Residuals of the three support-function identities.
@@ -436,60 +423,9 @@ def metric_fn(family):
     return lambda chart, pts: metric_values(family, chart, pts)
 
 
-# ----------------------------------------------------- alternate chi route
-
-
-def radial_graph_forms(family: RadialGraph, chart, pts):
-    """Metric and second fundamental form of a radial graph by the graph
-    formulas instead of the ambient pipeline.
-
-    g = rho^2 gamma + d rho (x) d rho with coordinate partials of rho, and
-    chi = (u gamma + Hess_gamma u) / (u sqrt(u^2 + |grad u|_gamma^2)), with
-    the Hessian and gradient taken in the round unit-sphere metric gamma.
-    Returns (g values, chi values) for cross-checking evaluate_grid.
-    """
-    pts = np.asarray(pts, dtype=float)
-    n = family.dim
-    comps = unit_sphere_jets(chart, pts, order=4)
-    uj = family.u(comps)
-    rho = uj.reciprocal()
-
-    xs = [Jet.variable(pts[..., i], i, n, 4) for i in range(n)]
-    s = None
-    for x in xs:
-        t = x * x
-        s = t if s is None else s + t
-    phi = 2.0 * (1.0 + s).reciprocal()
-    p2 = phi * phi
-    gamma = MetricJet(Jet(n, 4, np.eye(n)[:, :, None] * p2.coeffs[..., None, None, :]))
-
-    gamma_vals = gamma.values()
-    chr_vals = gamma.christoffels().value
-    drho, _ = covariant_hessian(rho, chr_vals)
-    g_vals = rho.value[..., None, None] ** 2 * gamma_vals \
-        + np.einsum("...i,...j->...ij", drho, drho)
-
-    du, hess_cov = covariant_hessian(uj, chr_vals)
-    grad_sq = np.einsum("...ij,...i,...j->...", np.linalg.inv(gamma_vals), du, du)
-    uv = uj.value
-    w = np.sqrt(uv**2 + grad_sq)
-    chi_vals = (uv[..., None, None] * gamma_vals + hess_cov) / (uv * w)[..., None, None]
-    return g_vals, chi_vals
-
-
 # --------------------------------------------------------------- grids
 
 
 def ball_grid(resolution, extent=GRID_EXTENT, n=3):
     """Lattice points of the coordinate ball |xi| <= extent, (K, n)."""
-    if resolution < 5 or resolution % 2 == 0:
-        raise ValueError("resolution must be odd and >= 5")
-    axes = np.linspace(-extent, extent, resolution)
-    pts = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    return pts[np.linalg.norm(pts, axis=1) <= extent + 1e-12]
-
-
-def chart_cover_grids(resolution, extent=GRID_EXTENT, n=3):
-    """Grids for both charts whose union covers the sphere."""
-    pts = ball_grid(resolution, extent, n)
-    return [(0, pts), (1, pts.copy())]
+    return ball_lattice(resolution, extent, n)[1]

@@ -1,16 +1,24 @@
-"""Reference implementations kept only to check the program against.
+"""Reference routes and test-only helpers; no command reaches them.
 
-full_riemann_curvature is the curvature() of an earlier version: it fills a
-whole (n, n, n, n)-slot Riemann Jet, takes Ricci as its trace and lowers the
-Riemann values from that Jet.  curvature() now forms only the entries the
-Ricci trace reads as jets, and Riemann from values; the two must agree in
-every bit.
+- full_riemann_curvature: curvature() of an earlier version, from a whole
+  (n, n, n, n)-slot Riemann Jet; curvature() must agree with it in every bit.
+- scalar_gauss: scalar curvature by the extrinsic route H^2 - tr(chi^2).
+- radial_graph_forms: g and chi of a radial graph by the graph formulas,
+  against the ambient-jet pipeline of evaluate_grid.
+- support_floor: min over an evaluated grid of (X - X0).N, positive exactly
+  when X0 sits inside the convex body.
+- jet_exp: exp of a Jet through Jet._apply_series.
+- coefficient: a Jet's Taylor coefficient of one monomial.
 """
+
+import math
 
 import numpy as np
 
-from weylcheck.intrinsic import CurvatureState, covariant_hessian
-from weylcheck.jets import Jet
+from weylcheck.errors import DomainError
+from weylcheck.intrinsic import CurvatureState, MetricJet, covariant_hessian, frame_transform
+from weylcheck.jets import Jet, basis_monomials
+from weylcheck.surfaces import unit_sphere_jets
 
 
 def full_riemann_curvature(mj) -> CurvatureState:
@@ -60,3 +68,80 @@ def full_riemann_curvature(mj) -> CurvatureState:
                           christoffel=gamma_vals, riemann=riemann,
                           ricci=ricci.value, scalar=scalar.value,
                           laplacian_scalar=lap, ricci_jet=ricci)
+
+
+def scalar_gauss(sd):
+    """Scalar curvature by the extrinsic route H^2 - tr(chi^2)."""
+    cf = frame_transform(sd.g, sd.chi)[2]
+    h = np.trace(cf, axis1=-2, axis2=-1)
+    return h**2 - np.einsum("...ij,...ij->...", cf, cf)
+
+
+def radial_graph_forms(family, chart, pts):
+    """Metric and second fundamental form of a radial graph by the graph
+    formulas instead of the ambient pipeline.
+
+    g = rho^2 gamma + d rho (x) d rho with coordinate partials of rho, and
+    chi = (u gamma + Hess_gamma u) / (u sqrt(u^2 + |grad u|_gamma^2)), with
+    the Hessian and gradient taken in the round unit-sphere metric gamma.
+    Returns (g values, chi values) for cross-checking evaluate_grid.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = family.dim
+    comps = unit_sphere_jets(chart, pts, order=4)
+    uj = family.u(comps)
+    rho = uj.reciprocal()
+
+    xs = [Jet.variable(pts[..., i], i, n, 4) for i in range(n)]
+    s = None
+    for x in xs:
+        t = x * x
+        s = t if s is None else s + t
+    phi = 2.0 * (1.0 + s).reciprocal()
+    p2 = phi * phi
+    gamma = MetricJet(Jet(n, 4, np.eye(n)[:, :, None] * p2.coeffs[..., None, None, :]))
+
+    gamma_vals = gamma.values()
+    chr_vals = gamma.christoffels().value
+    drho, _ = covariant_hessian(rho, chr_vals)
+    g_vals = rho.value[..., None, None] ** 2 * gamma_vals \
+        + np.einsum("...i,...j->...ij", drho, drho)
+
+    du, hess_cov = covariant_hessian(uj, chr_vals)
+    grad_sq = np.einsum("...ij,...i,...j->...", np.linalg.inv(gamma_vals), du, du)
+    uv = uj.value
+    w = np.sqrt(uv**2 + grad_sq)
+    chi_vals = (uv[..., None, None] * gamma_vals + hess_cov) / (uv * w)[..., None, None]
+    return g_vals, chi_vals
+
+
+def support_floor(eg, x0=None) -> float:
+    """min over the grid of (X - X0).N; X0 defaults to the grid centroid.
+
+    Positive exactly when X0 sits inside the convex body, so a nonpositive
+    floor raises rather than returning.
+    """
+    if x0 is None:
+        x0 = eg.X.mean(axis=0)
+    x0 = np.asarray(x0, dtype=float)
+    vals = np.einsum("ka,ka->k", eg.X - x0, eg.N)
+    floor = float(vals.min())
+    if floor <= 0:
+        where = eg.location(int(np.argmin(vals)))
+        raise DomainError(
+            f"support floor {floor:.6g} is not positive; base point {x0.tolist()} "
+            f"is outside the body (worst point: chart {where['chart']}, "
+            f"coords {where['coords']})"
+        )
+    return floor
+
+
+def jet_exp(f):
+    """exp(f) as a Jet: the Taylor series of exp about f's value."""
+    dk = [np.exp(f.value) / math.factorial(k) for k in range(f.order + 1)]
+    return f._apply_series(dk)
+
+
+def coefficient(f, gamma):
+    """f's Taylor coefficient of the monomial x^gamma."""
+    return f.coeffs[..., basis_monomials(f.nvars, f.order).index(tuple(gamma))]

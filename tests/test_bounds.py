@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import support_floor
 from weylcheck.bounds import (
     c2bound_report,
     diam_weyl_report,
     evaluate_family_grid,
     second_deriv_report,
-    support_floor,
     weyl_report,
 )
 from weylcheck.errors import DomainError

@@ -288,6 +288,24 @@ class TestSolveAndFamily:
         assert sec["truth"]["chi_rel_error"] <= 1e-6
         capsys.readouterr()
 
+    def test_codazzi_calibration_on_the_configured_ball(self, tmp_path, capsys):
+        # the threshold comes from the solve's own chart ball, not the
+        # default extent's (2.2427e-13 there against 2.0040e-13 here)
+        out_path = tmp_path / "solve.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "resolution": 9, "extent": 1.5,
+            "family": {"variant": "ellipsoid",
+                       "semi_axes": [1.0, 1.2, 0.9, 1.05]},
+        }))
+        code = main(["solve", "--config", str(path), "--out", str(out_path),
+                     "--quiet"])
+        assert code == 0
+        verdict = json.loads(out_path.read_text())["sections"]["embeddability"]
+        assert verdict["threshold"] == embedsolve.codazzi_threshold(9, 1.5)[0]
+        assert verdict["threshold"] != embedsolve.codazzi_threshold(9)[0]
+        capsys.readouterr()
+
     def test_family_table(self, tmp_path, capsys):
         out_path = tmp_path / "family.json"
         path = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import full_riemann_curvature
+from oracles import full_riemann_curvature, jet_exp
 from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import (
@@ -133,7 +133,7 @@ class TestFlat:
 
 def bumpy_metric(pts, order=4):
     def phi(xs):
-        return (1.0 + 0.2 * xs[0] + 0.1 * xs[1] * xs[2] - 0.15 * xs[2] * xs[2]).exp()
+        return jet_exp(1.0 + 0.2 * xs[0] + 0.1 * xs[1] * xs[2] - 0.15 * xs[2] * xs[2])
 
     return conformal_metric(pts, phi, order=order)
 
@@ -422,3 +422,11 @@ class TestDiameter:
     def test_edge_lengths_positive(self):
         gg = build_geodesic_graph(sphere_metric_values(1.0, 2), 2, 9)
         assert gg.adjacency.data.min() > 0.0
+
+    @pytest.mark.parametrize("extent", [1.05, 1.5, 1.75])
+    @pytest.mark.parametrize("resolution", [5, 7, 9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_repeated_edges(self, n, resolution, extent):
+        # the CSR build sums a repeated (row, col) pair into one entry
+        gg = build_geodesic_graph(sphere_metric_values(1.0, n), n, resolution, extent)
+        assert gg.adjacency.nnz == gg.num_edges
