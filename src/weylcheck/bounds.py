@@ -181,11 +181,15 @@ def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
         gg = build_geodesic_graph(metric_fn(eg.family), n, eg.resolution, eg.extent)
         d = diameter(gg).value
         d_source = "graph"
+    try:
+        d2 = float(d) ** 2
+    except OverflowError:
+        raise DomainError(f"diam-weyl: d**2 overflows for d = {d!r}") from None
     big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 4.0)
     lhs = eg.H**2
     inner = 2.0 * eg.scalar**2 - eg.laplacian \
-        + (n - 1) ** 2 * eg.scalar / (64.0 * d**2)
-    rhs = big_c * d**2 * inner
+        + (n - 1) ** 2 * eg.scalar / (64.0 * d2)
+    rhs = big_c * d2 * inner
     constants = {"C": big_c, "d": float(d), "d_source": d_source}
     return _report("diam-weyl", eg, lhs, int(np.argmax(lhs)), rhs,
                    int(np.argmax(rhs)), constants, tol)

@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
 
 from .errors import ConvergenceError, IntegrationError, ObstructionError
 from .intrinsic import MetricJet, codazzi_residual, curvature
@@ -123,7 +122,7 @@ class IntrinsicField:
 
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
-        return int(np.unique(np.round(self.coords[..., 0], 12)).size)
+        return int(_axis_values(self.coords[..., 0]).size)
 
 
 def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
@@ -339,6 +338,13 @@ STAGE_POINTS = 512   # chart points per march _continuous_data call
 MAX_SUBSTEPS = 1000
 
 
+def _axis_values(c):
+    """Sorted distinct values of c rounded to 12 decimals, as np.unique
+    gives them (np.unique would import numpy.ma on first use)."""
+    v = np.sort(np.round(c, 12), axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def _lattice(coords):
     """A grid's integer lattice: (idx, spacing, center row).
 
@@ -349,7 +355,7 @@ def _lattice(coords):
     center = int(np.argmin(np.linalg.norm(coords, axis=-1)))
     if np.linalg.norm(coords[center]) > 1e-12:
         raise ValueError("field grid has no center node")
-    axis_vals = np.unique(np.round(coords[:, 0], 12))
+    axis_vals = _axis_values(coords[:, 0])
     spacing = float(axis_vals[1] - axis_vals[0])
     return np.rint(coords / spacing).astype(int), spacing, center
 
@@ -625,7 +631,9 @@ def align_rigid(recon, truth):
             warnings.warn("point cloud is rank deficient; the alignment is "
                           "not unique", RuntimeWarning, stacklevel=2)
             break
-    q, _ = orthogonal_procrustes(a0, b0)
+    # scipy.linalg.orthogonal_procrustes(a0, b0), transposes included
+    u, _, vt = np.linalg.svd((b0.T @ a0).T)
+    q = u @ vt
     t = cb - ca @ q
     rms = float(np.sqrt(np.mean(np.sum((a @ q + t - b) ** 2, axis=1))))
     return q, t, rms

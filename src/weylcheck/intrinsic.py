@@ -4,7 +4,9 @@ Everything downstream of a metric happens here: Christoffel symbols, Riemann
 and Ricci tensors, scalar curvature and its Laplacian, sectional-curvature
 ranges, covariant derivatives of symmetric 2-tensors, the two stereographic
 chart balls (lattice and transition), and a shortest-path estimate of the
-diameter of a two-chart geometry.
+diameter of a two-chart geometry.  That estimate is the package's only use
+of scipy (sparse graphs and Dijkstra), which is imported inside the two
+functions that need it, so the other commands never load it.
 
 Storage.  Every tensor field is one Jet whose trailing batch axes are its
 slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
@@ -37,14 +39,15 @@ sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
 from .jets import Jet, basis_monomials
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Charts are evaluated inside |xi| <= CHART_RADIUS; the chart balls |xi| <=
 # extent (default GRID_EXTENT) overlap as long as 1 < extent < CHART_RADIUS.
@@ -420,9 +423,9 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
     points of each chart; edges join lattice neighbors (full box stencil,
     3^n - 1 directions) with length sqrt(d^T g(midpoint) d), and nodes in the
     overlap annulus are stitched to the surrounding lattice cell of their
-    image in the other chart.  No (row, col) pair repeats: the stencil takes
-    one offset of each +- pair, and every stitch runs from one chart to the
-    other.
+    image in the other chart.  The adjacency holds each edge in both
+    directions, one entry per (row, col) pair; num_edges counts the edges
+    made, one per stencil pair and one per stitch from either chart.
     """
     if not 1.0 < extent < CHART_RADIUS:
         raise ValueError(f"extent must lie in (1, {CHART_RADIUS:g}) for the balls to overlap")
@@ -483,20 +486,34 @@ def build_geodesic_graph(metric_fn: Callable, n: int, resolution: int,
             cols.append(d)
             weights.append(np.maximum(w, 1e-12))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    weights = np.concatenate(weights)
-    order = np.lexsort((cols, rows))
-    rows, cols, weights = rows[order], cols[order], weights[order]
-
+    # store every edge both ways, one entry per (row, col) pair: a stitch
+    # made from each chart keeps its shorter length, which is the length
+    # undirected Dijkstra would relax it with
     total = 2 * per_chart
-    adj = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(total, total))
-    ncomp, _ = connected_components(adj, directed=False)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    num_edges = rows.size
+    key = np.concatenate([rows * total + cols, cols * total + rows])
+    order = np.argsort(key)
+    key, weights = key[order], np.tile(np.concatenate(weights), 2)[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    weights = np.minimum.reduceat(weights, first)
+    rows, cols = np.divmod(key[first], total)
+
+    # scipy is imported here and in diameter(), its only users, so that
+    # importing weylcheck does not pay for it
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
+    indptr = np.searchsorted(rows, np.arange(total + 1))
+    adj = scipy.sparse.csr_matrix((weights, cols, indptr), shape=(total, total))
+    # on a symmetric graph strong components are the connected ones, and
+    # finding them needs no transposed copy
+    ncomp, _ = connected_components(adj, directed=True, connection="strong")
     if ncomp != 1:
         raise DomainError(f"geodesic graph is disconnected ({ncomp} components)")
     return GeodesicGraph(n=n, resolution=resolution, extent=extent,
                          node_chart=node_chart, node_coords=node_coords,
-                         adjacency=adj, num_edges=rows.size)
+                         adjacency=adj, num_edges=num_edges)
 
 
 def diameter(gg: GeodesicGraph) -> DiameterEstimate:
@@ -513,9 +530,11 @@ def diameter(gg: GeodesicGraph) -> DiameterEstimate:
     neither upper nor lower bounds on the segment lengths, and lattice
     paths are confined to the stencil's directions, which lengthens them.
     """
+    from scipy.sparse.csgraph import dijkstra  # lazy, see build_geodesic_graph
+
     total = gg.num_nodes
     if gg.resolution <= 9:
-        dist = dijkstra(gg.adjacency, directed=False)
+        dist = dijkstra(gg.adjacency, directed=True)
         if np.isinf(dist).any():
             raise DomainError("geodesic graph is disconnected")
         return DiameterEstimate(float(dist.max()), total, gg.num_edges, total,
@@ -525,7 +544,7 @@ def diameter(gg: GeodesicGraph) -> DiameterEstimate:
     mind = None
     source = 0
     for _ in range(LANDMARKS):
-        dist = dijkstra(gg.adjacency, directed=False, indices=[source])[0]
+        dist = dijkstra(gg.adjacency, directed=True, indices=[source])[0]
         if np.isinf(dist).any():
             raise DomainError("geodesic graph is disconnected")
         best = max(best, float(dist.max()))

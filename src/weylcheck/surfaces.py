@@ -25,6 +25,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+# loaded with the module, not inside the first job that draws a random graph
+from numpy.random import default_rng
 
 from .errors import DomainError
 from .intrinsic import (
@@ -167,7 +169,7 @@ def radial_graph_random(seed, amp=0.05, dim=3):
     unit-bounded entries; small amp keeps the graph convex."""
     if not 0 <= amp < 0.2:
         raise ValueError("amplitude out of the convexity-safe range")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     q = rng.uniform(-1.0, 1.0, size=(dim + 1, dim + 1))
     q = (q + q.T) / 2.0
 

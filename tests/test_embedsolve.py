@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.linalg import eigh as generalized_eigh
+from scipy.linalg import orthogonal_procrustes
 
 from weylcheck import embedsolve
 from weylcheck.embedsolve import (
@@ -552,3 +553,36 @@ class TestAlignRigid:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             align_rigid(np.zeros((3, 4)), np.zeros((4, 4)))
+
+    @staticmethod
+    def procrustes_oracle(recon, truth):
+        """align_rigid's (q, t, rms) with q from scipy's orthogonal_procrustes."""
+        ca, cb = recon.mean(axis=0), truth.mean(axis=0)
+        q, _ = orthogonal_procrustes(recon - ca, truth - cb)
+        t = cb - ca @ q
+        rms = float(np.sqrt(np.mean(np.sum((recon @ q + t - truth) ** 2, axis=1))))
+        return q, t, rms
+
+    @pytest.mark.parametrize("count, dim", [(8, 3), (40, 3), (125, 4), (343, 4), (729, 4)])
+    def test_matches_scipy_procrustes(self, count, dim):
+        # reconstruct aligns hundreds of 4-D points, a noisy rigid copy of the truth
+        rng = np.random.default_rng(count * 10 + dim)
+        for _ in range(20):
+            truth = rng.normal(size=(count, dim))
+            q_true = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            recon = (truth - rng.normal(size=dim)) @ q_true.T \
+                + 1e-6 * rng.normal(size=(count, dim))
+            got = align_rigid(recon, truth)
+            want = self.procrustes_oracle(recon, truth)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_matches_scipy_procrustes_rank_deficient(self):
+        rng = np.random.default_rng(9)
+        flat = rng.normal(size=(125, 4))
+        flat[:, 3] = 0.0
+        other = flat @ np.linalg.qr(rng.normal(size=(4, 4)))[0] + 0.5
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            got = align_rigid(other, flat)
+        for a, b in zip(got, self.procrustes_oracle(other, flat)):
+            assert np.array_equal(a, b)

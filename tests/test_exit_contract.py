@@ -177,3 +177,17 @@ def test_exit_code_contract(workdir, run):
         failed = [name for name, sec in report["sections"].items()
                   if isinstance(sec, dict) and sec.get("passed") is False]
         assert (code == 1) == bool(failed), (argv, config, failed)
+
+
+@pytest.mark.parametrize("diameter", [1e300, 10**400], ids=["1e300", "10**400"])
+def test_overflowing_diameter_names_check_and_value(tmp_path, diameter):
+    # d**2 overflows a float; the message says which check and which value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"variant": "sphere"}, "resolution": 5,
+                               "diameter": diameter}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--checks", "diam-weyl", "--config", str(cfg), "--quiet"])
+    assert code == 3
+    assert err.getvalue().startswith("numerical-domain error: diam-weyl: d**2 overflows for d = ")
+    assert repr(diameter) in err.getvalue()

@@ -11,6 +11,7 @@ from weylcheck.errors import DomainError
 from weylcheck.intrinsic import (
     CurvatureState,
     MetricJet,
+    ball_lattice,
     build_geodesic_graph,
     covariant_antisym,
     curvature,
@@ -427,6 +428,20 @@ class TestDiameter:
     @pytest.mark.parametrize("resolution", [5, 7, 9])
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_repeated_edges(self, n, resolution, extent):
-        # the CSR build sums a repeated (row, col) pair into one entry
+        # one entry per (row, col) pair (canonical CSR), every edge stored both
+        # ways; a stitch made from both charts is one pair, so only the
+        # stitches may count more edges than pairs
         gg = build_geodesic_graph(sphere_metric_values(1.0, n), n, resolution, extent)
-        assert gg.adjacency.nnz == gg.num_edges
+        adj = gg.adjacency
+        assert adj.has_canonical_format
+        assert (adj != adj.T).nnz == 0
+        idx, _ = ball_lattice(resolution, extent, n)
+        nodes = set(map(tuple, idx))
+        offsets = [o for o in np.ndindex(*((3,) * n)) if o != (1,) * n]
+        neighbors = sum(tuple(p + np.array(o) - 1) in nodes for p in idx for o in offsets)
+        rows, cols = adj.nonzero()
+        same_chart = gg.node_chart[rows] == gg.node_chart[cols]
+        assert same_chart.sum() == 2 * neighbors  # both charts, both ways
+        stitches = gg.num_edges - neighbors
+        cross = (~same_chart).sum()
+        assert cross / 2 <= stitches <= cross
