@@ -185,6 +185,8 @@ def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
         d2 = float(d) ** 2
     except OverflowError:
         raise DomainError(f"diam-weyl: d**2 overflows for d = {d!r}") from None
+    if d2 < np.finfo(float).tiny:   # zero or subnormal
+        raise DomainError(f"diam-weyl: d**2 underflows for d = {d!r}")
     big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 4.0)
     lhs = eg.H**2
     inner = 2.0 * eg.scalar**2 - eg.laplacian \

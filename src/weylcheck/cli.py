@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .embedsolve import (
     MAX_SUBSTEPS,
+    SOLVE_RESIDUAL_LIMIT,
     IntrinsicField,
     align_rigid,
     embeddability_check,
@@ -41,6 +42,7 @@ from .embedsolve import (
     solve_contracted_gauss,
 )
 from .errors import ConvergenceError, DomainError, IntegrationError
+from .intrinsic import principal_curvatures
 from .surfaces import (
     CHART_RADIUS,
     GRID_EXTENT,
@@ -50,7 +52,6 @@ from .surfaces import (
     ball_grid,
     epsilon_family,
     metric_values,
-    principal_curvatures,
     radial_graph_bump,
     radial_graph_constant,
     radial_graph_ellipsoid,
@@ -68,11 +69,10 @@ RESIDUAL_TOL = 1e-7
 # product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
 # holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
 # stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1841 MiB at resolution 51,
-# 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc, verify on the
-# ellipsoid (1, 1.2, 0.9, 1.05) peaks at 9.9, 7.9 and 7.8 KiB per point of
-# both charts at resolutions 9, 13 and 17 (13.2, 13.1 and 13.0 KiB while
-# curvature() still formed a whole Riemann jet), so the estimate keeps a
-# wide margin.
+# 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc in a process that
+# has already run one verify, verify on the ellipsoid (1, 1.2, 0.9, 1.05)
+# with every check peaks at 9.1, 7.4 and 7.4 KiB per point of both charts at
+# resolutions 9, 13 and 17, so the estimate keeps a wide margin.
 # At 51 the largest lattice level of a reconstruct with MAX_SUBSTEPS
 # substeps holds about 1.4 GiB of stage data.
 MAX_RESOLUTION = 51
@@ -417,7 +417,7 @@ def cmd_solve(cfg: RunConfig):
         "max_residual": float(chi.residuals.max()),
         "min_eps_gap": float(chi.gaps.min()),
         "min_principal": float(chi.principal_min().min()),
-        "passed": bool(chi.residuals.max() <= 1e-9),
+        "passed": bool(chi.residuals.max() <= SOLVE_RESIDUAL_LIMIT),
     }}
 
     t0 = time.perf_counter()

@@ -43,14 +43,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, IntegrationError, ObstructionError
-from .intrinsic import MetricJet, codazzi_residual, curvature
+from .intrinsic import (
+    MetricJet,
+    codazzi_residual,
+    contracted_gauss_residual,
+    curvature,
+    principal_curvatures,
+)
 from .jets import Jet
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
     ball_grid,
     induced_metric,
-    principal_curvatures,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -156,7 +161,9 @@ def _chi_values(g, ginv, ric, chart, coords):
     sigma_3 = sqrt(det E / 8).  E's eigenvalues relative to g are the
     t_i = sum(mu) - 2 mu_i of matmap._gaps_closed_form_3 (mu: Ricci's), and
     the cone is t_i > 0 for all i, which makes every mu_i > 0 as
-    t_i + t_j = 2 mu_k.  gaps, the eps-gap per point, is the least t_i.
+    t_i + t_j = 2 mu_k.  gaps, the eps-gap per point, is the least t_i: E is
+    twice R g / 2 - Ric, so for the field's own Ricci the eps-gap is twice
+    the least sectional curvature (see intrinsic.sectional_extremes).
     """
     r = np.einsum("...ab,...ba->...", ginv, ric)
     e = r[..., None, None] * g - 2.0 * ric
@@ -213,9 +220,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     ric = field.ricci
     ginv = np.linalg.inv(g)
     chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
-    tau = np.einsum("...ab,...ba->...", ginv, chi)
-    res = tau[..., None, None] * chi - chi @ ginv @ chi - ric
-    residuals = np.abs(res).max(axis=(-2, -1))
+    residuals = contracted_gauss_residual(ginv, chi, ric)
     worst = float(residuals.max())
     if worst > SOLVE_RESIDUAL_LIMIT:
         raise ConvergenceError("solver residual above the per-point limit",

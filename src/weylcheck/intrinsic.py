@@ -1,21 +1,23 @@
 """Curvature of a metric given as a field of Taylor jets.
 
-Everything downstream of a metric happens here: Christoffel symbols, Riemann
-and Ricci tensors, scalar curvature and its Laplacian, sectional-curvature
-ranges, covariant derivatives of symmetric 2-tensors, the two stereographic
-chart balls (lattice and transition), and a shortest-path estimate of the
-diameter of a two-chart geometry.  That estimate is the package's only use
-of scipy (sparse graphs and Dijkstra), which is imported inside the two
-functions that need it, so the other commands never load it.
+Everything downstream of a metric happens here: Christoffel symbols, the
+Ricci tensor, scalar curvature and its Laplacian, sectional-curvature
+ranges, eigenvalues relative to the metric, the contracted Gauss and the
+Codazzi residuals, covariant derivatives of symmetric 2-tensors, the two
+stereographic chart balls (lattice and transition), and a shortest-path
+estimate of the diameter of a two-chart geometry.  That estimate is the
+package's only use of scipy (sparse graphs and Dijkstra), which is
+imported inside the two functions that need it, so the other commands
+never load it.
 
 Storage.  Every tensor field is one Jet whose trailing batch axes are its
 slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
 (n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet and Ricci an
 (n, n)-slot Jet.  Products are formed one slot entry at a time, once per
-independent entry, on views of those arrays.  No Riemann Jet is stored: the
-Ricci jet is summed from the entries R^mu_{s mu nu} its trace reads, and
-the Riemann tensor is formed from values of Gamma and its first partials,
-by the same formula applied to plain arrays.
+independent entry, on views of those arrays.  No Riemann tensor is formed:
+the Ricci jet is summed from the entries R^mu_{s mu nu} its trace reads,
+and in the supported dimensions (n = 2, 3) the Weyl tensor vanishes, so
+Ricci and the metric fix every other curvature quantity.
 
 Orders.  A field is formed at the order its readers use: for a metric of
 order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
@@ -23,17 +25,14 @@ Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
 are views of the leading coefficients of the order-(m - 1) jets.
 curvature() forms the inverse once per call and keeps no jet beyond the
 Ricci jet.  A CurvatureState holds values of the metric, its inverse,
-Christoffel, lowered Riemann, Ricci, scalar curvature and (for m >= 4) its
-Laplacian, plus the Ricci jet; the per-point summaries
-sectional_extremes(cs) and ricci_norm(cs) are formed on request.
+Christoffel, Ricci, scalar curvature and (for m >= 4) its Laplacian, plus
+the Ricci jet; the per-point summaries sectional_extremes(cs) and
+ricci_norm(cs) are formed on request.
 
-Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  The lowered
-curvature tensor riemann[..., i, j, k, l] contracts with u^i v^j u^k v^l to
-the (unnormalized) sectional numerator of the plane spanned by u and v; on
-the unit round sphere it equals g_ik g_jl - g_il g_jk, so sectional
-curvatures are positive there.  ricci[..., j, l] is the (1,3)-trace and
-scalar its g-trace, giving Ricci = (n-1) g and scalar = n(n-1) on the unit
-sphere.
+Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  ricci[..., s, nu]
+is the trace R^mu_{s mu nu} of the curvature tensor of _riemann_up and
+scalar its g-trace; on the unit sphere Ricci = (n-1) g and scalar = n(n-1),
+so positive curvature has positive sign.
 """
 
 from __future__ import annotations
@@ -164,24 +163,21 @@ class CurvatureState:
     metric: np.ndarray
     metric_inv: np.ndarray
     christoffel: np.ndarray
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: np.ndarray
     laplacian_scalar: Optional[np.ndarray]
     ricci_jet: Jet = field(repr=False)
 
 
-def _riemann_up(n, dgamma, gamma, r, s, mu, nu):
+def _riemann_up(gamma: Jet, gamma_t: Jet, r, s, mu, nu) -> Jet:
     """R^r_{s mu nu} = d_mu Gamma^r_{nu s} - d_nu Gamma^r_{mu s}
-    + sum_lam Gamma^r_{mu lam} Gamma^lam_{nu s} - Gamma^r_{nu lam} Gamma^lam_{mu s}.
-
-    One formula for Jets and for value arrays alike: gamma[..., k, i, j] is
-    Gamma^k_{ij} and dgamma(v, k, i, j) is d_v Gamma^k_{ij}.
-    """
-    acc = dgamma(mu, r, nu, s) - dgamma(nu, r, mu, s)
-    for lam in range(n):
-        acc = acc + gamma[..., r, mu, lam] * gamma[..., lam, nu, s]
-        acc = acc - gamma[..., r, nu, lam] * gamma[..., lam, mu, s]
+    + sum_lam Gamma^r_{mu lam} Gamma^lam_{nu s} - Gamma^r_{nu lam} Gamma^lam_{mu s},
+    the partials taken of gamma and the products of gamma_t, its view one
+    order lower (gamma[..., k, i, j] is Gamma^k_{ij})."""
+    acc = gamma[..., r, nu, s].derivative(mu) - gamma[..., r, mu, s].derivative(nu)
+    for lam in range(gamma.nvars):
+        acc = acc + gamma_t[..., r, mu, lam] * gamma_t[..., lam, nu, s]
+        acc = acc - gamma_t[..., r, nu, lam] * gamma_t[..., lam, mu, s]
     return acc
 
 
@@ -194,16 +190,13 @@ def _ricci(gamma: Jet, order) -> Jet:
     # an order-`order` view: a lower order's basis is a prefix of a higher one's
     gamma_t = Jet(n, order, gamma.coeffs[..., :len(basis_monomials(n, order))])
 
-    def dgamma(v, k, i, j):
-        return gamma[..., k, i, j].derivative(v)
-
     def entry(s, mu, nu):
         """R^mu_{s mu nu}: zero on mu = nu, antisymmetric in (mu, nu)."""
         if mu == nu:
             return Jet(n, order, np.zeros_like(gamma_t.coeffs[..., 0, 0, 0, :]))
         if mu < nu:
-            return _riemann_up(n, dgamma, gamma_t, mu, s, mu, nu)
-        return -_riemann_up(n, dgamma, gamma_t, mu, s, nu, mu)
+            return _riemann_up(gamma, gamma_t, mu, s, mu, nu)
+        return -_riemann_up(gamma, gamma_t, mu, s, nu, mu)
 
     ricci = Jet.zeros(gamma.batch_shape[:-3], (n, n), n, order)
     for s in range(n):
@@ -214,25 +207,6 @@ def _ricci(gamma: Jet, order) -> Jet:
             ricci[..., s, nu] = acc
     _mirror_upper(ricci.coeffs)
     return ricci
-
-
-def _riemann_values(gamma: Jet):
-    """R^r_{s mu nu} values [..., r, s, mu, nu] from the values of Gamma and
-    of its first partials, stored slot-major like a slot Jet's values."""
-    n = gamma.nvars
-    gv = gamma.value
-    dvals = [gamma.partial(u) for u in np.eye(n, dtype=int)]
-    batch = gv.shape[:-3]
-    up = np.moveaxis(np.zeros((n, n, n, n) + batch), (0, 1, 2, 3), (-4, -3, -2, -1))
-    for r in range(n):
-        for s in range(n):
-            for mu in range(n):
-                for nu in range(mu + 1, n):
-                    acc = _riemann_up(n, lambda v, k, i, j: dvals[v][..., k, i, j],
-                                      gv, r, s, mu, nu)
-                    up[..., r, s, mu, nu] = acc
-                    up[..., r, s, nu, mu] = -acc
-    return up
 
 
 def curvature(mj: MetricJet) -> CurvatureState:
@@ -260,7 +234,6 @@ def curvature(mj: MetricJet) -> CurvatureState:
 
     gvals = mj.values()
     ginv_vals = np.linalg.inv(gvals)
-    riemann = np.einsum("...rl,...lsmn->...rsmn", gvals, _riemann_values(gamma))
     # a copy: a view would keep the whole Christoffel jet alive in the state
     gamma_vals = np.ascontiguousarray(gamma.value)
 
@@ -274,7 +247,6 @@ def curvature(mj: MetricJet) -> CurvatureState:
         metric=gvals,
         metric_inv=ginv_vals,
         christoffel=gamma_vals,
-        riemann=riemann,
         ricci=ricci.value,
         scalar=scalar.value,
         laplacian_scalar=lap,
@@ -294,39 +266,30 @@ def covariant_hessian(f: Jet, christoffel):
     return grad, hess - np.einsum("...kij,...k->...ij", christoffel, grad)
 
 
-def frame_transform(g, t=None):
-    """The g-orthonormal Cholesky frame, and t's components in it.
-
-    With g = L L^T, the columns F[..., :, a] of F = L^{-T} satisfy
-    F^T g F = identity.  Returns (L, F, F^T t F); the last is None when no
-    2-tensor t is given.
-    """
-    chol = np.linalg.cholesky(g)
-    inv = np.linalg.inv(chol)
-    tf = None if t is None else inv @ t @ np.swapaxes(inv, -1, -2)
-    return chol, np.swapaxes(inv, -1, -2), tf
+def principal_curvatures(g, t):
+    """Eigenvalues of a symmetric 2-tensor t relative to g per point,
+    ascending (..., n): eigvalsh of L^-1 t L^-T with g = L L^T.  For the
+    second fundamental form they are the principal curvatures."""
+    inv = np.linalg.inv(np.linalg.cholesky(g))
+    return np.linalg.eigvalsh(inv @ t @ np.swapaxes(inv, -1, -2))
 
 
 def sectional_extremes(cs: CurvatureState):
     """Sectional-curvature range (kmin, kmax) per point.
 
-    For n = 2 the single curvature, for n = 3 the exact eigenvalue range of
-    the operator on 2-planes (every 2-plane in dimension 3 is an eigenplane
-    mixture, so the range is tight).
+    For n = 2 the single curvature R / 2.  For n = 3 the Weyl tensor
+    vanishes, and the 2-plane g-orthogonal to a unit vector u has curvature
+    R / 2 - Ric(u, u); so the range is the eigenvalue range of R g / 2 - Ric
+    relative to g, and both ends are attained.  The solver's eps-gap, the
+    least eigenvalue of E = R g - 2 Ric relative to g, is therefore 2 kmin.
     """
     if cs.n == 2:
         kmin = cs.scalar / 2.0
         return kmin, kmin.copy()
     if cs.n != 3:
         raise ValueError(f"unsupported dimension {cs.n}")
-    _, frame, _ = frame_transform(cs.metric)
-    # R_abcd = R_ijkl F_ia F_jb F_kc F_ld, contracted one index at a time
-    rf = cs.riemann
-    for _ in range(4):
-        rf = np.einsum("...ijkl,...ia->...jkla", rf, frame)
-    i, j = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
-    # the operator on the 2-planes (0, 1), (0, 2), (1, 2)
-    ev = np.linalg.eigvalsh(rf[..., i, j, i.T, j.T])
+    ev = principal_curvatures(cs.metric, (cs.scalar / 2.0)[..., None, None] * cs.metric
+                              - cs.ricci)
     return ev[..., 0], ev[..., -1]
 
 
@@ -353,6 +316,16 @@ def covariant_antisym(christoffel, t: Jet) -> np.ndarray:
         - np.einsum("...lki,...lj->...ijk", christoffel, tv) \
         - np.einsum("...lkj,...il->...ijk", christoffel, tv)
     return cov - np.swapaxes(cov, -1, -2)
+
+
+def contracted_gauss_residual(ginv, chi, ric) -> np.ndarray:
+    """Per-point max-norm of tr_g(chi) chi - chi g^-1 chi - Ric, the
+    contracted Gauss equation.  For n <= 3 it is the whole Gauss equation:
+    Riem - chi ^ chi is an algebraic curvature tensor, which has no Weyl
+    part there, so it vanishes exactly where its Ricci contraction does."""
+    tau = np.einsum("...ab,...ba->...", ginv, chi)
+    res = tau[..., None, None] * chi - chi @ ginv @ chi - ric
+    return np.abs(res).max(axis=(-2, -1))
 
 
 def codazzi_residual(christoffel, chi: Jet) -> np.ndarray:

@@ -22,6 +22,7 @@ is ever evaluated near a chart boundary (see weylcheck.intrinsic).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,9 +36,10 @@ from .intrinsic import (
     MetricJet,
     ball_lattice,
     codazzi_residual,
+    contracted_gauss_residual,
     covariant_hessian,
     curvature,
-    frame_transform,
+    principal_curvatures,
 )
 from .jets import Jet
 
@@ -200,12 +202,6 @@ def _det_jets(rows):
     raise ValueError("determinant supported for sizes 2 and 3")
 
 
-def principal_curvatures(g, chi):
-    """Eigenvalues of a symmetric 2-tensor (chi: the principal curvatures)
-    relative to g per point, ascending (.., n)."""
-    return np.linalg.eigvalsh(frame_transform(g, chi)[2])
-
-
 class SurfaceData:
     """Fields of a family over a batch of chart points.
 
@@ -244,21 +240,19 @@ class SurfaceData:
     def rho(self):
         return self.rho_jet.value
 
-    def _chi_frame(self):
-        return frame_transform(self.g, self.chi)[2]
+    @cached_property
+    def principal_curvatures(self):
+        """Eigenvalues of chi relative to g, ascending (.., n)."""
+        return principal_curvatures(self.g, self.chi)
 
     @property
     def H(self):
-        return np.trace(self._chi_frame(), axis1=-2, axis2=-1)
+        return self.principal_curvatures.sum(axis=-1)
 
     @property
     def chi_norm(self):
-        cf = self._chi_frame()
-        return np.sqrt(np.einsum("...ij,...ij->...", cf, cf))
-
-    @property
-    def principal_curvatures(self):
-        return principal_curvatures(self.g, self.chi)
+        """|chi|_g, the root-sum-square of the principal curvatures."""
+        return np.sqrt((self.principal_curvatures**2).sum(axis=-1))
 
     def curvature(self):
         if self._curv is None:
@@ -268,12 +262,10 @@ class SurfaceData:
     # -- identity residuals ------------------------------------------------
 
     def gauss_residual(self):
-        """Max-norm of riemann - (chi_ik chi_jl - chi_il chi_jk) per point."""
-        chi = self.chi
-        want = np.einsum("...ik,...jl->...ijkl", chi, chi) \
-            - np.einsum("...il,...jk->...ijkl", chi, chi)
-        diff = self.curvature().riemann - want
-        return np.abs(diff).max(axis=(-4, -3, -2, -1))
+        """Max-norm of the contracted Gauss residual per point, which is the
+        whole Gauss equation for n <= 3 (see contracted_gauss_residual)."""
+        cs = self.curvature()
+        return contracted_gauss_residual(cs.metric_inv, self.chi, cs.ricci)
 
     def codazzi_residual(self):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
@@ -297,8 +289,7 @@ class SurfaceData:
         grad_sq = np.einsum("...ij,...i,...j->...", ginv, grad, grad)
         r2 = np.abs(2.0 * self.rho - grad_sq - self.support**2)
 
-        a = frame_transform(g, g - hess_cov)[2]
-        lam = np.linalg.eigvalsh(a)
+        lam = principal_curvatures(g, g - hess_cov)
         s1 = lam.sum(axis=-1)
         s2 = (s1**2 - (lam**2).sum(axis=-1)) / 2.0
         big_r = self.curvature().scalar

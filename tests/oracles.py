@@ -1,7 +1,10 @@
 """Reference routes and test-only helpers; no command reaches them.
 
 - full_riemann_curvature: curvature() of an earlier version, from a whole
-  (n, n, n, n)-slot Riemann Jet; curvature() must agree with it in every bit.
+  (n, n, n, n)-slot Riemann Jet, and the lowered Riemann tensor that
+  version returned; curvature() must agree with it in every bit.
+- cholesky_frame, frame_components: the g-orthonormal Cholesky frame and a
+  2-tensor's components in it.
 - scalar_gauss: scalar curvature by the extrinsic route H^2 - tr(chi^2).
 - radial_graph_forms: g and chi of a radial graph by the graph formulas,
   against the ambient-jet pipeline of evaluate_grid.
@@ -16,12 +19,16 @@ import math
 import numpy as np
 
 from weylcheck.errors import DomainError
-from weylcheck.intrinsic import CurvatureState, MetricJet, covariant_hessian, frame_transform
+from weylcheck.intrinsic import CurvatureState, MetricJet, covariant_hessian
 from weylcheck.jets import Jet, basis_monomials
 from weylcheck.surfaces import unit_sphere_jets
 
 
-def full_riemann_curvature(mj) -> CurvatureState:
+def full_riemann_curvature(mj):
+    """(CurvatureState, riemann): the state by the Gamma route through a
+    whole Riemann Jet, and its lowered values riemann[..., i, j, k, l],
+    which contract with u^i v^j u^k v^l to the sectional numerator of the
+    plane of u and v (g_ik g_jl - g_il g_jk on the unit sphere)."""
     n, m = mj.n, mj.order
     ro = m - 2
     gamma = mj.christoffels()
@@ -64,15 +71,26 @@ def full_riemann_curvature(mj) -> CurvatureState:
         _, hess = covariant_hessian(scalar, gamma_vals)
         lap = np.einsum("...ij,...ij->...", ginv_vals, hess)
 
-    return CurvatureState(n=n, metric=gvals, metric_inv=ginv_vals,
-                          christoffel=gamma_vals, riemann=riemann,
-                          ricci=ricci.value, scalar=scalar.value,
-                          laplacian_scalar=lap, ricci_jet=ricci)
+    cs = CurvatureState(n=n, metric=gvals, metric_inv=ginv_vals,
+                        christoffel=gamma_vals, ricci=ricci.value,
+                        scalar=scalar.value, laplacian_scalar=lap, ricci_jet=ricci)
+    return cs, riemann
+
+
+def cholesky_frame(g):
+    """F = L^-T for g = L L^T: its columns are g-orthonormal, F^T g F = I."""
+    return np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+
+
+def frame_components(g, t):
+    """The components F^T t F of a 2-tensor t in the Cholesky frame of g."""
+    f = cholesky_frame(g)
+    return np.swapaxes(f, -1, -2) @ t @ f
 
 
 def scalar_gauss(sd):
     """Scalar curvature by the extrinsic route H^2 - tr(chi^2)."""
-    cf = frame_transform(sd.g, sd.chi)[2]
+    cf = frame_components(sd.g, sd.chi)
     h = np.trace(cf, axis1=-2, axis2=-1)
     return h**2 - np.einsum("...ij,...ij->...", cf, cf)
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh as generalized_eigh
 from scipy.linalg import orthogonal_procrustes
 
+from oracles import frame_components
 from weylcheck import embedsolve
 from weylcheck.embedsolve import (
     ChiField,
@@ -19,7 +20,13 @@ from weylcheck.embedsolve import (
     solve_contracted_gauss,
 )
 from weylcheck.errors import IntegrationError, ObstructionError
-from weylcheck.intrinsic import MetricJet, codazzi_residual, frame_transform
+from weylcheck.intrinsic import (
+    MetricJet,
+    codazzi_residual,
+    curvature,
+    principal_curvatures,
+    sectional_extremes,
+)
 from weylcheck.jets import Jet
 from weylcheck.matmap import SymMatrix, cone_report, phi, phi_inverse
 from weylcheck.surfaces import (
@@ -77,20 +84,16 @@ class TestSolver:
     def test_frame_roundtrip(self, ellipsoid_field, ellipsoid_chi):
         # phi of the frame chi must reproduce the frame Ricci
         g = ellipsoid_field.g()
-        chol = np.linalg.cholesky(g)
-        inv = np.linalg.inv(chol)
-        ric_f = inv @ ellipsoid_field.ricci @ np.swapaxes(inv, -1, -2)
-        a = frame_transform(g, ellipsoid_chi.values)[2]
+        ric_f = frame_components(g, ellipsoid_field.ricci)
+        a = frame_components(g, ellipsoid_chi.values)
         tra = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
         assert np.abs(tra * a - a @ a - ric_f).max() < 1e-9
 
     def test_cross_check_single_point_inverse(self, ellipsoid_field,
                                               ellipsoid_chi):
         g = ellipsoid_field.g()
-        chol = np.linalg.cholesky(g)
-        inv = np.linalg.inv(chol)
-        ric_f = inv @ ellipsoid_field.ricci @ np.swapaxes(inv, -1, -2)
-        frame_values = frame_transform(g, ellipsoid_chi.values)[2]
+        ric_f = frame_components(g, ellipsoid_field.ricci)
+        frame_values = frame_components(g, ellipsoid_chi.values)
         for k in range(0, ric_f.shape[0], 9):
             a = phi_inverse(SymMatrix(ric_f[k]))
             assert np.abs(a.mat - frame_values[k]).max() < 1e-10
@@ -112,14 +115,15 @@ class TestSolver:
 
     def test_cone_membership_matches_matmap(self, ellipsoid_field,
                                             ellipsoid_chi):
-        g = ellipsoid_field.g()
-        chol = np.linalg.cholesky(g)
-        inv = np.linalg.inv(chol)
-        ric_f = inv @ ellipsoid_field.ricci @ np.swapaxes(inv, -1, -2)
+        ric_f = frame_components(ellipsoid_field.g(), ellipsoid_field.ricci)
         for k in range(0, ric_f.shape[0], 11):
             rep = cone_report(ric_f[k])
             assert rep.member
             assert rep.eps_gap == pytest.approx(ellipsoid_chi.gaps[k], rel=1e-9)
+
+    def test_eps_gap_is_twice_least_sectional(self, ellipsoid_field, ellipsoid_chi):
+        kmin = sectional_extremes(curvature(ellipsoid_field.metric))[0]
+        np.testing.assert_allclose(ellipsoid_chi.gaps, 2.0 * kmin, rtol=1e-12)
 
     def test_chi_is_spd(self, ellipsoid_chi):
         assert ellipsoid_chi.principal_min().min() > 0
@@ -132,8 +136,8 @@ class TestSolver:
         f2 = IntrinsicField.from_metric(scaled, 0, ellipsoid_field.coords)
         chi2 = solve_contracted_gauss(f2)
         assert np.abs(chi2.values - c * ellipsoid_chi.values).max() < 1e-9
-        lam1 = np.linalg.eigvalsh(frame_transform(ellipsoid_field.g(), ellipsoid_chi.values)[2])
-        lam2 = np.linalg.eigvalsh(frame_transform(f2.g(), chi2.values)[2])
+        lam1 = principal_curvatures(ellipsoid_field.g(), ellipsoid_chi.values)
+        lam2 = principal_curvatures(f2.g(), chi2.values)
         assert np.abs(lam2 - lam1 / c).max() < 1e-10
         assert np.abs(chi2.gaps - ellipsoid_chi.gaps / c**2).max() < 1e-10
 

@@ -191,3 +191,17 @@ def test_overflowing_diameter_names_check_and_value(tmp_path, diameter):
     assert code == 3
     assert err.getvalue().startswith("numerical-domain error: diam-weyl: d**2 overflows for d = ")
     assert repr(diameter) in err.getvalue()
+
+
+@pytest.mark.parametrize("diameter", [1e-300, 1e-160], ids=["1e-300", "1e-160"])
+def test_underflowing_diameter_names_check_and_value(tmp_path, diameter):
+    # d**2 is zero or subnormal; the message says which check and which value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"variant": "sphere"}, "resolution": 5,
+                               "diameter": diameter}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--checks", "diam-weyl", "--config", str(cfg), "--quiet"])
+    assert code == 3
+    assert err.getvalue().startswith("numerical-domain error: diam-weyl: d**2 underflows for d = ")
+    assert repr(diameter) in err.getvalue()

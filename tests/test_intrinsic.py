@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import full_riemann_curvature, jet_exp
+from oracles import cholesky_frame, frame_components, full_riemann_curvature, jet_exp
 from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import (
@@ -16,7 +16,6 @@ from weylcheck.intrinsic import (
     covariant_antisym,
     curvature,
     diameter,
-    frame_transform,
     ricci_norm,
     sectional_extremes,
 )
@@ -59,6 +58,21 @@ def sphere_metric_values(radius, n):
     return fn
 
 
+def oracle_riemann(mj):
+    """The lowered Riemann tensor by the Gamma route (see oracles)."""
+    return full_riemann_curvature(mj)[1]
+
+
+def riemann_from_ricci(cs):
+    """The lowered Riemann tensor of a 3-metric from g, Ric and R: the Weyl
+    tensor vanishes, so Riem is the Kulkarni-Nomizu product of the Schouten
+    tensor P = Ric - R g / 4 with g."""
+    g = cs.metric
+    p = cs.ricci - (cs.scalar / 4.0)[..., None, None] * g
+    return np.einsum("...ik,...jl->...ijkl", p, g) + np.einsum("...jl,...ik->...ijkl", p, g) \
+        - np.einsum("...il,...jk->...ijkl", p, g) - np.einsum("...jk,...il->...ijkl", p, g)
+
+
 SAMPLE_PTS = np.array([
     [0.0, 0.0, 0.0],
     [0.3, -0.2, 0.5],
@@ -91,19 +105,23 @@ class TestRoundSphere:
         np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-9)
 
     def test_riemann_matches_constant_curvature_form(self):
-        cs = curvature(sphere_metric(SAMPLE_PTS))
-        g = cs.metric
+        mj = sphere_metric(SAMPLE_PTS)
+        g = mj.values()
         want = np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum(
             "...il,...jk->...ijkl", g, g
         )
-        np.testing.assert_allclose(cs.riemann, want, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(oracle_riemann(mj), want, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(riemann_from_ricci(curvature(mj)), want,
+                                   rtol=1e-9, atol=1e-10)
 
 
 class TestFlat:
     def test_constant_metric(self):
         a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-        cs = curvature(MetricJet(Jet.constant(np.broadcast_to(a, (4, 3, 3)), 3, 4)))
-        np.testing.assert_allclose(cs.riemann, 0.0, atol=1e-12)
+        mj = MetricJet(Jet.constant(np.broadcast_to(a, (4, 3, 3)), 3, 4))
+        cs = curvature(mj)
+        np.testing.assert_allclose(oracle_riemann(mj), 0.0, atol=1e-12)
+        np.testing.assert_allclose(cs.ricci, 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-12)
 
@@ -123,8 +141,10 @@ class TestFlat:
             for j in range(3):
                 g_ij = jac[0][i] * jac[0][j] + jac[1][i] * jac[1][j] + jac[2][i] * jac[2][j]
                 coeffs[..., i, j, :] = g_ij.coeffs
-        cs = curvature(MetricJet(Jet(3, 4, coeffs)))
-        np.testing.assert_allclose(cs.riemann, 0.0, atol=1e-9)
+        mj = MetricJet(Jet(3, 4, coeffs))
+        cs = curvature(mj)
+        np.testing.assert_allclose(oracle_riemann(mj), 0.0, atol=1e-9)
+        np.testing.assert_allclose(cs.ricci, 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-7)
         kmin, kmax = sectional_extremes(cs)
@@ -141,8 +161,7 @@ def bumpy_metric(pts, order=4):
 
 class TestTensorSymmetries:
     def test_riemann_symmetries_and_first_bianchi(self):
-        cs = curvature(bumpy_metric(SAMPLE_PTS))
-        r = cs.riemann
+        r = oracle_riemann(bumpy_metric(SAMPLE_PTS))
         np.testing.assert_allclose(r, -np.swapaxes(r, -4, -3), atol=1e-10)
         np.testing.assert_allclose(r, -np.swapaxes(r, -2, -1), atol=1e-10)
         np.testing.assert_allclose(
@@ -228,18 +247,21 @@ class TestLaplacian:
 
 class TestSectional:
     def test_samples_stay_inside_exact_range(self):
-        # the curvature of random planes u ^ v never leaves the exact range
-        cs = curvature(bumpy_metric(SAMPLE_PTS))
-        kmin, kmax = sectional_extremes(cs)
-        tol = 1e-12 * np.maximum(np.abs(kmin), np.abs(kmax))
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            u, v = rng.standard_normal((2, cs.n))
-            num = np.einsum("...ijkl,i,j,k,l->...", cs.riemann, u, v, u, v)
-            uu, vv, uv = (np.einsum("...ij,i,j->...", cs.metric, a, b)
-                          for a, b in ((u, u), (v, v), (u, v)))
-            k = num / (uu * vv - uv * uv)
-            assert np.all(k >= kmin - tol) and np.all(k <= kmax + tol)
+        # the curvature of random planes u ^ v, from the Gamma route's
+        # Riemann tensor, never leaves the range taken from Ricci
+        for mj in (bumpy_metric(SAMPLE_PTS),
+                   metric_jets(radial_graph_random(23, 0.05), 1, SAMPLE_PTS, 2)):
+            cs, riemann = full_riemann_curvature(mj)
+            kmin, kmax = sectional_extremes(curvature(mj))
+            tol = 1e-12 * np.maximum(np.abs(kmin), np.abs(kmax))
+            rng = np.random.default_rng(3)
+            for _ in range(200):
+                u, v = rng.standard_normal((2, cs.n))
+                num = np.einsum("...ijkl,i,j,k,l->...", riemann, u, v, u, v)
+                uu, vv, uv = (np.einsum("...ij,i,j->...", cs.metric, a, b)
+                              for a, b in ((u, u), (v, v), (u, v)))
+                k = num / (uu * vv - uv * uv)
+                assert np.all(k >= kmin - tol) and np.all(k <= kmax + tol)
 
     def test_anisotropic_metric_has_spread(self):
         pts = np.array([[0.4, 0.1, -0.2]])
@@ -248,20 +270,18 @@ class TestSectional:
         assert kmax[0] > kmin[0] + 1e-3
 
     def test_adapted_frame_plane_sums(self):
-        def adapted_sectional_sums(cs):
+        def adapted_sectional_sums(cs, riemann):
             """Ricci eigenvalues mu[..., i] relative to g (ascending) and the
             sectional curvatures kappa[..., i, j] of the planes of adapted
             frame vectors i and j; each mu[..., i] equals kappa[..., i, :].sum()."""
-            _, frame, ric_f = frame_transform(cs.metric, cs.ricci)
-            mu, q = np.linalg.eigh(ric_f)
-            f = frame @ q
+            mu, q = np.linalg.eigh(frame_components(cs.metric, cs.ricci))
+            f = cholesky_frame(cs.metric) @ q
             kappa = np.einsum("...ijkl,...ia,...jb,...ka,...lb->...ab",
-                              cs.riemann, f, f, f, f)
+                              riemann, f, f, f, f)
             return mu, kappa
 
         for mj in (sphere_metric(SAMPLE_PTS), bumpy_metric(SAMPLE_PTS)):
-            cs = curvature(mj)
-            mu, kappa = adapted_sectional_sums(cs)
+            mu, kappa = adapted_sectional_sums(curvature(mj), oracle_riemann(mj))
             np.testing.assert_allclose(kappa, np.swapaxes(kappa, -1, -2), atol=1e-10)
             np.testing.assert_allclose(mu, kappa.sum(axis=-1), rtol=1e-9, atol=1e-10)
 
@@ -334,8 +354,8 @@ ORACLE_FAMILIES = {
     "bump": lambda: radial_graph_bump(0.1),
     "random-23": lambda: radial_graph_random(23, 0.05),
 }
-CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "riemann", "ricci",
-                    "scalar", "laplacian_scalar")
+CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "ricci", "scalar",
+                    "laplacian_scalar")
 
 
 def assert_same_bits(a, b):
@@ -359,10 +379,23 @@ class TestFullRiemannOracle:
         for pts in (grid[300:301], grid[:37], grid):
             for order in (2, 3, 4):
                 mj = metric_jets(fam, chart, pts, order)
-                got, want = curvature(mj), full_riemann_curvature(mj)
+                got, (want, _) = curvature(mj), full_riemann_curvature(mj)
                 for f in CURVATURE_FIELDS:
                     assert_same_bits(getattr(got, f), getattr(want, f))
                 assert_same_bits(got.ricci_jet.coeffs, want.ricci_jet.coeffs)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + ["bumpy-conformal"])
+    def test_ricci_fixes_riemann(self, name):
+        # no Weyl part in dimension 3: (g, Ric, R) give the Gamma route's Riemann
+        grid = ball_grid(13)
+        for order in (2, 4):
+            if name == "bumpy-conformal":
+                mj = bumpy_metric(grid, order)
+            else:
+                mj = metric_jets(ORACLE_FAMILIES[name](), 0, grid, order)
+            want = oracle_riemann(mj)
+            got = riemann_from_ricci(curvature(mj))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCurvatureMemory:

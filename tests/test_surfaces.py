@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import radial_graph_forms, scalar_gauss
+from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import transition_coords
 from weylcheck.surfaces import (
@@ -289,6 +289,25 @@ class TestTwoDimensional:
         assert sd.gauss_residual().max() <= 1e-9
         r1, r2, r3 = sd.support_identities()
         assert max(r1.max(), r2.max(), np.nanmax(r3)) <= 1e-9
+
+
+class TestGaussNegativeControl:
+    """A chi that is off by 1% fails the contracted Gauss residual, and the
+    full Gauss equation of the Gamma route too."""
+
+    @pytest.mark.parametrize("fam", [
+        RoundSphere(1.0), RoundSphere(1.0, dim=2), Ellipsoid((1.0, 1.2, 0.9, 1.05)),
+        radial_graph_bump(0.1),
+    ], ids=["sphere-3", "sphere-2", "ellipsoid", "bump"])
+    def test_scaled_chi_fails(self, fam):
+        sd = evaluate_grid(fam, 0, sample_points(20, n=fam.dim, seed=5))
+        sd.chi_jet = 1.01 * sd.chi_jet
+        assert sd.gauss_residual().min() >= 1e-3
+        chi = sd.chi
+        full = full_riemann_curvature(sd.metric)[1] \
+            - np.einsum("...ik,...jl->...ijkl", chi, chi) \
+            + np.einsum("...il,...jk->...ijkl", chi, chi)
+        assert np.abs(full).max(axis=(-4, -3, -2, -1)).min() >= 1e-3
 
 
 def test_ball_grid_shape():
