@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, location, worst
 from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
 from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn
 
@@ -37,11 +37,8 @@ class EvaluatedGrid:
         )
         self.coords = np.concatenate([sd.coords for _, sd in parts])
         states = [sd.curvature() for _, sd in parts]
-        self.X = np.concatenate([sd.X for _, sd in parts])
-        self.N = np.concatenate([sd.N for _, sd in parts])
         self.H = np.concatenate([sd.H for _, sd in parts])
         self.chi_norm = np.concatenate([sd.chi_norm for _, sd in parts])
-        self.support = np.concatenate([sd.support for _, sd in parts])
         self.scalar = np.concatenate([cs.scalar for cs in states])
         self.laplacian = np.concatenate([cs.laplacian_scalar for cs in states])
         self.ricci_norm = np.concatenate([ricci_norm(cs) for cs in states])
@@ -56,10 +53,7 @@ class EvaluatedGrid:
         return self.chart_ids.size
 
     def location(self, index):
-        return {
-            "chart": int(self.chart_ids[index]),
-            "coords": [float(c) for c in self.coords[index]],
-        }
+        return location(self.chart_ids[index], self.coords[index])
 
     def per_point(self, fn):
         """fn(SurfaceData) of both charts' parts, joined along the point axis."""
@@ -123,17 +117,18 @@ class BoundReport:
         }
 
 
-def _default_tol(rhs):
-    return 1e-7 * max(1.0, abs(rhs))
-
-
-def _report(name, eg, lhs_field, lhs_idx, rhs_field, rhs_idx, constants, tol):
+def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
+    """sup lhs_field against sup rhs_field (at rhs_idx when given); passes
+    when slack >= -tol, where tol defaults to 1e-7 max(1, |rhs|)."""
+    lhs_idx = int(np.argmax(lhs_field))
+    if rhs_idx is None:
+        rhs_idx = int(np.argmax(rhs_field))
     lhs = float(lhs_field[lhs_idx])
     rhs = float(rhs_field[rhs_idx])
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise DomainError(f"{name}: lhs {lhs!r} or rhs {rhs!r} is not finite")
     if tol is None:
-        tol = _default_tol(rhs)
+        tol = 1e-7 * max(1.0, abs(rhs))
     return BoundReport(
         name=name,
         lhs=lhs,
@@ -164,8 +159,7 @@ def weyl_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundReport:
     _require_positive_scalar(eg)
     lhs = eg.H**2
     rhs = 2.0 * eg.scalar - eg.laplacian / eg.scalar
-    return _report("weyl", eg, lhs, int(np.argmax(lhs)), rhs, int(np.argmax(rhs)),
-                   {}, tol)
+    return _report("weyl", eg, lhs, rhs, {}, tol)
 
 
 def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
@@ -193,8 +187,7 @@ def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
         + (n - 1) ** 2 * eg.scalar / (64.0 * d2)
     rhs = big_c * d2 * inner
     constants = {"C": big_c, "d": float(d), "d_source": d_source}
-    return _report("diam-weyl", eg, lhs, int(np.argmax(lhs)), rhs,
-                   int(np.argmax(rhs)), constants, tol)
+    return _report("diam-weyl", eg, lhs, rhs, constants, tol)
 
 
 def c2bound_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundReport:
@@ -215,8 +208,9 @@ def c2bound_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundRepor
         "Lambda": lam,
         "kappa": kappa,
     }
-    return _report("c2bound", eg, lhs, int(np.argmax(lhs)), rhs,
-                   int(np.argmax(eg.ricci_norm)), constants, tol)
+    # the rhs is one number; it is attained where Lambda is
+    return _report("c2bound", eg, lhs, rhs, constants, tol,
+                   rhs_idx=int(np.argmax(eg.ricci_norm)))
 
 
 def second_deriv_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundReport:
@@ -227,11 +221,9 @@ def second_deriv_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> Bound
     constants = {}
     extra_ok = True
     if np.all(eg.scalar > 0):
-        wr = weyl_report(eg)
+        wr = weyl_report(eg, tol)
         constants["weyl_rhs"] = wr.rhs
-        extra_ok = float(lhs.max()) <= wr.rhs + (tol if tol is not None
-                                                 else _default_tol(wr.rhs))
-    rep = _report("second-deriv", eg, lhs, int(np.argmax(lhs)), rhs,
-                  int(np.argmax(rhs)), constants, tol)
+        extra_ok = worst(lhs, wr.rhs + wr.tol)[2]
+    rep = _report("second-deriv", eg, lhs, rhs, constants, tol)
     rep.passed = bool(rep.passed and extra_ok)
     return rep

@@ -41,7 +41,7 @@ from .embedsolve import (
     reconstruct,
     solve_contracted_gauss,
 )
-from .errors import ConvergenceError, DomainError, IntegrationError
+from .errors import ConvergenceError, DomainError, IntegrationError, worst
 from .intrinsic import principal_curvatures
 from .surfaces import (
     CHART_RADIUS,
@@ -317,10 +317,7 @@ def _tol(cfg, name, default):
 
 
 def _residual_section(eg, values, tol):
-    values = np.asarray(values)
-    idx = int(np.argmax(np.where(np.isnan(values), np.inf, values)))
-    sup = float(values[idx])
-    ok = bool(np.isfinite(sup) and sup <= tol)
+    idx, sup, ok = worst(values, tol)
     return {"sup": sup, "tol": tol, "passed": ok, "at": eg.location(idx)}
 
 
@@ -412,12 +409,13 @@ def _solved_field(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig):
     family, pts, field, chi, timing = _solved_field(cfg)
+    _, max_residual, solved = worst(chi.residuals, SOLVE_RESIDUAL_LIMIT)
     sections = {"solve": {
         "points": int(pts.shape[0]),
-        "max_residual": float(chi.residuals.max()),
+        "max_residual": max_residual,
         "min_eps_gap": float(chi.gaps.min()),
         "min_principal": float(chi.principal_min().min()),
-        "passed": bool(chi.residuals.max() <= SOLVE_RESIDUAL_LIMIT),
+        "passed": solved,
     }}
 
     t0 = time.perf_counter()

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, IntegrationError, ObstructionError
+from .errors import ConvergenceError, IntegrationError, ObstructionError, location, worst
 from .intrinsic import (
     MetricJet,
     codazzi_residual,
@@ -121,10 +121,6 @@ class IntrinsicField:
                                           family=self.family,
                                           perturbation=perturbation)
 
-    def location(self, index):
-        return {"chart": self.chart,
-                "coords": [float(c) for c in self.coords[index]]}
-
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
         return int(_axis_values(self.coords[..., 0]).size)
@@ -171,7 +167,7 @@ def _chi_values(g, ginv, ric, chart, coords):
     bad = np.nonzero(gaps <= 0)[0]
     if bad.size:
         k = int(bad[0])
-        where = {"chart": chart, "coords": [float(c) for c in coords[k]]}
+        where = location(chart, coords[k])
         raise ObstructionError(
             f"Ricci leaves the solvable cone at chart {where['chart']}, "
             f"coords {where['coords']}: eps-gap {gaps[k]:.6g}",
@@ -221,10 +217,10 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     ginv = np.linalg.inv(g)
     chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
     residuals = contracted_gauss_residual(ginv, chi, ric)
-    worst = float(residuals.max())
-    if worst > SOLVE_RESIDUAL_LIMIT:
+    _, sup, ok = worst(residuals, SOLVE_RESIDUAL_LIMIT)
+    if not ok:
         raise ConvergenceError("solver residual above the per-point limit",
-                               residual=worst)
+                               residual=sup)
     # leading axis k: the partials d/dx_k
     dg = np.stack([field.metric.jet.derivative(k).value for k in range(3)])
     dric = np.stack([field.ricci_jet.derivative(k).value for k in range(3)])
@@ -309,8 +305,6 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
     if field.n != 3:
         raise ValueError("the embeddability gate is three-dimensional only")
     residuals = codazzi_residual(field.christoffel, chi.as_jet())
-    idx = int(np.argmax(residuals))
-    sup = float(residuals[idx])
     if theta is None:
         # a ball grid reaches its extent exactly, at the ends of each axis
         extent = float(np.abs(field.coords).max())
@@ -319,11 +313,12 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
                        "observed": observed}
     else:
         calibration = {"provided": True}
+    idx, sup, ok = worst(residuals, theta)
     return EmbeddabilityVerdict(
-        embeddable=bool(sup <= theta),
+        embeddable=ok,
         sup_residual=sup,
         threshold=float(theta),
-        at=field.location(idx),
+        at=location(field.chart, field.coords[idx]),
         calibration=calibration,
         residuals=residuals,
     )
@@ -365,36 +360,18 @@ def _lattice(coords):
     return np.rint(coords / spacing).astype(int), spacing, center
 
 
-@dataclasses.dataclass
-class FrameState:
-    """Position, tangent frame rows, and unit normal in the ambient space."""
+def seed_frame(g):
+    """(X, E, N) at the chart center, from the metric g there: the origin,
+    the Gram rows of g, and the normal along the last ambient axis.
 
-    X: np.ndarray
-    E: np.ndarray
-    N: np.ndarray
-
-    def residuals(self, g):
-        return {
-            "metric": float(np.abs(self.E @ self.E.T - g).max()),
-            "tangency": float(np.abs(self.E @ self.N).max()),
-            "unit": float(abs(self.N @ self.N - 1.0)),
-        }
-
-    @classmethod
-    def seed(cls, field: IntrinsicField) -> "FrameState":
-        """Frame at the chart center: Gram rows of g, normal = last axis.
-
-        The rows of the Cholesky factor L satisfy L L^T = g, and padding
-        them with a zero last component leaves e_{n+1} as the unique unit
-        normal making [E_1..E_n, N] positively oriented (det L > 0).
-        """
-        n = field.n
-        chol = np.linalg.cholesky(field.g()[_lattice(field.coords)[2]])
-        e = np.zeros((n, n + 1))
-        e[:, :n] = chol
-        nvec = np.zeros(n + 1)
-        nvec[n] = 1.0
-        return cls(X=np.zeros(n + 1), E=e, N=nvec)
+    The rows of the Cholesky factor L satisfy L L^T = g, and padding them
+    with a zero last component leaves e_{n+1} as the unique unit normal
+    making [E_1..E_n, N] positively oriented (det L > 0).
+    """
+    n = g.shape[-1]
+    e = np.zeros((n, n + 1))
+    e[:, :n] = np.linalg.cholesky(g)
+    return np.zeros(n + 1), e, np.eye(n + 1)[n]
 
 
 @dataclasses.dataclass
@@ -534,7 +511,8 @@ def _fill_levels(idx, center, plan):
 
 
 def _sweep_fill(field, seed, plan, h, drift_limit):
-    """Frame states marched from the seed over the lattice in plan order.
+    """Frame states marched from the seed (X, E, N) at the center node over
+    the lattice in plan order.
 
     The levels come from _fill_levels, which fails before anything marches
     when they miss a node.  Each level is one _integrate_batch call, fed by
@@ -554,7 +532,7 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
     xs = np.zeros((total, 4))
     es = np.zeros((total, 3, 4))
     ns = np.zeros((total, 4))
-    xs[center], es[center], ns[center] = seed.X, seed.E, seed.N
+    xs[center], es[center], ns[center] = seed
 
     gvals = field.g()
     iso_sup = 0.0
@@ -565,20 +543,19 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
                                      xs[sources], es[sources], ns[sources])
         xs[targets], es[targets], ns[targets] = x, e, nrm
         drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))
-        worst = int(np.argmax(drift))
-        if drift[worst] > drift_limit:
-            where = field.location(int(targets[worst]))
+        k, sup, ok = worst(drift, drift_limit)
+        if not ok:
+            where = location(field.chart, coords[targets[k]])
             raise IntegrationError(
-                f"frame drift {drift[worst]:.3g} exceeds "
+                f"frame drift {sup:.3g} exceeds "
                 f"{drift_limit:.3g} at chart {where['chart']}, coords "
                 f"{where['coords']}; chi is inconsistent with g"
             )
-        iso_sup = max(iso_sup, float(drift.max()))
+        iso_sup = max(iso_sup, sup)
     return xs, iso_sup
 
 
-def reconstruct(field: IntrinsicField, chi: ChiField,
-                seed: Optional[FrameState] = None, path_plan=(0, 1, 2),
+def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
                 h=1e-2, drift_limit=1e-3, with_holonomy=True) -> Reconstruction:
     """Integrate the frame system over the chart ball.
 
@@ -600,12 +577,7 @@ def reconstruct(field: IntrinsicField, chi: ChiField,
     if not 0.0 < h <= spacing * (1.0 + 1e-9):
         raise ValueError(f"step h {h:g} must be positive and at most the "
                          f"lattice spacing {spacing:g}")
-    if seed is None:
-        seed = FrameState.seed(field)
-    bad = seed.residuals(field.g()[center])
-    if max(bad.values()) > 1e-10:
-        raise ValueError(f"seed frame violates its invariants: {bad}")
-
+    seed = seed_frame(field.g()[center])
     xs, iso = _sweep_fill(field, seed, tuple(path_plan), h, drift_limit)
     holo = None
     if with_holonomy:

@@ -9,7 +9,6 @@ from oracles import frame_components
 from weylcheck import embedsolve
 from weylcheck.embedsolve import (
     ChiField,
-    FrameState,
     IntrinsicField,
     align_rigid,
     codazzi_threshold,
@@ -17,9 +16,10 @@ from weylcheck.embedsolve import (
     embeddability_check,
     metric_jets,
     reconstruct,
+    seed_frame,
     solve_contracted_gauss,
 )
-from weylcheck.errors import IntegrationError, ObstructionError
+from weylcheck.errors import ConvergenceError, IntegrationError, ObstructionError
 from weylcheck.intrinsic import (
     MetricJet,
     codazzi_residual,
@@ -74,6 +74,13 @@ class TestSolver:
     def test_residual_limit(self, sphere_chi, ellipsoid_chi):
         assert sphere_chi.residuals.max() < 1e-9
         assert ellipsoid_chi.residuals.max() < 1e-9
+
+    def test_nan_residual_rejected(self, sphere_field, monkeypatch):
+        # a NaN residual is above every limit, as cmd_solve's verdict says too
+        monkeypatch.setattr(embedsolve, "contracted_gauss_residual",
+                            lambda ginv, chi, ric: np.full(chi.shape[:-2], np.nan))
+        with pytest.raises(ConvergenceError, match="above the per-point limit"):
+            solve_contracted_gauss(sphere_field)
 
     def test_ellipsoid_matches_embedded_truth(self, grid7, ellipsoid_field,
                                               ellipsoid_chi):
@@ -267,18 +274,14 @@ class TestEmbeddability:
 
 class TestSeedFrame:
     def test_invariants_exact(self, ellipsoid_field):
-        seed = FrameState.seed(ellipsoid_field)
         k0 = int(np.argmin(np.linalg.norm(ellipsoid_field.coords, axis=-1)))
-        res = seed.residuals(ellipsoid_field.g()[k0])
-        assert max(res.values()) < 1e-14
-        frame = np.vstack([seed.E, seed.N])
-        assert np.linalg.det(frame) > 0
-
-    def test_bad_seed_rejected(self, sphere_field, sphere_chi):
-        seed = FrameState.seed(sphere_field)
-        seed.N = seed.N * 1.5
-        with pytest.raises(ValueError, match="seed frame"):
-            reconstruct(sphere_field, sphere_chi, seed=seed)
+        g = ellipsoid_field.g()[k0]
+        x, e, nrm = seed_frame(g)
+        assert np.array_equal(x, np.zeros(4))
+        assert np.abs(e @ e.T - g).max() < 1e-14
+        assert np.abs(e @ nrm).max() < 1e-14
+        assert abs(nrm @ nrm - 1.0) < 1e-14
+        assert np.linalg.det(np.vstack([e, nrm])) > 0
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +407,18 @@ class TestReconstruct:
         chi = solve_contracted_gauss(field)
         with pytest.raises(IntegrationError, match="drift"):
             reconstruct(field, chi, h=2e-2, drift_limit=1e-18)
+
+    def test_nan_frame_rejected(self, grid5, monkeypatch):
+        # a NaN drift fails the drift check; it must not read as zero drift
+        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
+        chi = solve_contracted_gauss(field)
+
+        def nan_batch(stages, axis, dt, x, e, nrm):
+            return np.full_like(x, np.nan), np.full_like(e, np.nan), np.full_like(nrm, np.nan)
+
+        monkeypatch.setattr(embedsolve, "_integrate_batch", nan_batch)
+        with pytest.raises(IntegrationError, match="frame drift nan exceeds"):
+            reconstruct(field, chi, h=0.1)
 
     def test_pinned_ellipsoid(self, ellipsoid5):
         rec = ellipsoid5[2]
