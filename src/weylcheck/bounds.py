@@ -162,19 +162,23 @@ def weyl_report(eg: EvaluatedGrid, tol: Optional[float] = None) -> BoundReport:
     return _report("weyl", eg, lhs, rhs, {}, tol)
 
 
+def graph_diameter(family, resolution, extent=GRID_EXTENT) -> float:
+    """The family's diameter estimated from the shortest-path graph."""
+    gg = build_geodesic_graph(metric_fn(family), family.dim, resolution, extent)
+    return diameter(gg).value
+
+
 def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
-                     tol: Optional[float] = None) -> BoundReport:
+                     tol: Optional[float] = None, d_source="provided") -> BoundReport:
     """sup H^2 against C d^2 sup(2R^2 - Delta R + (n-1)^2 R / (64 d^2)).
 
-    d may be passed directly (exact diameters in tests); otherwise it is
-    estimated from the shortest-path graph at the grid's own resolution.
+    d may be passed directly (exact diameters in tests, or a graph_diameter
+    computed elsewhere, d_source "graph"); otherwise it is graph_diameter at
+    the grid's own resolution.
     """
     n = eg.n
-    d_source = "provided"
     if d is None:
-        gg = build_geodesic_graph(metric_fn(eg.family), n, eg.resolution, eg.extent)
-        d = diameter(gg).value
-        d_source = "graph"
+        d, d_source = graph_diameter(eg.family, eg.resolution, eg.extent), "graph"
     try:
         d2 = float(d) ** 2
     except OverflowError:

@@ -14,6 +14,7 @@ overflow or a bound side that is not finite).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,10 +26,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._forkjoin import Forked
 from .bounds import (
     c2bound_report,
     diam_weyl_report,
     evaluate_family_grid,
+    graph_diameter,
     second_deriv_report,
     weyl_report,
 )
@@ -63,8 +66,9 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
                 "gauss-residual", "codazzi-residual", "support-identities")
 RESIDUAL_TOL = 1e-7
 
-# Largest grid resolution a run may ask for, from a memory estimate.  verify,
-# the hungriest command, peaks at about 60 order-5 jets (56 float64
+# Largest grid resolution a run may ask for, from a memory estimate of both
+# processes a command runs at once (the parent and its forked child).
+# verify, the hungriest command, peaks at about 60 order-5 jets (56 float64
 # coefficients each, 26.25 KiB in all) per grid point: one order-5 jet
 # product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
 # holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
@@ -72,9 +76,12 @@ RESIDUAL_TOL = 1e-7
 # 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc in a process that
 # has already run one verify, verify on the ellipsoid (1, 1.2, 0.9, 1.05)
 # with every check peaks at 9.1, 7.4 and 7.4 KiB per point of both charts at
-# resolutions 9, 13 and 17, so the estimate keeps a wide margin.
-# At 51 the largest lattice level of a reconstruct with MAX_SUBSTEPS
-# substeps holds about 1.4 GiB of stage data.
+# resolutions 9, 13 and 17, so the estimate keeps a wide margin.  verify's
+# child, the graph diameter, peaked at 69.2, 68.9 and 73.6 MiB RSS there, of
+# which ~36 MiB is the parent's pages shared at the fork: about 1.2 KiB per
+# point of both charts over 33 MiB of scipy, so ~185 MiB of its own at 51
+# (130,534 points) and 2026 MiB for the two.  reconstruct at 51 stays under
+# 1.7 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS).
 MAX_RESOLUTION = 51
 
 
@@ -326,41 +333,50 @@ def cmd_verify(cfg: RunConfig):
     if family.dim < 3 and "c2bound" in cfg.checks:
         raise ConfigError("the c2bound check needs a family of dimension >= 3")
     timing = {}
-    t0 = time.perf_counter()
-    eg = evaluate_family_grid(family, cfg.resolution, cfg.extent)
-    timing["grid"] = time.perf_counter() - t0
-
     sections = {}
-    for check in cfg.checks:
+    # the graph diameter reads the family alone: on Linux a forked child
+    # computes it while this process evaluates the grid, and its value (or
+    # its error) is taken at the diam-weyl check
+    graph = Forked(graph_diameter, family, cfg.resolution, cfg.extent) \
+        if "diam-weyl" in cfg.checks and cfg.diameter is None else None
+    with graph or contextlib.nullcontext():
         t0 = time.perf_counter()
-        if check == "weyl":
-            sections[check] = weyl_report(
-                eg, cfg.tolerances.get("weyl")).to_dict()
-        elif check == "diam-weyl":
-            sections[check] = diam_weyl_report(
-                eg, d=cfg.diameter, tol=cfg.tolerances.get("diam-weyl")).to_dict()
-        elif check == "c2bound":
-            sections[check] = c2bound_report(
-                eg, cfg.tolerances.get("c2bound")).to_dict()
-        elif check == "second-deriv":
-            sections[check] = second_deriv_report(
-                eg, cfg.tolerances.get("second-deriv")).to_dict()
-        elif check == "gauss-residual":
-            sections[check] = _residual_section(
-                eg, eg.per_point(lambda sd: sd.gauss_residual()),
-                _tol(cfg, check, RESIDUAL_TOL))
-        elif check == "codazzi-residual":
-            sections[check] = _residual_section(
-                eg, eg.per_point(lambda sd: sd.codazzi_residual()),
-                _tol(cfg, check, RESIDUAL_TOL))
-        elif check == "support-identities":
-            vals = eg.per_point(lambda sd: np.stack(sd.support_identities(), axis=-1))
-            tol = _tol(cfg, check, RESIDUAL_TOL)
-            subs = {label: _residual_section(eg, vals[:, k], tol)
-                    for k, label in enumerate(("hessian", "gradient", "curvature"))}
-            sections[check] = {
-                "passed": all(s["passed"] for s in subs.values()), **subs}
-        timing[check] = time.perf_counter() - t0
+        eg = evaluate_family_grid(family, cfg.resolution, cfg.extent)
+        timing["grid"] = time.perf_counter() - t0
+
+        for check in cfg.checks:
+            t0 = time.perf_counter()
+            if check == "weyl":
+                sections[check] = weyl_report(
+                    eg, cfg.tolerances.get("weyl")).to_dict()
+            elif check == "diam-weyl":
+                d, source = (cfg.diameter, "provided") if graph is None \
+                    else (graph.result(), "graph")
+                sections[check] = diam_weyl_report(
+                    eg, d=d, tol=cfg.tolerances.get("diam-weyl"),
+                    d_source=source).to_dict()
+            elif check == "c2bound":
+                sections[check] = c2bound_report(
+                    eg, cfg.tolerances.get("c2bound")).to_dict()
+            elif check == "second-deriv":
+                sections[check] = second_deriv_report(
+                    eg, cfg.tolerances.get("second-deriv")).to_dict()
+            elif check == "gauss-residual":
+                sections[check] = _residual_section(
+                    eg, eg.per_point(lambda sd: sd.gauss_residual()),
+                    _tol(cfg, check, RESIDUAL_TOL))
+            elif check == "codazzi-residual":
+                sections[check] = _residual_section(
+                    eg, eg.per_point(lambda sd: sd.codazzi_residual()),
+                    _tol(cfg, check, RESIDUAL_TOL))
+            elif check == "support-identities":
+                vals = eg.per_point(lambda sd: np.stack(sd.support_identities(), axis=-1))
+                tol = _tol(cfg, check, RESIDUAL_TOL)
+                subs = {label: _residual_section(eg, vals[:, k], tol)
+                        for k, label in enumerate(("hessian", "gradient", "curvature"))}
+                sections[check] = {
+                    "passed": all(s["passed"] for s in subs.values()), **subs}
+            timing[check] = time.perf_counter() - t0
 
     if cfg.grid_dump:
         _write_grid_dump(eg, cfg.grid_dump)

@@ -19,12 +19,13 @@ the plane, then the ball, each outward from the center by lattice levels,
 and each level is one array step over all of its nodes.  A plan pass over
 the lattice alone lists a fill's levels before anything marches.  A second
 fill in the reversed order measures holonomy, the path dependence that
-appears exactly when chi fails Codazzi.  The RK4 stage data comes from one
-stream per fill: the stage points of consecutive levels, in fill order, go
-through _continuous_data in calls of exactly STAGE_POINTS chart points (only
-a fill's last call is shorter), and a level marches as soon as its last
-point is evaluated.  The stream holds one level's rows plus one call's:
-a whole fill evaluated ahead would take about 3 GB at resolution 21 with
+appears exactly when chi fails Codazzi; it reads nothing of the first, so
+on Linux it marches in a forked child beside it.  The RK4 stage data comes
+from one stream per fill: the stage points of consecutive levels, in fill
+order, go through _continuous_data in calls of exactly STAGE_POINTS chart
+points (only a fill's last call is shorter), and a level marches as soon as
+its last point is evaluated.  The stream holds one level's rows plus one call's:
+a whole fill evaluated ahead would take about 0.8 GB at resolution 21 with
 MAX_SUBSTEPS substeps, and putting a large level through curvature() at
 once raises the peak memory of a reconstruct by about a fifth.  Evaluation
 is point by point and jet products are batch-invariant, so the split into
@@ -42,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._forkjoin import Forked
 from .errors import ConvergenceError, IntegrationError, ObstructionError, location, worst
 from .intrinsic import (
     MetricJet,
@@ -330,12 +332,20 @@ STAGE_POINTS = 512   # chart points per march _continuous_data call
 
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
-# (Christoffel 27, chi 9, chi g^-1 9, the point 3), about 0.8 kB per start and
+# (Christoffel 27, chi 9, chi g^-1 9, the point 3), 768 B per start and
 # substep.  A fill's stage-data stream holds one level's rows plus one
-# STAGE_POINTS chunk; the largest level has 45 starts at resolution 9, 109 at
-# 13 and 305 at 21, so 1000 substeps keep it near 35, 84 and 234 MB, where a
-# whole fill evaluated ahead would take about 3 GB at resolution 21.
-MAX_SUBSTEPS = 1000
+# STAGE_POINTS chunk, and while a level's rows are joined the evaluated parts
+# and the joined copy are both alive, so a fill peaks at twice the level:
+# 1.5 KiB per start and substep.  Measured with tracemalloc in each process
+# on the ellipsoid (1, 1.2, 0.9, 1.05), a fill's peak grows by 0.85, 1.28
+# and 1.50 KiB per start and substep at resolutions 9, 13 and 17 (largest
+# level 45, 109 and 193 starts; nsub 8 -> 32).  The two fills run at once
+# (the reversed one in a forked child), and the largest level has 1941 starts
+# at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the two fills
+# under 2 x 1941 x 501 x 768 B = 1425 MiB.  With the imports (~61 MiB), the
+# field the child shares with the parent (2.2 KiB per node, 142 MiB) and
+# each fill's frame arrays (~17 MiB), a reconstruct stays under 1.7 GiB.
+MAX_SUBSTEPS = 250
 
 
 def _axis_values(c):
@@ -510,7 +520,7 @@ def _fill_levels(idx, center, plan):
     return levels
 
 
-def _sweep_fill(field, seed, plan, h, drift_limit):
+def _sweep_fill(field, seed, plan, h, limit):
     """Frame states marched from the seed (X, E, N) at the center node over
     the lattice in plan order.
 
@@ -518,7 +528,8 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
     when they miss a node.  Each level is one _integrate_batch call, fed by
     one stage-data stream for the whole fill (_stage_stream) that holds one
     level's rows plus one STAGE_POINTS chunk.  Returns the positions and the
-    sup of the frame drift |E E^T - g| over the nodes.
+    sup of the frame drift |E E^T - g| over the nodes; raises
+    IntegrationError at the first node whose drift exceeds limit.
     """
     coords = field.coords
     idx, spacing, center = _lattice(coords)
@@ -543,12 +554,12 @@ def _sweep_fill(field, seed, plan, h, drift_limit):
                                      xs[sources], es[sources], ns[sources])
         xs[targets], es[targets], ns[targets] = x, e, nrm
         drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))
-        k, sup, ok = worst(drift, drift_limit)
+        k, sup, ok = worst(drift, limit)
         if not ok:
             where = location(field.chart, coords[targets[k]])
             raise IntegrationError(
                 f"frame drift {sup:.3g} exceeds "
-                f"{drift_limit:.3g} at chart {where['chart']}, coords "
+                f"{limit:.3g} at chart {where['chart']}, coords "
                 f"{where['coords']}; chi is inconsistent with g"
             )
         iso_sup = max(iso_sup, sup)
@@ -564,6 +575,12 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
     one in the reversed order, and vanishes to integrator accuracy exactly
     when chi satisfies the Codazzi relation.  Each lattice segment takes
     round(spacing / h) RK4 substeps, so h may not exceed the spacing.
+
+    A node fails when its frame drift |E E^T - g| exceeds drift_limit times
+    the grid minimum of g's least eigenvalue.  Both scale as lambda^2 when
+    the body scales by lambda, so the verdict does not depend on its size.
+    On Linux the reversed fill marches in a forked child (_forkjoin) while
+    this process marches the forward one; neither reads the other.
     """
     if field.n != 3:
         raise ValueError("reconstruction is three-dimensional only")
@@ -577,15 +594,22 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
     if not 0.0 < h <= spacing * (1.0 + 1e-9):
         raise ValueError(f"step h {h:g} must be positive and at most the "
                          f"lattice spacing {spacing:g}")
-    seed = seed_frame(field.g()[center])
-    xs, iso = _sweep_fill(field, seed, tuple(path_plan), h, drift_limit)
+    g = field.g()
+    seed = seed_frame(g[center])
+    limit = drift_limit * float(np.linalg.eigvalsh(g)[..., 0].min())
+    plan = tuple(path_plan)
     holo = None
-    if with_holonomy:
-        xs2, iso2 = _sweep_fill(field, seed, tuple(reversed(path_plan)), h, drift_limit)
+    if not with_holonomy:
+        xs, iso = _sweep_fill(field, seed, plan, h, limit)
+    else:
+        # an error of the forward fill, raised here, wins over the child's
+        with Forked(_sweep_fill, field, seed, plan[::-1], h, limit) as backward:
+            xs, iso = _sweep_fill(field, seed, plan, h, limit)
+            xs2, iso2 = backward.result()
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())
     return Reconstruction(coords=field.coords, X=xs, isometry_sup=iso,
-                          holonomy_sup=holo, plan=tuple(path_plan), h=h,
+                          holonomy_sup=holo, plan=plan, h=h,
                           drift_limit=drift_limit)
 
 

@@ -46,7 +46,7 @@ class TestRunConfig:
         ({"checks": "weyl"}, "checks must be a list"),
         ({"h": 0.7, "resolution": 5}, "exceeds the lattice spacing 0.6 "),
         ({"h": 1e300, "resolution": 5}, "exceeds the lattice spacing 0.6 "),
-        ({"h": 1e-9, "resolution": 5}, "more than 1000 RK4 substeps"),
+        ({"h": 1e-9, "resolution": 5}, "more than 250 RK4 substeps"),
         ({"h": 5e-324}, "RK4 substeps"),
         ({"grid_dump": "/"}, "it is a directory"),
         ({"out": "report\0.json"}, "NUL byte"),

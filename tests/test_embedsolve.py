@@ -6,7 +6,7 @@ from scipy.linalg import eigh as generalized_eigh
 from scipy.linalg import orthogonal_procrustes
 
 from oracles import frame_components
-from weylcheck import embedsolve
+from weylcheck import _forkjoin, embedsolve
 from weylcheck.embedsolve import (
     ChiField,
     IntrinsicField,
@@ -408,6 +408,19 @@ class TestReconstruct:
         with pytest.raises(IntegrationError, match="drift"):
             reconstruct(field, chi, h=2e-2, drift_limit=1e-18)
 
+    def test_drift_limit_scales_with_the_body(self, grid5):
+        # X -> lambda X takes g and E E^T - g to lambda^2 times themselves;
+        # the limit follows g's least eigenvalue, so no scale fails the march
+        ratios = []
+        for lam in (1e-3, 1.0, 10.0, 1e3):
+            field = IntrinsicField.from_family(Ellipsoid(tuple(lam * a for a in AXES)),
+                                               0, grid5)
+            chi = solve_contracted_gauss(field)
+            rec = reconstruct(field, chi, h=0.1)
+            ratios.append(rec.isometry_sup / np.linalg.eigvalsh(field.g())[:, 0].min())
+        assert ratios == pytest.approx([ratios[1]] * 4, rel=1e-9)
+        assert ratios[1] < 1e-3
+
     def test_nan_frame_rejected(self, grid5, monkeypatch):
         # a NaN drift fails the drift check; it must not read as zero drift
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
@@ -468,6 +481,8 @@ class TestReconstruct:
     def test_stream_calls_are_full_chunks(self, ellipsoid5, monkeypatch, chunk):
         field, chi, rec = ellipsoid5
         monkeypatch.setattr(embedsolve, "STAGE_POINTS", chunk)
+        # both fills in this process, so that every call is counted
+        monkeypatch.setattr(_forkjoin, "FORK", False)
         idx, spacing, center = embedsolve._lattice(field.coords)
         nsub = int(round(spacing / 0.1))
         expected = []

@@ -1,8 +1,10 @@
-"""Import hygiene: scipy is loaded only when verify computes a diameter.
+"""Import hygiene: no command loads scipy in the calling process.
 
-Every other command, and importing the CLI, runs on numpy alone, and a job
-loads no numpy submodule on first use that the import did not load.  Each
-case runs in a fresh interpreter, because this one has scipy loaded.
+Only verify computing a diameter uses scipy, in the forked child that
+computes it (on Linux).  Every command, and importing the CLI, runs on numpy
+alone, and a job loads no numpy submodule on first use that the import did
+not load.  Each case runs in a fresh interpreter, because this one has scipy
+loaded.
 """
 
 import json
@@ -14,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import weylcheck
+from weylcheck import _forkjoin
+from weylcheck.bounds import graph_diameter
+from weylcheck.surfaces import GRID_EXTENT, RoundSphere
 
 SRC = str(Path(weylcheck.__file__).resolve().parent.parent)
 
@@ -65,6 +70,14 @@ def test_command_loads_no_scipy(tmp_path, command):
     assert loaded["numpy_in_jobs"] == []
 
 
-def test_computed_diameter_loads_csgraph(tmp_path):
-    loaded = probe(tmp_path, [("verify", {"resolution": 5, "checks": ["diam-weyl"]})])
-    assert "scipy.sparse.csgraph" in loaded["scipy"]
+@pytest.mark.skipif(not _forkjoin.FORK, reason="computed inline off Linux")
+def test_computed_diameter_loads_no_scipy(tmp_path):
+    # the graph diameter, the one user of scipy, runs in a forked child
+    out = tmp_path / "verify.json"
+    loaded = probe(tmp_path, [("verify", {"resolution": 5, "checks": ["diam-weyl"],
+                                          "out": str(out)})])
+    assert loaded["scipy"] == []
+    assert loaded["numpy_in_jobs"] == []
+    constants = json.loads(out.read_text())["sections"]["diam-weyl"]["constants"]
+    assert constants["d_source"] == "graph"
+    assert constants["d"] == graph_diameter(RoundSphere(1.0), 5, GRID_EXTENT)
