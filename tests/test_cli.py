@@ -239,6 +239,16 @@ class TestMain:
         assert f"numerical-domain error: {exc}" in err
         assert "Traceback" not in err
 
+    def test_solver_residual_above_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the solver raises before the report is built, so `solve` never
+        # reports passed: false; it exits 3 and writes nothing
+        monkeypatch.setattr(embedsolve, "SOLVE_RESIDUAL_LIMIT", 0.0)
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--resolution", "5", "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical-domain error: solver residual above the per-point limit\n"
+        assert not out.exists()
+
     def test_tiny_step_exit_2_before_any_march(self, tmp_path, monkeypatch, capsys):
         marched = []
         monkeypatch.setattr(embedsolve, "_integrate_batch",

@@ -1,9 +1,10 @@
-"""The forked child of `reconstruct` (the reversed fill) and of `verify` (the
-graph diameter): the same reports and errors as computing inline, and no
-child left behind on any path.
+"""The forked child of `reconstruct` (the reversed fill), of `verify` (the
+graph diameter) and of `solve` (chart 1 of the Codazzi calibration): the same
+reports and errors as computing inline, and no child left behind on any path.
 
-Every `main()` call is followed by a check that this process has no child
-left, reaped or not.
+Every `main()` call starts with a cold Codazzi calibration, so a cached
+threshold never hides the path under test, and is followed by a check that
+this process has no child left, reaped or not.
 """
 
 import json
@@ -34,6 +35,7 @@ def run(tmp_path, capsys, command, config):
     cfg.write_text(json.dumps(config))
     if out.exists():
         out.unlink()
+    embedsolve.codazzi_threshold.cache_clear()
     code = cli.main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
     assert_no_child()
     report = json.loads(out.read_text()) if out.exists() else None
@@ -114,7 +116,7 @@ def test_child_without_result_falls_back_inline():
 
 @pytest.mark.parametrize("family", [ELLIPSOID, RANDOM23], ids=["ellipsoid", "random-23"])
 @pytest.mark.parametrize("resolution", [5, 7])
-@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+@pytest.mark.parametrize("command", ["verify", "reconstruct", "solve"])
 def test_forked_reports_equal_inline(tmp_path, capsys, monkeypatch, command, resolution,
                                      family):
     config = {"family": family, "resolution": resolution, "h": 0.1}
@@ -340,3 +342,116 @@ def test_graph_child_exit_falls_back(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "graph_diameter",
                         lambda *a: os._exit(1) if in_child(parent) else graph(*a))
     assert run(tmp_path, capsys, "verify", config) == expected
+
+
+# ------------------------------------------------- the Codazzi calibration
+
+def cold_threshold(resolution, extent):
+    """codazzi_threshold with (theta, observed) as bits and in key order."""
+    embedsolve.codazzi_threshold.cache_clear()
+    theta, observed = embedsolve.codazzi_threshold(resolution, extent)
+    assert_no_child()
+    return theta.hex(), [(key, value.hex()) for key, value in observed.items()]
+
+
+@pytest.mark.parametrize("extent", [GRID_EXTENT, 1.5])
+def test_threshold_forked_equals_inline(monkeypatch, extent):
+    forked = cold_threshold(7, extent)
+    inline(monkeypatch)
+    assert cold_threshold(7, extent) == forked
+    assert [key for key, _ in forked[1]] == [
+        f"{name}/chart{chart}" for name in ("ellipsoid", "graph-bump", "graph-random")
+        for chart in (0, 1)]
+
+
+def test_solve_forks_calibration_chart_1(tmp_path, capsys, monkeypatch):
+    # the parent solves the reference families on chart 0 only
+    charts = []
+    residuals = embedsolve._chart_residuals
+
+    def recorded(pts, chart):
+        charts.append(chart)
+        return residuals(pts, chart)
+
+    monkeypatch.setattr(embedsolve, "_chart_residuals", recorded)
+    code, report, _ = run(tmp_path, capsys, "solve", {"resolution": 5})
+    assert code == 0
+    assert charts == [0]
+    assert len(report["sections"]["embeddability"]["calibration"]["observed"]) == 6
+
+
+def test_given_theta_forks_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(embedsolve, "Forked", None)
+    code, report, _ = run(tmp_path, capsys, "solve", {"resolution": 5, "theta": 1e-10})
+    assert code == 0
+    assert report["sections"]["embeddability"]["calibration"] == {"provided": True}
+
+
+def chart_1_fails(monkeypatch, error):
+    residuals = embedsolve._chart_residuals
+
+    def failing(pts, chart):
+        if chart == 1:
+            raise error
+        return residuals(pts, chart)
+
+    monkeypatch.setattr(embedsolve, "_chart_residuals", failing)
+
+
+def test_calibration_chart_1_error_exits_3(tmp_path, capsys, monkeypatch):
+    error = ObstructionError("Ricci leaves the solvable cone on calibration chart 1",
+                             point={"chart": 1, "coords": [0.0, 0.6, 0.0]}, margin=-0.25)
+    chart_1_fails(monkeypatch, error)
+    code, report, err = both_paths(tmp_path, capsys, monkeypatch, "solve", {"resolution": 5})
+    assert (code, report) == (3, None)
+    assert err == f"numerical-domain error: {error}\n"
+
+
+def test_calibration_chart_1_obstruction_keeps_point_and_margin(monkeypatch):
+    error = ObstructionError("cone exit", point={"chart": 1, "coords": [0.0, 0.6, 0.0]},
+                             margin=-0.25)
+    chart_1_fails(monkeypatch, error)
+    embedsolve.codazzi_threshold.cache_clear()
+    with pytest.raises(ObstructionError, match="cone exit") as info:
+        embedsolve.codazzi_threshold(5)
+    assert_no_child()
+    assert info.value is not error      # it crossed the pipe
+    assert (info.value.point, info.value.margin) == (error.point, error.margin)
+
+
+def test_calibration_chart_0_error_wins(tmp_path, capsys, monkeypatch):
+    def failing(pts, chart):
+        raise DomainError(f"chart {chart}")
+
+    monkeypatch.setattr(embedsolve, "_chart_residuals", failing)
+    code, _, err = both_paths(tmp_path, capsys, monkeypatch, "solve", {"resolution": 5})
+    assert (code, err) == (3, "numerical-domain error: chart 0\n")
+
+
+def test_calibration_chart_0_error_kills_the_child(tmp_path, capsys, monkeypatch):
+    pidfile = tmp_path / "pid"
+    parent = os.getpid()
+    residuals = slow_in_child(parent, pidfile, embedsolve._chart_residuals)
+
+    def failing(pts, chart):
+        if not in_child(parent):
+            wait_for(pidfile)
+            raise DomainError("chart 0")
+        return residuals(pts, chart)
+
+    monkeypatch.setattr(embedsolve, "_chart_residuals", failing)
+    t0 = time.perf_counter()
+    code, _, err = run(tmp_path, capsys, "solve", {"resolution": 5})
+    assert (code, err) == (3, "numerical-domain error: chart 0\n")
+    assert time.perf_counter() - t0 < 30
+    assert_gone(pidfile)
+
+
+def test_calibration_child_exit_falls_back(tmp_path, capsys, monkeypatch):
+    config = {"resolution": 5}
+    expected = run(tmp_path, capsys, "solve", config)
+    parent = os.getpid()
+    residuals = embedsolve._chart_residuals
+    monkeypatch.setattr(embedsolve, "_chart_residuals",
+                        lambda *a: os._exit(1) if in_child(parent) else residuals(*a))
+    assert run(tmp_path, capsys, "solve", config) == expected
