@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, location, worst
+from .errors import PASS_RULES, DomainError, location, worst
 from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
 from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn
 
@@ -119,7 +119,7 @@ class BoundReport:
 
 def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
     """sup lhs_field against sup rhs_field (at rhs_idx when given); passes
-    when slack >= -tol, where tol defaults to 1e-7 max(1, |rhs|)."""
+    when slack >= -tol, tol by default PASS_RULES[name].tol max(1, |rhs|)."""
     lhs_idx = int(np.argmax(lhs_field))
     if rhs_idx is None:
         rhs_idx = int(np.argmax(rhs_field))
@@ -128,7 +128,7 @@ def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise DomainError(f"{name}: lhs {lhs!r} or rhs {rhs!r} is not finite")
     if tol is None:
-        tol = 1e-7 * max(1.0, abs(rhs))
+        tol = PASS_RULES[name].tol * max(1.0, abs(rhs))
     return BoundReport(
         name=name,
         lhs=lhs,

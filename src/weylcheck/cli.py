@@ -43,7 +43,7 @@ from .embedsolve import (
     reconstruct,
     solve_contracted_gauss,
 )
-from .errors import ConvergenceError, DomainError, IntegrationError, worst
+from .errors import PASS_RULES, ConvergenceError, DomainError, IntegrationError, worst
 from .intrinsic import principal_curvatures
 from .surfaces import (
     CHART_RADIUS,
@@ -63,7 +63,6 @@ from .surfaces import (
 
 VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
                 "gauss-residual", "codazzi-residual", "support-identities")
-RESIDUAL_TOL = 1e-7
 
 # Largest grid resolution a run may ask for, from a memory estimate of both
 # processes a command runs at once (the parent and its forked child).
@@ -161,7 +160,7 @@ class RunConfig:
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object")
         for name, tol in self.tolerances.items():
-            if name not in VALID_CHECKS and name != "reconstruct":
+            if f"tolerances.{name}" not in {r.override for r in PASS_RULES.values()}:
                 raise ConfigError(f"tolerance for unknown check {name!r}")
             if not _is_positive(tol):
                 raise ConfigError("tolerances must be positive")
@@ -325,11 +324,19 @@ def render_text(report):
 
 # ------------------------------------------------------------- commands
 
-def _tol(cfg, name, default):
-    return float(cfg.tolerances.get(name, default))
+def _tolerance(cfg, verdict):
+    """The verdict's override per PASS_RULES (`theta` or `tolerances.<name>`),
+    else its absolute default; None leaves a scaled or calibrated one to the callee."""
+    rule = PASS_RULES[verdict]
+    default = rule.tol if rule.relative_to == "absolute" else None
+    section, _, name = (rule.override or "").partition(".")
+    if name:
+        return cfg.tolerances.get(name, default)
+    return getattr(cfg, section) if section else default
 
 
-def _residual_section(eg, values, tol):
+def _residual_section(cfg, eg, verdict, values):
+    tol = float(_tolerance(cfg, verdict))
     idx, sup, ok = worst(values, tol)
     return {"sup": sup, "tol": tol, "passed": ok, "at": eg.location(idx)}
 
@@ -353,32 +360,25 @@ def cmd_verify(cfg: RunConfig):
         for check in cfg.checks:
             t0 = time.perf_counter()
             if check == "weyl":
-                sections[check] = weyl_report(
-                    eg, cfg.tolerances.get("weyl")).to_dict()
+                sections[check] = weyl_report(eg, _tolerance(cfg, check)).to_dict()
             elif check == "diam-weyl":
                 d, source = (cfg.diameter, "provided") if graph is None \
                     else (graph.result(), "graph")
                 sections[check] = diam_weyl_report(
-                    eg, d=d, tol=cfg.tolerances.get("diam-weyl"),
-                    d_source=source).to_dict()
+                    eg, d=d, tol=_tolerance(cfg, check), d_source=source).to_dict()
             elif check == "c2bound":
-                sections[check] = c2bound_report(
-                    eg, cfg.tolerances.get("c2bound")).to_dict()
+                sections[check] = c2bound_report(eg, _tolerance(cfg, check)).to_dict()
             elif check == "second-deriv":
-                sections[check] = second_deriv_report(
-                    eg, cfg.tolerances.get("second-deriv")).to_dict()
+                sections[check] = second_deriv_report(eg, _tolerance(cfg, check)).to_dict()
             elif check == "gauss-residual":
                 sections[check] = _residual_section(
-                    eg, eg.per_point(lambda sd: sd.gauss_residual()),
-                    _tol(cfg, check, RESIDUAL_TOL))
+                    cfg, eg, check, eg.per_point(lambda sd: sd.gauss_residual()))
             elif check == "codazzi-residual":
                 sections[check] = _residual_section(
-                    eg, eg.per_point(lambda sd: sd.codazzi_residual()),
-                    _tol(cfg, check, RESIDUAL_TOL))
+                    cfg, eg, check, eg.per_point(lambda sd: sd.codazzi_residual()))
             elif check == "support-identities":
                 vals = eg.per_point(lambda sd: np.stack(sd.support_identities(), axis=-1))
-                tol = _tol(cfg, check, RESIDUAL_TOL)
-                subs = {label: _residual_section(eg, vals[:, k], tol)
+                subs = {label: _residual_section(cfg, eg, f"{check} {label}", vals[:, k])
                         for k, label in enumerate(("hessian", "gradient", "curvature"))}
                 sections[check] = {
                     "passed": all(s["passed"] for s in subs.values()), **subs}
@@ -432,8 +432,8 @@ def _solved_field(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig):
     family, pts, field, chi, timing = _solved_field(cfg)
     # solve_contracted_gauss raises ConvergenceError (exit 3) when a residual
-    # is above SOLVE_RESIDUAL_LIMIT, so a solve that gets here has passed;
-    # `passed` stays, as in every section of the report
+    # is above PASS_RULES["solve"]'s limit, so a solve that gets here has
+    # passed; `passed` stays, as in every section of the report
     sections = {"solve": {
         "points": int(pts.shape[0]),
         "max_residual": float(chi.residuals.max()),
@@ -443,7 +443,7 @@ def cmd_solve(cfg: RunConfig):
     }}
 
     t0 = time.perf_counter()
-    verdict = embeddability_check(field, chi, theta=cfg.theta)
+    verdict = embeddability_check(field, chi, theta=_tolerance(cfg, "embeddability"))
     timing["embeddability"] = time.perf_counter() - t0
     sections["embeddability"] = {"passed": verdict.embeddable,
                                  **verdict.to_dict()}
@@ -452,7 +452,7 @@ def cmd_solve(cfg: RunConfig):
         t0 = time.perf_counter()
         _, _, truth = surface_values(family, cfg.chart, pts)
         rel = float(np.abs(chi.values - truth).max() / np.abs(truth).max())
-        sections["truth"] = {"chi_rel_error": rel, "passed": bool(rel <= 1e-6)}
+        sections["truth"] = {"chi_rel_error": rel, "passed": bool(rel <= _tolerance(cfg, "truth"))}
         timing["truth"] = time.perf_counter() - t0
     return sections, timing
 
@@ -467,7 +467,7 @@ def cmd_reconstruct(cfg: RunConfig):
     truth, _, _ = surface_values(family, cfg.chart, pts)
     _, _, rms = align_rigid(rec.X, truth)
     timing["align"] = time.perf_counter() - t0
-    tol = _tol(cfg, "reconstruct", 1e-4)
+    tol = float(_tolerance(cfg, "reconstruction"))
     sections = {"reconstruction": {
         "nodes": int(rec.X.shape[0]),
         "h": rec.h,
@@ -486,9 +486,9 @@ def cmd_family(cfg: RunConfig):
     if not isinstance(family, RadialGraph):
         raise ConfigError("the family command needs a radial_graph family")
     timing = {}
+    t0 = time.perf_counter()
     g_base = metric_values(family, cfg.chart, pts)
     rows = []
-    t0 = time.perf_counter()
     for eps in cfg.eps_list:
         fam_eps = epsilon_family(family, float(eps))
         _, g_eps, chi_eps = surface_values(fam_eps, cfg.chart, pts)

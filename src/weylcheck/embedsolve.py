@@ -2,8 +2,8 @@
 integrability gate, and reconstruction of the embedding from frame ODEs.
 
 The solver inverts Ric = tr_g(chi) chi - chi g^{-1} chi per point in closed
-form (n = 3): chi = sqrt(det E / (2 det g)) g E^{-1} g with E = R g - 2 Ric,
-which exists exactly where E is positive definite relative to g (see
+form (n = 3): chi = sqrt(t_1 t_2 t_3 / 2) g E^{-1} g with E = R g - 2 Ric and
+t_i its eigenvalues relative to g; it exists exactly where every t_i > 0 (see
 _chi_values).  First derivatives of chi come from the product rule on that
 formula fed with exact jet derivatives of g and Ricci, so the Codazzi
 residual carries no grid-differencing noise.  The Codazzi gate's default
@@ -46,7 +46,8 @@ from typing import Optional
 import numpy as np
 
 from ._forkjoin import Forked
-from .errors import ConvergenceError, IntegrationError, ObstructionError, location, worst
+from .errors import (PASS_RULES, ConvergenceError, IntegrationError, ObstructionError,
+                     location, worst)
 from .intrinsic import (
     MetricJet,
     codazzi_residual,
@@ -63,8 +64,6 @@ from .surfaces import (
     radial_graph_bump,
     radial_graph_random,
 )
-
-SOLVE_RESIDUAL_LIMIT = 1e-9
 
 
 def metric_jets(family, chart, pts, order) -> MetricJet:
@@ -151,14 +150,14 @@ def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
 # ------------------------------------------------------------- the solver
 
 def _chi_values(g, ginv, ric, chart, coords):
-    """chi = s g E^{-1} g with E = R g - 2 Ric and s = sqrt(det E / (2 det g)),
+    """chi = s g E^{-1} g with E = R g - 2 Ric and s = sqrt(t_1 t_2 t_3 / 2),
     or ObstructionError at the first of the chart points coords whose Ricci
     leaves the solvable cone; returns (chi, R, E^{-1}, s, gaps).
 
     Cayley-Hamilton turns tr(A) A - A^2 = Ric, chi's equation in a
     g-orthonormal frame, into sigma_2(A) I - sigma_3(A) A^{-1} = Ric; the
     trace gives sigma_2 = R / 2, hence A = 2 sigma_3 E^{-1} with
-    sigma_3 = sqrt(det E / 8).  E's eigenvalues relative to g are the
+    sigma_3 = sqrt(t_1 t_2 t_3 / 8), t_i E's eigenvalues relative to g: the
     t_i = sum(mu) - 2 mu_i of matmap._gaps_closed_form_3 (mu: Ricci's), and
     the cone is t_i > 0 for all i, which makes every mu_i > 0 as
     t_i + t_j = 2 mu_k.  gaps, the eps-gap per point, is the least t_i: E is
@@ -167,7 +166,8 @@ def _chi_values(g, ginv, ric, chart, coords):
     """
     r = np.einsum("...ab,...ba->...", ginv, ric)
     e = r[..., None, None] * g - 2.0 * ric
-    gaps = principal_curvatures(g, e)[..., 0]
+    t = principal_curvatures(g, e)
+    gaps = t[..., 0]
     bad = np.nonzero(gaps <= 0)[0]
     if bad.size:
         k = int(bad[0])
@@ -178,7 +178,7 @@ def _chi_values(g, ginv, ric, chart, coords):
             point=where, margin=float(gaps[k]),
         )
     einv = np.linalg.inv(e)
-    s = np.sqrt(np.linalg.det(e) / (2.0 * np.linalg.det(g)))
+    s = np.sqrt(gaps * t[..., 1] * t[..., 2] / 2.0)
     return s[..., None, None] * (g @ einv @ g), r, einv, s, gaps
 
 
@@ -221,7 +221,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     ginv = np.linalg.inv(g)
     chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
     residuals = contracted_gauss_residual(ginv, chi, ric)
-    _, sup, ok = worst(residuals, SOLVE_RESIDUAL_LIMIT)
+    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
     if not ok:
         raise ConvergenceError("solver residual above the per-point limit",
                                residual=sup)
@@ -408,7 +408,6 @@ class Reconstruction:
     holonomy_sup: Optional[float]
     plan: tuple
     h: float
-    drift_limit: float
 
 
 def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
@@ -583,7 +582,8 @@ def _sweep_fill(field, seed, plan, h, limit):
 
 
 def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
-                h=1e-2, drift_limit=1e-3, with_holonomy=True) -> Reconstruction:
+                h=1e-2, drift_limit=PASS_RULES["frame drift"].tol,
+                with_holonomy=True) -> Reconstruction:
     """Integrate the frame system over the chart ball.
 
     The lattice fills in the path_plan's axis order (a line, then a plane,
@@ -593,8 +593,8 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
     round(spacing / h) RK4 substeps, so h may not exceed the spacing.
 
     A node fails when its frame drift |E E^T - g| exceeds drift_limit times
-    the grid minimum of g's least eigenvalue.  Both scale as lambda^2 when
-    the body scales by lambda, so the verdict does not depend on its size.
+    the grid minimum of g's least eigenvalue; both scale as lambda^2 with the
+    body (PASS_RULES["frame drift"]), so the verdict does not depend on size.
     On Linux the reversed fill marches in a forked child (_forkjoin) while
     this process marches the forward one; neither reads the other.
     """
@@ -625,8 +625,7 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())
     return Reconstruction(coords=field.coords, X=xs, isometry_sup=iso,
-                          holonomy_sup=holo, plan=plan, h=h,
-                          drift_limit=drift_limit)
+                          holonomy_sup=holo, plan=plan, h=h)
 
 
 def align_rigid(recon, truth):

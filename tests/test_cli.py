@@ -12,7 +12,7 @@ from weylcheck.cli import (
     fmt17,
     main,
 )
-from weylcheck.errors import DomainError
+from weylcheck.errors import PASS_RULES, DomainError
 from weylcheck.jets import Jet
 from weylcheck.surfaces import Ellipsoid, RadialGraph, RoundSphere
 
@@ -242,7 +242,7 @@ class TestMain:
     def test_solver_residual_above_limit_exit_3(self, tmp_path, monkeypatch, capsys):
         # the solver raises before the report is built, so `solve` never
         # reports passed: false; it exits 3 and writes nothing
-        monkeypatch.setattr(embedsolve, "SOLVE_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setitem(PASS_RULES, "solve", PASS_RULES["solve"]._replace(tol=0.0))
         out = tmp_path / "solve.json"
         assert main(["solve", "--resolution", "5", "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err

@@ -19,8 +19,13 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from weylcheck.cli import VALID_CHECKS, main
+from weylcheck.errors import PASS_RULES
 
 ELLIPSOID = (1.0, 1.2, 0.9, 1.05)
+# the `tolerances` keys the pass rules accept, in their order
+TOLERANCE_KEYS = tuple(dict.fromkeys(
+    rule.override.removeprefix("tolerances.") for rule in PASS_RULES.values()
+    if rule.override and rule.override.startswith("tolerances.")))
 
 
 def family(variant, **keys):
@@ -49,7 +54,7 @@ VALID = {
     "extent": st.floats(1.05, 1.75),
     "chart": st.sampled_from([0, 1]),
     "checks": st.lists(st.sampled_from(VALID_CHECKS), unique=True, max_size=4),
-    "tolerances": st.dictionaries(st.sampled_from(VALID_CHECKS + ("reconstruct",)),
+    "tolerances": st.dictionaries(st.sampled_from(TOLERANCE_KEYS),
                                   st.floats(1e-16, 1.0), max_size=2),
     "seed": st.integers(0, 2**31),
     # 1e-300 and 1e300 are valid, but diam-weyl then stops with exit 3; tolerances
