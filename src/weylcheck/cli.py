@@ -73,17 +73,24 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1841 MiB at resolution 51,
 # 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc in a process that
 # has already run one verify, verify on the ellipsoid (1, 1.2, 0.9, 1.05)
-# with every check peaks at 9.1, 7.4 and 7.4 KiB per point of both charts at
-# resolutions 9, 13 and 17, so the estimate keeps a wide margin.  verify's
-# child, the graph diameter, peaked at 69.2, 68.9 and 73.6 MiB RSS there, of
-# which ~36 MiB is the parent's pages shared at the fork: about 1.2 KiB per
+# with every check but diam-weyl peaks at 7.8, 7.4 and 7.4 KiB per point of
+# both charts at resolutions 9, 13 and 17, so the estimate keeps a wide
+# margin.  main's heap thresholds (_heap_policy) keep freed blocks in the
+# heap, which tracemalloc does not see, so RSS was measured too, in a fresh
+# process per job: verify peaked at 41.6, 52.9 and 72.7 MiB there (8.6 KiB
+# per point from 9 to 17, against 10.6 KiB without the recurrences and the
+# thresholds), and its child, the graph diameter, at 57.5, 57.5 and 62.1
+# MiB, much of it the parent's pages shared at the fork: about 1.2 KiB per
 # point of both charts over 33 MiB of scipy, so ~185 MiB of its own at 51
 # (130,534 points) and 2026 MiB for the two.  reconstruct at 51 stays under
-# 1.7 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS).  solve
+# 1.7 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS); at 250
+# substeps a spacing it peaked at 56.4 and 83.7 MiB RSS at resolutions 9
+# and 13, its child at 46.3 and 73.0 MiB, as without the thresholds.  solve
 # forks chart 1 of the Codazzi calibration; on the ellipsoid at resolutions
-# 9, 13 and 17 (257, 925 and 2109 points a chart) it peaked at 41.3, 49.3
-# and 62.5 MiB RSS, its child at 31.5, 39.5 and 52.7 MiB, much of that shared
-# at the fork.  By tracemalloc the parent peaks at 12.0, 10.7 and 10.6 KiB
+# 9, 13 and 17 (257, 925 and 2109 points a chart) it peaked at 40.5, 48.5
+# and 62.3 MiB RSS, its child at 31.1, 38.8 and 52.4 MiB (without the
+# thresholds 40.6, 48.1 and 62.1; 30.6, 38.2 and 51.3), much of that shared
+# at the fork.  By tracemalloc the parent peaks at 11.3, 10.6 and 10.5 KiB
 # per point and the child adds 8.7, 8.2 and 8.2 KiB of its own, so at 51
 # (65,267 points) the two stay near 61 MiB + 19 KiB x 65,267 = 1272 MiB,
 # under verify's estimate.
@@ -100,6 +107,17 @@ def _is_int(x):
 
 def _is_positive(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
+def _is_finite_positive(x):
+    """x is a positive number that converts to a finite float (an integer
+    of 400 digits or a JSON 1e400, read as inf, does not)."""
+    if not _is_positive(x):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -162,14 +180,15 @@ class RunConfig:
         for name, tol in self.tolerances.items():
             if f"tolerances.{name}" not in {r.override for r in PASS_RULES.values()}:
                 raise ConfigError(f"tolerance for unknown check {name!r}")
-            if not _is_positive(tol):
-                raise ConfigError("tolerances must be positive")
+            if not _is_finite_positive(tol):
+                raise ConfigError(f"tolerance for {name!r} must be a positive "
+                                  "finite number")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.diameter is not None and not _is_positive(self.diameter):
             raise ConfigError("diameter must be positive when given")
-        if self.theta is not None and not _is_positive(self.theta):
-            raise ConfigError("theta must be positive when given")
+        if self.theta is not None and not _is_finite_positive(self.theta):
+            raise ConfigError("theta must be a positive finite number when given")
         if not _is_positive(self.h):
             raise ConfigError("step size h must be positive")
         # strict: the spacing reconstruct() reads from the grid lies within
@@ -561,7 +580,7 @@ def load_config(args) -> RunConfig:
             data = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer past int_max_str_digits
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -576,7 +595,34 @@ def load_config(args) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+# glibc's own ceilings for its dynamic mmap and trim thresholds on 64-bit
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _heap_policy():
+    """Serve jet temporaries (up to ~15 MB at resolution 21) from the heap.
+
+    glibc hands a block above its mmap threshold (128 KiB at start) fresh
+    zeroed pages, faulted in again on every use, and raises the threshold
+    only when such a block is freed; this sets it, and the trim threshold,
+    to the ceilings that dynamic rule would reach (see README "Processes").
+    It runs in main, not at import, and does nothing where there is no
+    mallopt (not glibc) or no ctypes.
+    """
+    try:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, MMAP_THRESHOLD)   # M_MMAP_THRESHOLD
+    mallopt(-1, TRIM_THRESHOLD)   # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _heap_policy()
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)

@@ -31,12 +31,25 @@ basis of a lower order is always a prefix of the basis of a higher order, so
 truncation and differentiation are cheap slices.  The coefficient of the
 monomial x^gamma is (d^gamma f) / gamma!, so derivatives are exact reads.
 
+The reciprocal and the square root are degree recurrences, not Taylor
+series of products.  With a = self, c = 1/a has c_0 = 1/a_0 and, for k of
+degree >= 1, c_k = -(sum of a_i c_j over the pairs i + j = k with i != 0)
+/ a_0; s = sqrt(a) has s_0 = sqrt(a_0) and s_k = (a_k - sum of s_i s_j over
+the pairs with i, j != 0) / (2 s_0).  Every c_j and s_j read has a lower
+degree than k, so the outputs are formed one degree at a time, each degree
+by one gather, multiply and layered sum over its pairs, as in a product: one
+product's worth of pairs in all, where a series summed by Horner's rule
+costs `order` products.
+
 A coefficient of degree d has the same bits at every order >= d: a product
-sums the same pairs in the same order, and the series terms of reciprocal
-and sqrt beyond degree d multiply the exact-zero constant term of
-(self - value).  So each field is formed at the order its readers use: metric
-jets of order 4 for the scalar-curvature Laplacian, order 3 for the solver,
-from chart maps one order higher (the metric is a product of derivatives).
+sums the same pairs in the same order, and the recurrences form c_k and s_k
+from the same pairs, summed in the same generation order, of coefficients
+of degree below d, none of which depends on the order either.  Every step
+is elementwise over the batch, so a point's coefficients are the same bits
+whatever batch it is in.  So each field is formed at the order its readers
+use: metric jets of order 4 for the scalar-curvature Laplacian, order 3 for
+the solver, from chart maps one order higher (the metric is a product of
+derivatives).
 """
 
 from __future__ import annotations
@@ -73,24 +86,16 @@ def _basis(nvars, order):
     exps = np.array(monos, dtype=np.int64)
     degrees = exps.sum(axis=1)
 
-    # Product layers (module docstring): pairs[k] lists the (i, j) pairs of
-    # output monomial k in generation order; layer t is (first, start, stop),
-    # its products prod[start:stop] adding into the outputs ranked first on.
+    # pairs[k] lists the (i, j) pairs of output monomial k in generation
+    # order; the product sums all of them (module docstring).
     pairs = [[] for _ in range(count)]
     for i, gi in enumerate(monos):
         for j, gj in enumerate(monos):
             if degrees[i] + degrees[j] <= order:
                 pairs[index[tuple(a + b for a, b in zip(gi, gj))]].append((i, j))
-    ranked = sorted(range(count), key=lambda k: len(pairs[k]))
+    ranked, mul_i, mul_j, layers = _layers(pairs)
     rank = np.empty(count, dtype=np.int64)
     rank[ranked] = np.arange(count)
-    mul_i, mul_j, layers = [], [], []
-    for t in range(len(pairs[ranked[-1]])):
-        first = next(r for r, k in enumerate(ranked) if len(pairs[k]) > t)
-        layers.append((first, len(mul_i), len(mul_i) + count - first))
-        for k in ranked[first:]:
-            mul_i.append(pairs[k][t][0])
-            mul_j.append(pairs[k][t][1])
 
     derivs = []
     if order >= 1:
@@ -109,12 +114,65 @@ def _basis(nvars, order):
         monos=tuple(monos),
         index=index,
         count=count,
-        mul_i=np.array(mul_i, dtype=np.int64),
-        mul_j=np.array(mul_j, dtype=np.int64),
-        layers=tuple(layers[1:]),
+        mul_i=mul_i,
+        mul_j=mul_j,
+        layers=layers[1:],
         rank=rank,
         derivs=tuple(derivs),
+        recip=_recurrence(pairs, degrees, square=False),
+        sqrt=_recurrence(pairs, degrees, square=True),
     )
+
+
+def _layers(pairs):
+    """(ranked, mul_i, mul_j, layers) summing pairs[k] for every output k.
+
+    The outputs are ranked by pair count, fewest first; layer t is (first,
+    start, stop), the t-th pair of every output ranked first on, gathered at
+    mul_i[start:stop] and mul_j[start:stop].  Layer 0 starts at output 0
+    whenever every output has a pair.
+    """
+    ranked = sorted(range(len(pairs)), key=lambda k: len(pairs[k]))
+    mul_i, mul_j, layers = [], [], []
+    for t in range(len(pairs[ranked[-1]])):
+        first = next(r for r, k in enumerate(ranked) if len(pairs[k]) > t)
+        layers.append((first, len(mul_i), len(mul_i) + len(pairs) - first))
+        for k in ranked[first:]:
+            mul_i.append(pairs[k][t][0])
+            mul_j.append(pairs[k][t][1])
+    return (ranked, np.array(mul_i, dtype=np.int64), np.array(mul_j, dtype=np.int64),
+            tuple(layers))
+
+
+def _recurrence(pairs, degrees, square):
+    """Per-degree tables of the reciprocal's (square False) or the sqrt's
+    (square True) degree recurrence; see Jet._recurrence.
+
+    The reciprocal keeps the pairs (i, j) with i != 0, i reading the input
+    and j the output; sqrt keeps those with i, j != 0, both reading the
+    output.  The output is formed one degree at a time in a work buffer in
+    which each degree's monomials are ranked by kept-pair count (as _layers
+    ranks them), so that degree's layers add in place into one slice.
+    perm[p] is the monomial at buffer position p, and pos its inverse.  Each
+    step is (lo, hi, mul_i, mul_j, layers) for buffer rows lo:hi; what reads
+    the output indexes buffer positions, all of lower degree.
+    """
+    count = len(pairs)
+    perm = [0]
+    steps = []
+    for d in range(1, int(degrees.max()) + 1):
+        outs = [k for k in range(count) if degrees[k] == d]
+        kept = [[(i, j) for i, j in pairs[k] if i != 0 and (j != 0 or not square)]
+                for k in outs]
+        ranked, mul_i, mul_j, layers = _layers(kept)
+        steps.append((len(perm), len(perm) + len(outs), mul_i, mul_j, layers))
+        perm.extend(outs[r] for r in ranked)
+    perm = np.array(perm, dtype=np.int64)
+    pos = np.empty(count, dtype=np.int64)
+    pos[perm] = np.arange(count)
+    steps = tuple((lo, hi, pos[mul_i] if square else mul_i, pos[mul_j], layers)
+                  for lo, hi, mul_i, mul_j, layers in steps)
+    return SimpleNamespace(perm=perm, pos=pos, steps=steps)
 
 
 def basis_monomials(nvars, order):
@@ -281,6 +339,17 @@ class Jet:
         other = np.asarray(other, dtype=float)
         return Jet(self.nvars, self.order, self.coeffs * other[..., None])
 
+    def mul_variable(self, value, index):
+        """self * Jet.variable(value, index, ...), formed without a product:
+        its coefficient of x^k is value c_k + c_(k - e_index), the bits of
+        that product up to the sign of a zero."""
+        c = self.coeffs.T
+        out = c * np.asarray(value, dtype=float).T
+        if self.order >= 1:
+            src = _basis(self.nvars, self.order).derivs[index][0]
+            out[src] += c[: src.size]
+        return Jet(self.nvars, self.order, out.T)
+
     def __rmul__(self, other):
         return self.__mul__(other)
 
@@ -310,33 +379,48 @@ class Jet:
 
     # ------------------------------------------------------------- analytic
 
-    def _apply_series(self, dk):
-        """sum_k dk[k] * (self - value)^k, truncated; dk[k] may be batched."""
-        u = Jet(self.nvars, self.order, self.coeffs.copy())
-        u.coeffs[..., 0] = 0.0
-        out = Jet.constant(np.broadcast_to(dk[-1], self.batch_shape).copy(), self.nvars, self.order)
-        for k in range(len(dk) - 2, -1, -1):
-            out = out * u
-            out.coeffs[..., 0] += dk[k]
-        return out
+    def _recurrence(self, square):
+        """1/self (square False) or sqrt(self) (square True), degree by degree.
+
+        Row 0 of a monomial-first work buffer is c_0 or s_0; then each
+        degree's kept pairs (see _recurrence beside _basis) are gathered,
+        multiplied and summed in layers into its rows, which become
+        coefficients by the recurrence's last step.
+        """
+        b = _basis(self.nvars, self.order)
+        tables = b.sqrt if square else b.recip
+        a = self.coeffs.T
+        out = np.empty(a.shape)
+        out[0] = np.sqrt(a[0]) if square else 1.0 / a[0]
+        den = 2.0 * out[0] if square else -a[0]
+        left = out if square else a
+        for lo, hi, mul_i, mul_j, layers in tables.steps:
+            rows = out[lo:hi]
+            if layers:
+                prod = left.take(mul_i, axis=0) * out.take(mul_j, axis=0)
+                rows[...] = prod[: hi - lo]
+                for first, start, stop in layers[1:]:
+                    rows[first:] += prod[start:stop]
+            else:
+                rows[...] = 0.0
+            if square:
+                np.subtract(a.take(tables.perm[lo:hi], axis=0), rows, out=rows)
+            rows /= den
+        return Jet(self.nvars, self.order, out.take(tables.pos, axis=0).T)
 
     def reciprocal(self):
-        c = self.value
-        if np.any(c == 0.0):
+        """1/self: c_0 = 1/a_0, then c_k = -(sum of a_i c_j over the pairs
+        i + j = k with i != 0) / a_0."""
+        if np.any(self.value == 0.0):
             raise ZeroDivisionError("jet constant term is zero")
-        dk = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
-        return self._apply_series(dk)
+        return self._recurrence(square=False)
 
     def sqrt(self):
-        c = self.value
-        if np.any(c <= 0.0):
+        """sqrt(self): s_0 = sqrt(a_0), then s_k = (a_k - sum of s_i s_j over
+        the pairs i + j = k with i, j != 0) / (2 s_0)."""
+        if np.any(self.value <= 0.0):
             raise DomainError("jet sqrt needs a positive constant term")
-        dk = []
-        binom = 1.0
-        for k in range(self.order + 1):
-            dk.append(binom * c ** (0.5 - k))
-            binom *= (0.5 - k) / (k + 1)
-        return self._apply_series(dk)
+        return self._recurrence(square=True)
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, batch={self.batch_shape})"

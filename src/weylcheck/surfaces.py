@@ -15,7 +15,12 @@ bit for bit.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
-xi -> xi/|xi|^2.  Grids are chart balls |xi| <= extent (GRID_EXTENT by
+xi -> xi/|xi|^2.  unit_sphere_jets forms these jets in closed form,
+with one jet reciprocal and no jet product: w = 1 + |xi|^2 about a point p
+is written from its coefficients (1 + |p|^2, 2 p_i on xi_i, 1 on xi_i^2),
+c = 1/w, and xi_i / w has the coefficients p_i c_k + c_(k - e_i), a shift of
+c's (Jet.mul_variable).  These are the bits of the product chain, up to the
+signs of zeros.  Grids are chart balls |xi| <= extent (GRID_EXTENT by
 default) while charts are evaluated up to |xi| <= CHART_RADIUS, so nothing
 is ever evaluated near a chart boundary (see weylcheck.intrinsic).
 """
@@ -41,24 +46,31 @@ from .intrinsic import (
     curvature,
     principal_curvatures,
 )
-from .jets import Jet
+from .jets import Jet, basis_monomials
 
 AMBIENT_ORDER = 5
 
 
 def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
     """Jets of the chart parametrization of the unit sphere, one per
-    ambient component."""
+    ambient component, in closed form (see the module docstring)."""
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[-1]
     if np.any(np.linalg.norm(pts, axis=-1) > CHART_RADIUS):
         raise DomainError("points outside chart radius")
-    xs = [Jet.variable(pts[..., i], i, n, order) for i in range(n)]
-    w = 1.0
-    for x in xs:
-        w = x * x + w
+    # w = 1 + |xi|^2 about p: 1 + |p|^2, 2 p_i on xi_i and 1 on xi_i^2
+    monos = basis_monomials(n, order)
+    w0 = 1.0
+    for i in range(n):
+        w0 = pts[..., i] * pts[..., i] + w0
+    w = Jet.constant(w0, n, order)
+    for i in range(n):
+        for power, coeff in ((1, 2.0 * pts[..., i]), (2, 1.0)):
+            mono = tuple(power if v == i else 0 for v in range(n))
+            if sum(mono) <= order:
+                w.coeffs[..., monos.index(mono)] = coeff
     winv = w.reciprocal()
-    out = [2.0 * (x * winv) for x in xs]
+    out = [2.0 * winv.mul_variable(pts[..., i], i) for i in range(n)]
     last = (2.0 * winv) - 1.0  # (1 - |xi|^2)/(1 + |xi|^2)
     if chart == 1:
         last = -1.0 * last
@@ -176,12 +188,15 @@ def radial_graph_random(seed, amp=0.05, dim=3):
     q = (q + q.T) / 2.0
 
     def u(comps):
+        # xhat^T Q xhat = sum_a xhat_a (Q xhat)_a: dim + 1 jet products
         s = None
         for a in range(dim + 1):
-            for b in range(a, dim + 1):
-                coef = q[a, b] if a == b else 2.0 * q[a, b]
-                t = (comps[a] * comps[b]) * coef
-                s = t if s is None else s + t
+            qx = None
+            for b in range(dim + 1):
+                t = comps[b] * q[a, b]
+                qx = t if qx is None else qx + t
+            t = comps[a] * qx
+            s = t if s is None else s + t
         return 1.0 + amp * s
 
     return RadialGraph(u, dim=dim)

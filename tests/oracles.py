@@ -10,7 +10,13 @@
   against the ambient-jet pipeline of evaluate_grid.
 - support_floor: min over an evaluated grid of (X - X0).N, positive exactly
   when X0 sits inside the convex body.
-- jet_exp: exp of a Jet through Jet._apply_series.
+- apply_series, series_reciprocal, series_sqrt: a function's Taylor series
+  about a Jet's value, summed by Horner's rule in Jet products, and the
+  reciprocal and sqrt formed that way, as Jet.reciprocal and Jet.sqrt were
+  before they became degree recurrences.
+- jet_exp: exp of a Jet through apply_series.
+- sphere_chain: the unit sphere's chart jets by plain Jet arithmetic, as
+  unit_sphere_jets formed them before it wrote them in closed form.
 - coefficient: a Jet's Taylor coefficient of one monomial.
 """
 
@@ -155,12 +161,56 @@ def support_floor(eg, x0=None) -> float:
     return floor
 
 
+def apply_series(f, dk):
+    """sum_k dk[k] * (f - value)^k, truncated; dk[k] may be batched."""
+    u = Jet(f.nvars, f.order, f.coeffs.copy())
+    u.coeffs[..., 0] = 0.0
+    out = Jet.constant(np.broadcast_to(dk[-1], f.batch_shape).copy(), f.nvars, f.order)
+    for k in range(len(dk) - 2, -1, -1):
+        out = out * u
+        out.coeffs[..., 0] += dk[k]
+    return out
+
+
+def series_reciprocal(f):
+    """1/f from the series sum_k (-1)^k (f - c)^k / c^(k+1), c = f.value."""
+    c = f.value
+    return apply_series(f, [(-1.0) ** k / c ** (k + 1) for k in range(f.order + 1)])
+
+
+def series_sqrt(f):
+    """sqrt(f) from the binomial series sum_k binom(1/2, k) c^(1/2-k) (f - c)^k."""
+    c = f.value
+    dk = []
+    binom = 1.0
+    for k in range(f.order + 1):
+        dk.append(binom * c ** (0.5 - k))
+        binom *= (0.5 - k) / (k + 1)
+    return apply_series(f, dk)
+
+
 def jet_exp(f):
     """exp(f) as a Jet: the Taylor series of exp about f's value."""
     dk = [np.exp(f.value) / math.factorial(k) for k in range(f.order + 1)]
-    return f._apply_series(dk)
+    return apply_series(f, dk)
 
 
 def coefficient(f, gamma):
     """f's Taylor coefficient of the monomial x^gamma."""
     return f.coeffs[..., basis_monomials(f.nvars, f.order).index(tuple(gamma))]
+
+
+def sphere_chain(chart, pts, order):
+    """The unit sphere's chart jets (2 xi, +-(1 - |xi|^2)) / (1 + |xi|^2) by
+    Jet products and a reciprocal, at order >= 1 and then truncated."""
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[-1]
+    xs = [Jet.variable(pts[..., i], i, n, max(order, 1)) for i in range(n)]
+    w = 1.0
+    for x in xs:
+        w = x * x + w
+    winv = w.reciprocal()
+    out = [2.0 * (x * winv) for x in xs]
+    last = (2.0 * winv) - 1.0
+    out.append(-1.0 * last if chart == 1 else last)
+    return [c.truncate(order) for c in out]

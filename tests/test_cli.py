@@ -1,4 +1,5 @@
 import json
+import types
 import warnings
 
 import numpy as np
@@ -52,6 +53,10 @@ class TestRunConfig:
         ({"out": "report\0.json"}, "NUL byte"),
         ({"out": ""}, "the path is empty"),
         ({"grid_dump": ""}, "the path is empty"),
+        ({"tolerances": {"weyl": 10**400}}, "positive finite"),
+        ({"tolerances": {"gauss-residual": float("inf")}}, "positive finite"),
+        ({"theta": 10**400}, "theta must be a positive finite"),
+        ({"theta": float("inf")}, "theta must be a positive finite"),
     ])
     def test_rejects(self, data, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -403,6 +408,47 @@ class TestDeterminism:
         text = out.read_text()
         assert canonical_json(json.loads(text)) + "\n" == text
         capsys.readouterr()
+
+
+class TestHeapPolicy:
+    """main() raises glibc's mmap and trim thresholds through ctypes, and
+    runs the same where the library or mallopt is missing."""
+
+    @staticmethod
+    def libc(calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    def _report(self, tmp_path, name):
+        out = tmp_path / name
+        assert main(["verify", "--resolution", "5", "--checks", "weyl,gauss-residual",
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        return report
+
+    def test_sets_both_thresholds(self, tmp_path, monkeypatch, capsys):
+        import ctypes
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: self.libc(calls))
+        self._report(tmp_path, "a.json")
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("missing", ["library", "mallopt"])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, capsys, missing):
+        import ctypes
+        expected = self._report(tmp_path, "expected.json")
+
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no such library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self._report(tmp_path, "got.json") == expected
 
 
 class TestGridDump:

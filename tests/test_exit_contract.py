@@ -84,10 +84,11 @@ INVALID = {
     "extent": [1.0, 1.8, 0.5, -1.0, "a", None, True],
     "chart": [2, -1, "0", True, 0.0],
     "checks": ["weyl", ["bogus"], [1]],
-    "tolerances": [[], {"bogus": 1.0}, {"weyl": -1.0}, {"weyl": 0}, {"weyl": "x"}],
+    "tolerances": [[], {"bogus": 1.0}, {"weyl": -1.0}, {"weyl": 0}, {"weyl": "x"},
+                   {"gauss-residual": 10**400}, {"weyl": float("inf")}],
     "seed": [-1, 1.5, "3", True],
     "diameter": [0, -2.0, "x", True],
-    "theta": [0, -1e-13, "x"],
+    "theta": [0, -1e-13, "x", 10**400, float("inf")],
     "path_plan": [[0, 0, 1], [0, 1], [0, 1, 3], "012", [0.0, 1, 2]],
     "eps_list": [[], [0], [-0.1], "x", [True]],
     "compare_truth": ["yes", 1, None],
@@ -210,3 +211,24 @@ def test_underflowing_diameter_names_check_and_value(tmp_path, diameter):
     assert code == 3
     assert err.getvalue().startswith("numerical-domain error: diam-weyl: d**2 underflows for d = ")
     assert repr(diameter) in err.getvalue()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("verify", '{"resolution": 5, "tolerances": {"gauss-residual": 1%s}}' % ("0" * 400)),
+    ("verify", '{"resolution": 5, "tolerances": {"weyl": 1e400}}'),
+    ("reconstruct", '{"resolution": 5, "h": 0.1, "tolerances": {"reconstruct": 1e400}}'),
+    ("solve", '{"resolution": 5, "theta": 1%s}' % ("0" * 400)),
+    ("solve", '{"resolution": 5, "theta": 1e400}'),
+    ("solve", '{"resolution": 5, "theta": 1%s}' % ("0" * 5000)),
+], ids=["tolerance-10**400", "tolerance-1e400", "reconstruct-1e400", "theta-10**400",
+        "theta-1e400", "theta-5001-digits"])
+def test_nonfinite_tolerance_is_config_error(tmp_path, command, text):
+    # JSON reads 1e400 as inf and 10**400 as an int no float holds; a
+    # 5001-digit integer is past Python's int_max_str_digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--quiet"])
+    assert code == 2
+    assert err.getvalue().startswith("config error:"), err.getvalue()

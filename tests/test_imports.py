@@ -3,8 +3,10 @@
 Only verify computing a diameter uses scipy, in the forked child that
 computes it (on Linux).  Every command, and importing the CLI, runs on numpy
 alone, and a job loads no numpy submodule on first use that the import did
-not load.  Each case runs in a fresh interpreter, because this one has scipy
-loaded.
+not load.  The heap policy of cli.main stays off the import path: importing
+the CLI loads no ctypes module beyond those numpy loads, and the CLI imports
+and runs where ctypes cannot be imported.  Each case runs in a fresh
+interpreter, because this one has scipy loaded.
 """
 
 import json
@@ -81,3 +83,29 @@ def test_computed_diameter_loads_no_scipy(tmp_path):
     constants = json.loads(out.read_text())["sections"]["diam-weyl"]["constants"]
     assert constants["d_source"] == "graph"
     assert constants["d"] == graph_diameter(RoundSphere(1.0), 5, GRID_EXTENT)
+
+
+# the ctypes modules importing numpy loads, and those the CLI adds to them;
+# with "blocked", import ctypes fails, and a verify job then runs
+CTYPES_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["ctypes"] = None
+import numpy
+numpy_loaded = set(sys.modules)
+import weylcheck.cli
+cli_added = sorted(m for m in set(sys.modules) - numpy_loaded if "ctypes" in m)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = weylcheck.cli.main(["verify", "--resolution", "5", "--checks", "weyl", "--quiet"])
+print(json.dumps({"cli_added": cli_added, "exit": code}))
+"""
+
+
+@pytest.mark.parametrize("ctypes_state", ["available", "blocked"])
+def test_cli_import_loads_no_ctypes(ctypes_state):
+    proc = subprocess.run([sys.executable, "-c", CTYPES_PROBE, ctypes_state],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"cli_added": [], "exit": 0}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficient, jet_exp
+from oracles import coefficient, jet_exp, series_reciprocal, series_sqrt
 from weylcheck.errors import DomainError
 from weylcheck.jets import MAX_ORDER, Jet, basis_monomials
 
@@ -244,17 +244,58 @@ def test_product_matches_pair_loop(nvars, order):
     assert prod.coeffs[:, -1].flags["C_CONTIGUOUS"]  # monomial-major
 
 
+def _recurrence_loop(f, square):
+    """1/f (square False) or sqrt(f) (square True) by the degree recurrence,
+    one coefficient at a time, each sum over its pairs in generation order."""
+    a = f.coeffs
+    out = np.zeros_like(a)
+    out[:, 0] = np.sqrt(a[:, 0]) if square else 1.0 / a[:, 0]
+    terms = {}
+    for i, j, k in _product_pairs(f.nvars, f.order):
+        if i != 0 and (j != 0 or not square):
+            terms.setdefault(k, []).append((i, j))
+    for k in range(1, a.shape[-1]):   # graded order: every c_j is formed first
+        acc = None
+        for i, j in terms.get(k, []):
+            t = (out if square else a)[:, i] * out[:, j]
+            acc = t if acc is None else acc + t
+        acc = 0.0 if acc is None else acc
+        out[:, k] = (a[:, k] - acc) / (2.0 * out[:, 0]) if square else acc / -a[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_recurrences_match_pair_loop_and_series(nvars, order):
+    rng = np.random.default_rng(100 * nvars + order)
+    f = _random_jet(rng, (64,), nvars, order)
+    f.coeffs[:, 0] = rng.uniform(0.5, 2.0, size=64)
+    for got, series, square in ((f.reciprocal(), series_reciprocal(f), False),
+                                (f.sqrt(), series_sqrt(f), True)):
+        np.testing.assert_array_equal(got.coeffs, _recurrence_loop(f, square))
+        assert got.coeffs[:, -1].flags["C_CONTIGUOUS"]  # monomial-major
+        # the Horner series rounds differently; 1e-14 of each point's scale
+        scale = np.abs(series.coeffs).max(axis=-1, keepdims=True)
+        assert (np.abs(got.coeffs - series.coeffs) <= 1e-14 * scale).all()
+
+
 @pytest.mark.parametrize("nvars,order", [(3, 5), (3, 4), (2, 6), (3, 1)])
 def test_product_is_batch_invariant(nvars, order):
     rng = np.random.default_rng(order)
     f, g = (_random_jet(rng, (128,), nvars, order) for _ in range(2))
-    batched = {n: (f[:n] * g[:n]).coeffs for n in (2, 13, 128)}
-    for p in range(128):
-        alone = (f[p] * g[p]).coeffs
-        np.testing.assert_array_equal((f[p:p + 1] * g[p:p + 1]).coeffs[0], alone)
-        for n, coeffs in batched.items():
-            if p < n:
-                np.testing.assert_array_equal(coeffs[p], alone)
+    inside = Jet(nvars, order, f.coeffs.copy())
+    inside.coeffs[:, 0] = np.abs(f.coeffs[:, 0]) + 0.5   # in every domain
+    # the product, and the reciprocal and sqrt recurrences
+    for fn, f, g in ((lambda f, g: f * g, f, g),
+                     (lambda f, g: f.reciprocal(), inside, g),
+                     (lambda f, g: f.sqrt(), inside, g)):
+        batched = {n: fn(f[:n], g[:n]).coeffs for n in (2, 13, 128)}
+        for p in range(128):
+            alone = fn(f[p], g[p]).coeffs
+            np.testing.assert_array_equal(fn(f[p:p + 1], g[p:p + 1]).coeffs[0], alone)
+            for n, coeffs in batched.items():
+                if p < n:
+                    np.testing.assert_array_equal(coeffs[p], alone)
 
 
 @pytest.mark.parametrize("fbatch,gbatch", [((5,), (4, 5)), ((), (4, 5)), ((4, 1), (3,))])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss
+from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss, sphere_chain
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import transition_coords
 from weylcheck.surfaces import (
@@ -38,6 +38,17 @@ class TestChartGeometry:
             comps = unit_sphere_jets(chart, pts)
             vals = np.stack([c.value for c in comps], axis=-1)
             np.testing.assert_allclose(np.linalg.norm(vals, axis=-1), 1.0, rtol=1e-13)
+
+    @pytest.mark.parametrize("order", range(7))
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_unit_sphere_closed_form_matches_jet_chain(self, chart, order):
+        pts = np.concatenate([sample_points(40, radius=1.7), np.zeros((1, 3))])
+        for n in (2, 3):
+            got = unit_sphere_jets(chart, pts[:, :n], order)
+            want = sphere_chain(chart, pts[:, :n], order)
+            for g, w in zip(got, want, strict=True):
+                scale = np.abs(w.coeffs).max(axis=-1, keepdims=True)
+                assert (np.abs(g.coeffs - w.coeffs) <= 1e-15 * scale).all()
 
     def test_transition_maps_to_same_point(self):
         pts = sample_points(30, radius=1.05, seed=9)
