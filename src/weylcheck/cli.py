@@ -83,9 +83,10 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # MiB, much of it the parent's pages shared at the fork: about 1.2 KiB per
 # point of both charts over 33 MiB of scipy, so ~185 MiB of its own at 51
 # (130,534 points) and 2026 MiB for the two.  reconstruct at 51 stays under
-# 1.7 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS); at 250
-# substeps a spacing it peaked at 56.4 and 83.7 MiB RSS at resolutions 9
-# and 13, its child at 46.3 and 73.0 MiB, as without the thresholds.  solve
+# 1.1 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS), as each
+# march level's stage data is written once, in place; at 250 substeps a
+# spacing it peaked at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and
+# 17, its child at 39.4, 56.1 and 83.1 MiB.  solve
 # forks chart 1 of the Codazzi calibration; on the ellipsoid at resolutions
 # 9, 13 and 17 (257, 925 and 2109 points a chart) it peaked at 40.5, 48.5
 # and 62.3 MiB RSS, its child at 31.1, 38.8 and 52.4 MiB (without the
@@ -204,8 +205,8 @@ class RunConfig:
         if not all(_is_int(p) for p in self.path_plan) \
                 or sorted(self.path_plan) != [0, 1, 2]:
             raise ConfigError("path_plan must be a permutation of (0, 1, 2)")
-        if not self.eps_list or not all(_is_positive(e) for e in self.eps_list):
-            raise ConfigError("eps_list must be nonempty and positive")
+        if not self.eps_list or not all(_is_finite_positive(e) for e in self.eps_list):
+            raise ConfigError("eps_list must be nonempty, positive and finite")
         if not isinstance(self.compare_truth, bool):
             raise ConfigError("compare_truth must be true or false")
         if not all(isinstance(p, (str, type(None))) for p in (self.out, self.grid_dump)):
@@ -258,7 +259,7 @@ class RunConfig:
             raise ConfigError(f"family spec is missing {exc}") from None
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad family parameters: {exc}") from None
         if spec:
             raise ConfigError(f"unused family keys: {sorted(spec)}")

@@ -25,18 +25,18 @@ appears exactly when chi fails Codazzi; it reads nothing of the first, so
 on Linux it marches in a forked child beside it.  The RK4 stage data comes
 from one stream per fill: the stage points of consecutive levels, in fill
 order, go through _continuous_data in calls of exactly STAGE_POINTS chart
-points (only a fill's last call is shorter), and a level marches as soon as
-its last point is evaluated.  The stream holds one level's rows plus one call's:
-a whole fill evaluated ahead would take about 0.8 GB at resolution 21 with
-MAX_SUBSTEPS substeps, and putting a large level through curvature() at
-once raises the peak memory of a reconstruct by about a fifth.  Evaluation
-is point by point and jet products are batch-invariant, so the split into
-calls does not move a bit.
+points (only a fill's last call is shorter), each call's rows are written in
+place into its level's buffer, allocated once from the level sizes of the
+plan pass, and a level marches as soon as its last point is evaluated.  The
+stream holds one level's rows plus one call's: a whole fill evaluated ahead
+would take about 0.8 GB at resolution 21 with MAX_SUBSTEPS substeps, and
+putting a large level through curvature() at once raises the peak memory
+of a reconstruct by about a fifth.  Evaluation is point by point and jet
+products are batch-invariant, so the split into calls does not move a bit.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 import warnings
@@ -301,7 +301,6 @@ class EmbeddabilityVerdict:
     threshold: float
     at: dict
     calibration: dict
-    residuals: np.ndarray = dataclasses.field(repr=False, default=None)
 
     def to_dict(self):
         return {
@@ -338,7 +337,6 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
         threshold=float(theta),
         at=location(field.chart, field.coords[idx]),
         calibration=calibration,
-        residuals=residuals,
     )
 
 
@@ -349,18 +347,18 @@ STAGE_POINTS = 512   # chart points per march _continuous_data call
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
 # (Christoffel 27, chi 9, chi g^-1 9, the point 3), 768 B per start and
-# substep.  A fill's stage-data stream holds one level's rows plus one
-# STAGE_POINTS chunk, and while a level's rows are joined the evaluated parts
-# and the joined copy are both alive, so a fill peaks at twice the level:
-# 1.5 KiB per start and substep.  Measured with tracemalloc in each process
-# on the ellipsoid (1, 1.2, 0.9, 1.05), a fill's peak grows by 0.85, 1.28
-# and 1.50 KiB per start and substep at resolutions 9, 13 and 17 (largest
-# level 45, 109 and 193 starts; nsub 8 -> 32).  The two fills run at once
-# (the reversed one in a forked child), and the largest level has 1941 starts
-# at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the two fills
-# under 2 x 1941 x 501 x 768 B = 1425 MiB.  With the imports (~61 MiB), the
-# field the child shares with the parent (2.2 KiB per node, 142 MiB) and
-# each fill's frame arrays (~17 MiB), a reconstruct stays under 1.7 GiB.
+# substep.  A fill's stage-data stream writes each level's rows in place into
+# one buffer, so a fill peaks at its largest level plus one STAGE_POINTS
+# call.  Measured on the ellipsoid (1, 1.2, 0.9, 1.05) at resolutions 9, 13
+# and 17 (largest level 45, 109 and 193 starts), a fill's tracemalloc peak
+# grows by 0.82 KiB per start and substep (nsub 8 -> 32), and a reconstruct's
+# RSS by 0.85, 0.81 and 0.89 KiB in the parent and 0.84, 0.82 and 0.86 KiB
+# in its child (nsub 2 -> 250).  The two fills run at once (the reversed one
+# in a forked child), and the largest level has 1941 starts at resolution 51
+# (cli.MAX_RESOLUTION): 250 substeps keep the two fills near
+# 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
+# the child shares with the parent (2.2 KiB per node, 142 MiB) and each
+# fill's frame arrays (~17 MiB), a reconstruct stays under 1.1 GiB.
 MAX_SUBSTEPS = 250
 
 
@@ -402,7 +400,6 @@ def seed_frame(g):
 
 @dataclasses.dataclass
 class Reconstruction:
-    coords: np.ndarray
     X: np.ndarray
     isometry_sup: float
     holonomy_sup: Optional[float]
@@ -426,49 +423,44 @@ def _stage_points(starts, axis, dt, nsub):
     return np.concatenate([starts[None], starts + offsets[:, None, None] * unit]).reshape(-1, 3)
 
 
-def _take_rows(parts, size):
-    """Move the first size rows of the evaluated parts (a list of tuples of
-    arrays, consumed in place) into one tuple of arrays."""
-    rows = tuple(np.empty((size,) + a.shape[1:]) for a in parts[0])
-    at = 0
-    while at < size:
-        part = parts.pop(0)
-        k = min(size - at, len(part[0]))
-        for out, a in zip(rows, part):
-            out[at:at + k] = a[:k]
-        if k < len(part[0]):
-            # a copy, so the rest does not keep the whole part alive
-            parts.insert(0, tuple(a[k:].copy() for a in part))
-        at += k
-    return rows
-
-
-def _stage_stream(field, blocks):
-    """_continuous_data for each block of chart points, one block at a time.
+def _stage_stream(field, blocks, sizes):
+    """_continuous_data for each block of chart points, one block at a time;
+    sizes gives each block's point count before any block is read.
 
     The blocks' points are taken as one sequence and evaluated in calls of
     exactly STAGE_POINTS points, only the last call shorter, so one call may
-    span several blocks.  A block's rows are yielded as soon as its last point
-    is evaluated, and blocks are read only as the calls reach them: the
-    stream holds one block's rows plus at most one call's.  Evaluation is
-    point by point, so the rows do not depend on how the calls split them.
+    span several blocks.  Each block's rows are allocated once, written in
+    place from the calls, and yielded as soon as its last point is evaluated;
+    blocks are read only as the calls reach them, so the stream holds one
+    block's rows plus at most one call's.  Evaluation is point by point, so
+    the rows do not depend on how the calls split them.
     """
-    pending = []                     # evaluated rows not yet handed out
-    sizes = collections.deque()      # row counts of blocks not yet handed out
-    rest = np.zeros((0, 3))          # points read but not yet evaluated
-    for block in blocks:
-        sizes.append(len(block))
-        pts = np.concatenate([rest, block])
-        full = len(pts) - len(pts) % STAGE_POINTS
-        for i in range(0, full, STAGE_POINTS):
-            pending.append(_continuous_data(field, pts[i:i + STAGE_POINTS]))
-            while sizes and sum(len(p[0]) for p in pending) >= sizes[0]:
-                yield _take_rows(pending, sizes.popleft())
-        rest = pts[full:]
-    if len(rest):
-        pending.append(_continuous_data(field, rest))
-    while sizes:
-        yield _take_rows(pending, sizes.popleft())
+    def calls():
+        pts = np.zeros((0, 3))       # points read but not yet evaluated
+        for block in blocks:
+            pts = np.concatenate([pts, block])
+            while len(pts) >= STAGE_POINTS:
+                yield _continuous_data(field, pts[:STAGE_POINTS])
+                pts = pts[STAGE_POINTS:]
+        if len(pts):
+            yield _continuous_data(field, pts)
+
+    sizes = iter(sizes)
+    rows = None                      # the block being written, filled up to `at`
+    for data in calls():
+        used = 0
+        while used < len(data[0]):
+            if rows is None:
+                size, at = next(sizes), 0
+                rows = tuple(np.empty((size,) + a.shape[1:]) for a in data)
+            k = min(size - at, len(data[0]) - used)
+            for out, a in zip(rows, data):
+                out[at:at + k] = a[used:used + k]
+            at, used = at + k, used + k
+            if at == size:
+                yield rows
+                rows = None          # before the next block is allocated
+        del data                     # before the next call is evaluated
 
 
 def _integrate_batch(stages, axis, dt, x, e, nrm):
@@ -552,7 +544,8 @@ def _sweep_fill(field, seed, plan, h, limit):
     nsub = int(round(spacing / h))
     step = spacing / nsub
     stream = _stage_stream(field, (_stage_points(coords[sources], axis, sign * step, nsub)
-                                   for axis, sign, _, sources in levels))
+                                   for axis, sign, _, sources in levels),
+                           [(2 * nsub + 1) * len(sources) for *_, sources in levels])
 
     total = coords.shape[0]
     xs = np.zeros((total, 4))
@@ -624,7 +617,7 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
             xs2, iso2 = backward.result()
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())
-    return Reconstruction(coords=field.coords, X=xs, isometry_sup=iso,
+    return Reconstruction(X=xs, isometry_sup=iso,
                           holonomy_sup=holo, plan=plan, h=h)
 
 

@@ -154,6 +154,7 @@ def epsilon_family(base: RadialGraph, eps: float) -> RadialGraph:
 def radial_graph_constant(c=1.0, dim=3):
     if not 0 < c < np.inf:
         raise ValueError("constant must be positive and finite")
+    c = float(c)
     return RadialGraph(lambda comps: Jet.constant(
         np.full(comps[0].batch_shape, c), comps[0].nvars, comps[0].order), dim=dim)
 

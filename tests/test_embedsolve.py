@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,6 +503,54 @@ class TestReconstruct:
         streamed = reconstruct(field, chi, h=0.1)
         assert calls == expected
         assert np.array_equal(streamed.X, rec.X)
+
+    def test_stream_holds_one_block(self, monkeypatch):
+        # a fake _continuous_data with the real shapes (Gamma, chi, chi g^-1)
+        # fills each row with its point's number; the stream must hand every
+        # row to its block and peak near the largest block's rows, not twice
+        sizes = [5, 30000, 17, 40000, 1, 700]
+        calls = []
+
+        def numbered(field, pts):
+            calls.append(len(pts))
+            data = tuple(np.empty((len(pts),) + shape) for shape in ((3, 3, 3), (3, 3), (3, 3)))
+            for k, a in enumerate(data):
+                a.T[...] = pts[:, 0] + k / 4
+            return data
+
+        def blocks():
+            start = 0
+            for size in sizes:
+                pts = np.zeros((size, 3))
+                pts[:, 0] = np.arange(start, start + size)
+                start += size
+                yield pts
+
+        def check(rows, first, size):
+            # a row's least and greatest entry, so that no block-sized
+            # temporary adds to the peak
+            for k, a in enumerate(rows):
+                a = a.reshape(size, -1)
+                want = np.arange(first, first + size) + k / 4
+                assert np.array_equal(a.min(axis=1), want)
+                assert np.array_equal(a.max(axis=1), want)
+
+        monkeypatch.setattr(embedsolve, "_continuous_data", numbered)
+        stream = embedsolve._stage_stream(None, blocks(), sizes)
+        tracemalloc.start()
+        try:
+            first = 0
+            for size in sizes:
+                # the rows go straight into check, as into _integrate_batch
+                check(next(stream), first, size)
+                first += size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert next(stream, None) is None
+        full, last = divmod(sum(sizes), embedsolve.STAGE_POINTS)
+        assert calls == [embedsolve.STAGE_POINTS] * full + [last]
+        assert peak <= 1.25 * max(sizes) * 45 * 8
 
     @pytest.mark.parametrize("plan", list(itertools.permutations(range(3))))
     def test_fill_levels_cover_lattice_once(self, grid7, plan):

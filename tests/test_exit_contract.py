@@ -78,7 +78,10 @@ INVALID = {
                {"variant": "radial_graph", "kind": "spiky"},
                {"variant": "radial_graph", "kind": "bump", "amplitude": 0.7},
                {"variant": "radial_graph", "kind": "random", "amplitude": 0.3},
-               {"variant": "radial_graph", "kind": "constant", "value": 0.0}],
+               {"variant": "radial_graph", "kind": "constant", "value": 0.0},
+               {"variant": "sphere", "radius": 10**400},
+               {"variant": "ellipsoid", "semi_axes": [1.0, 10**400, 0.9, 1.05]},
+               {"variant": "radial_graph", "kind": "constant", "value": 10**400}],
     "resolution": [3, 4, 6, -5, 53, 7.0, "7", True, None],
     "h": [0, -0.1, 10.0, 1e-5, "x", True],
     "extent": [1.0, 1.8, 0.5, -1.0, "a", None, True],
@@ -90,7 +93,7 @@ INVALID = {
     "diameter": [0, -2.0, "x", True],
     "theta": [0, -1e-13, "x", 10**400, float("inf")],
     "path_plan": [[0, 0, 1], [0, 1], [0, 1, 3], "012", [0.0, 1, 2]],
-    "eps_list": [[], [0], [-0.1], "x", [True]],
+    "eps_list": [[], [0], [-0.1], "x", [True], [10**400], [float("inf")]],
     "compare_truth": ["yes", 1, None],
     "grid_dump": ["", "no-such-dir/grid.tsv", ".", 5],
     "bogus_key": [1],
@@ -220,11 +223,24 @@ def test_underflowing_diameter_names_check_and_value(tmp_path, diameter):
     ("solve", '{"resolution": 5, "theta": 1%s}' % ("0" * 400)),
     ("solve", '{"resolution": 5, "theta": 1e400}'),
     ("solve", '{"resolution": 5, "theta": 1%s}' % ("0" * 5000)),
+    ("verify", '{"resolution": 5, "family": {"variant": "sphere", "radius": 1%s}}' % ("0" * 400)),
+    ("verify", '{"resolution": 5, "family": {"variant": "ellipsoid", '
+               '"semi_axes": [1.0, 1%s, 0.9, 1.05]}}' % ("0" * 400)),
+    ("verify", '{"resolution": 5, "family": {"variant": "radial_graph", "kind": "ellipsoid", '
+               '"semi_axes": [1.0, 1.2, 1%s, 1.05]}}' % ("0" * 400)),
+    ("verify", '{"resolution": 5, "family": {"variant": "radial_graph", "kind": "constant", '
+               '"value": 1%s}}' % ("0" * 400)),
+    ("family", '{"resolution": 5, "family": {"variant": "radial_graph", "kind": "bump"}, '
+               '"eps_list": [0.1, 1%s]}' % ("0" * 400)),
+    ("family", '{"resolution": 5, "family": {"variant": "radial_graph", "kind": "bump"}, '
+               '"eps_list": [1e400]}'),
 ], ids=["tolerance-10**400", "tolerance-1e400", "reconstruct-1e400", "theta-10**400",
-        "theta-1e400", "theta-5001-digits"])
+        "theta-1e400", "theta-5001-digits", "radius-10**400", "semi_axes-10**400",
+        "graph-semi_axes-10**400", "value-10**400", "eps-10**400", "eps-1e400"])
 def test_nonfinite_tolerance_is_config_error(tmp_path, command, text):
     # JSON reads 1e400 as inf and 10**400 as an int no float holds; a
-    # 5001-digit integer is past Python's int_max_str_digits
+    # 5001-digit integer is past Python's int_max_str_digits.  The same
+    # holds for a family's numbers and for eps_list
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     err = io.StringIO()
