@@ -21,11 +21,15 @@ import numpy as np
 
 from .errors import PASS_RULES, DomainError, location, worst
 from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
-from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn
+from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn, point_blocks
 
 
 class EvaluatedGrid:
-    """A family evaluated over the two covering chart grids, flattened."""
+    """A family evaluated over the two covering chart grids, flattened.
+
+    parts holds (chart, SurfaceData) pairs, one per block of a chart's points
+    in grid order; every column is joined over them in that order.
+    """
 
     def __init__(self, family, resolution, extent, parts):
         self.family = family
@@ -74,9 +78,15 @@ class EvaluatedGrid:
 
 
 def evaluate_family_grid(family, resolution, extent=GRID_EXTENT) -> EvaluatedGrid:
-    """The family over the chart ball of both charts, which cover the sphere."""
+    """The family over the chart ball of both charts, which cover the sphere.
+
+    Each chart is evaluated in blocks of at most BLOCK_POINTS points
+    (surfaces.point_blocks), one part each, so a jet pass's temporaries stay
+    per block; the columns joined over the parts have the bits of one pass.
+    """
     pts = ball_grid(resolution, extent, family.dim)
-    parts = [(chart, evaluate_grid(family, chart, pts)) for chart in (0, 1)]
+    parts = [(chart, evaluate_grid(family, chart, block))
+             for chart in (0, 1) for block in point_blocks(pts)]
     return EvaluatedGrid(family, resolution, extent, parts)
 
 

@@ -65,36 +65,33 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
                 "gauss-residual", "codazzi-residual", "support-identities")
 
 # Largest grid resolution a run may ask for, from a memory estimate of both
-# processes a command runs at once (the parent and its forked child).
-# verify, the hungriest command, peaks at about 60 order-5 jets (56 float64
-# coefficients each, 26.25 KiB in all) per grid point: one order-5 jet
-# product alone gathers 3 x 462 floats a point, about 25 jets.  The ball grid
-# holds at most (pi/6) res^3 points and the imports take ~61 MiB, so the peak
-# stays under 61 MiB + 26.25 KiB (pi/6) res^3: 1841 MiB at resolution 51,
-# 2059 MiB (over 2 GiB) at 53.  Measured with tracemalloc in a process that
-# has already run one verify, verify on the ellipsoid (1, 1.2, 0.9, 1.05)
-# with every check but diam-weyl peaks at 7.8, 7.4 and 7.4 KiB per point of
-# both charts at resolutions 9, 13 and 17, so the estimate keeps a wide
-# margin.  main's heap thresholds (_heap_policy) keep freed blocks in the
-# heap, which tracemalloc does not see, so RSS was measured too, in a fresh
-# process per job: verify peaked at 41.6, 52.9 and 72.7 MiB there (8.6 KiB
-# per point from 9 to 17, against 10.6 KiB without the recurrences and the
-# thresholds), and its child, the graph diameter, at 57.5, 57.5 and 62.1
-# MiB, much of it the parent's pages shared at the fork: about 1.2 KiB per
-# point of both charts over 33 MiB of scipy, so ~185 MiB of its own at 51
-# (130,534 points) and 2026 MiB for the two.  reconstruct at 51 stays under
-# 1.1 GiB with MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS), as each
-# march level's stage data is written once, in place; at 250 substeps a
-# spacing it peaked at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and
-# 17, its child at 39.4, 56.1 and 83.1 MiB.  solve
-# forks chart 1 of the Codazzi calibration; on the ellipsoid at resolutions
-# 9, 13 and 17 (257, 925 and 2109 points a chart) it peaked at 40.5, 48.5
-# and 62.3 MiB RSS, its child at 31.1, 38.8 and 52.4 MiB (without the
-# thresholds 40.6, 48.1 and 62.1; 30.6, 38.2 and 51.3), much of that shared
-# at the fork.  By tracemalloc the parent peaks at 11.3, 10.6 and 10.5 KiB
-# per point and the child adds 8.7, 8.2 and 8.2 KiB of its own, so at 51
-# (65,267 points) the two stay near 61 MiB + 19 KiB x 65,267 = 1272 MiB,
-# under verify's estimate.
+# processes a command runs at once (the parent and its forked child).  verify
+# evaluates its grid in blocks of surfaces.BLOCK_POINTS points, so its jet
+# temporaries do not grow with the grid: by tracemalloc, evaluating the grid
+# of the ellipsoid (1, 1.2, 0.9, 1.05) holds 2.9 and 2.6 MiB above what it
+# keeps at resolutions 17 and 21.  What grows is the fields kept per point.
+# By RSS, in a fresh process per job with every check, verify on that
+# ellipsoid peaked at 42.1, 49.3 and 58.9 MiB at resolutions 9, 13 and 17
+# (514, 1850 and 4218 points of both charts), 4.7 KiB per point from 9 to 17.
+# With the imports (~61 MiB) that is 61 MiB + 4.7 KiB x 130,534 points = 660
+# MiB at resolution 51.  Its child, the graph diameter, peaked at 57.4, 57.3
+# and 62.2 MiB, much of it the parent's pages shared at the fork: about 1.2
+# KiB per point of both charts over 33 MiB of scipy, so ~185 MiB of its own
+# at 51 and ~845 MiB for the two.  reconstruct at 51 stays under 1.1 GiB with
+# MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS), as each march level's
+# stage data is written once, in place; at 250 substeps a spacing it peaked
+# at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and 17, its child at
+# 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration;
+# on the ellipsoid at resolutions 9, 13 and 17 (257, 925 and 2109 points a
+# chart) it peaked at 40.5, 48.5 and 62.3 MiB RSS, its child at 31.1, 38.8
+# and 52.4 MiB (without the heap thresholds of _heap_policy 40.6, 48.1 and
+# 62.1; 30.6, 38.2 and 51.3), much of that shared at the fork.  By
+# tracemalloc the parent peaks at 11.3, 10.6 and 10.5 KiB per point and the
+# child adds 8.7, 8.2 and 8.2 KiB of its own, so at 51 (65,267 points) the
+# two stay near 61 MiB + 19 KiB x 65,267 = 1272 MiB, the largest estimate of
+# the three commands.  The cap was set at 51 when verify evaluated a chart in
+# one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays there, and
+# every estimate at 51 is under 1.3 GiB.
 MAX_RESOLUTION = 51
 
 
@@ -166,8 +163,8 @@ class RunConfig:
             raise ConfigError("resolution must be an odd integer >= 5")
         if self.resolution > MAX_RESOLUTION:
             raise ConfigError(f"resolution {self.resolution} exceeds the cap "
-                              f"{MAX_RESOLUTION}, the largest grid whose "
-                              f"estimated peak memory stays under 2 GiB")
+                              f"{MAX_RESOLUTION}, under which the estimated "
+                              f"peak memory stays below 2 GiB")
         if not _is_positive(self.extent) or not 1.0 < self.extent < CHART_RADIUS:
             raise ConfigError(f"extent must lie in (1, {CHART_RADIUS:g})")
         if not _is_int(self.chart) or self.chart not in (0, 1):
@@ -602,7 +599,8 @@ TRIM_THRESHOLD = 64 << 20
 
 
 def _heap_policy():
-    """Serve jet temporaries (up to ~15 MB at resolution 21) from the heap.
+    """Serve jet temporaries (1.9 MB an order-5 operand for a block of
+    surfaces.BLOCK_POINTS points) from the heap.
 
     glibc hands a block above its mmap threshold (128 KiB at start) fresh
     zeroed pages, faulted in again on every use, and raises the threshold

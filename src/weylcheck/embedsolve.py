@@ -24,10 +24,11 @@ fill in the reversed order measures holonomy, the path dependence that
 appears exactly when chi fails Codazzi; it reads nothing of the first, so
 on Linux it marches in a forked child beside it.  The RK4 stage data comes
 from one stream per fill: the stage points of consecutive levels, in fill
-order, go through _continuous_data in calls of exactly STAGE_POINTS chart
-points (only a fill's last call is shorter), each call's rows are written in
-place into its level's buffer, allocated once from the level sizes of the
-plan pass, and a level marches as soon as its last point is evaluated.  The
+order, go through _continuous_data in calls of exactly surfaces.BLOCK_POINTS
+chart points (only a fill's last call is shorter), each call's rows are
+written in place into its level's buffer, allocated once from the level
+sizes of the plan pass, and a level marches as soon as its last point is
+evaluated.  The
 stream holds one level's rows plus one call's: a whole fill evaluated ahead
 would take about 0.8 GB at resolution 21 with MAX_SUBSTEPS substeps, and
 putting a large level through curvature() at once raises the peak memory
@@ -45,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import surfaces
 from ._forkjoin import Forked
 from .errors import (PASS_RULES, ConvergenceError, IntegrationError, ObstructionError,
                      location, worst)
@@ -342,21 +344,19 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 
 # ----------------------------------------------------- frame integration
 
-STAGE_POINTS = 512   # chart points per march _continuous_data call
-
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
 # (Christoffel 27, chi 9, chi g^-1 9, the point 3), 768 B per start and
 # substep.  A fill's stage-data stream writes each level's rows in place into
-# one buffer, so a fill peaks at its largest level plus one STAGE_POINTS
-# call.  Measured on the ellipsoid (1, 1.2, 0.9, 1.05) at resolutions 9, 13
-# and 17 (largest level 45, 109 and 193 starts), a fill's tracemalloc peak
-# grows by 0.82 KiB per start and substep (nsub 8 -> 32), and a reconstruct's
-# RSS by 0.85, 0.81 and 0.89 KiB in the parent and 0.84, 0.82 and 0.86 KiB
-# in its child (nsub 2 -> 250).  The two fills run at once (the reversed one
-# in a forked child), and the largest level has 1941 starts at resolution 51
-# (cli.MAX_RESOLUTION): 250 substeps keep the two fills near
-# 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
+# one buffer, so a fill peaks at its largest level plus one BLOCK_POINTS
+# call.  Measured on the ellipsoid (1, 1.2, 0.9, 1.05), a fill's tracemalloc
+# peak grows by 0.74 KiB per start and substep (nsub 8 -> 32) at resolutions
+# 13 and 17 (largest level 109 and 193 starts), the rows alone; at 9, 13 and
+# 17 a reconstruct's RSS grows by 0.85, 0.81 and 0.89 KiB in the parent and
+# 0.84, 0.82 and 0.86 KiB in its child (nsub 2 -> 250).  The two fills run
+# at once (the reversed one in a forked child), and the largest level has
+# 1941 starts at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the
+# two fills near 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
 # the child shares with the parent (2.2 KiB per node, 142 MiB) and each
 # fill's frame arrays (~17 MiB), a reconstruct stays under 1.1 GiB.
 MAX_SUBSTEPS = 250
@@ -416,11 +416,15 @@ def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
 
 def _stage_points(starts, axis, dt, nsub):
     """A level's RK4 stage points, (2 nsub + 1) rows of len(starts): the
-    starts, then each substep's midpoints and ends along the axis."""
+    starts, then each substep's midpoints and ends along the axis; written
+    into one array, with no temporary of its size."""
     unit = np.zeros(3)
     unit[axis] = 1.0
     offsets = np.array([t for s in range(nsub) for t in (s * dt + dt / 2.0, s * dt + dt)])
-    return np.concatenate([starts[None], starts + offsets[:, None, None] * unit]).reshape(-1, 3)
+    out = np.empty((2 * nsub + 1,) + starts.shape)
+    out[0] = starts
+    np.add(starts, offsets[:, None, None] * unit, out=out[1:])
+    return out.reshape(-1, 3)
 
 
 def _stage_stream(field, blocks, sizes):
@@ -428,22 +432,32 @@ def _stage_stream(field, blocks, sizes):
     sizes gives each block's point count before any block is read.
 
     The blocks' points are taken as one sequence and evaluated in calls of
-    exactly STAGE_POINTS points, only the last call shorter, so one call may
-    span several blocks.  Each block's rows are allocated once, written in
-    place from the calls, and yielded as soon as its last point is evaluated;
-    blocks are read only as the calls reach them, so the stream holds one
-    block's rows plus at most one call's.  Evaluation is point by point, so
-    the rows do not depend on how the calls split them.
+    exactly surfaces.BLOCK_POINTS points, only the last call shorter, so one
+    call may span several blocks.  Each block's rows are allocated once,
+    written in place from the calls, and yielded as soon as its last point
+    is evaluated; blocks are read only as the calls reach them, so the
+    stream holds one block's rows plus at most one call's.  Only the
+    leftover of a block (fewer than BLOCK_POINTS points) is copied, joined
+    with the head of the next, so a block's points are held once.
+    Evaluation is point by point, so the rows do not depend on how the calls
+    split them.
     """
     def calls():
-        pts = np.zeros((0, 3))       # points read but not yet evaluated
+        size = surfaces.BLOCK_POINTS
+        rest = np.zeros((0, 3))      # points read but not yet evaluated
         for block in blocks:
-            pts = np.concatenate([pts, block])
-            while len(pts) >= STAGE_POINTS:
-                yield _continuous_data(field, pts[:STAGE_POINTS])
-                pts = pts[STAGE_POINTS:]
-        if len(pts):
-            yield _continuous_data(field, pts)
+            head = size - len(rest)
+            if len(block) < head:
+                rest = np.concatenate([rest, block])
+                continue
+            yield _continuous_data(field, np.concatenate([rest, block[:head]]))
+            end = head + (len(block) - head) // size * size
+            for at in range(head, end, size):
+                yield _continuous_data(field, block[at:at + size])
+            rest = block[end:].copy()
+            del block                # before the next block is read
+        if len(rest):
+            yield _continuous_data(field, rest)
 
     sizes = iter(sizes)
     rows = None                      # the block being written, filled up to `at`
@@ -468,7 +482,7 @@ def _integrate_batch(stages, axis, dt, x, e, nrm):
 
     stages is the batch's RK4 stage data, evaluated by the caller: one
     level's rows from the fill's stage-data stream, which holds that level
-    plus at most one STAGE_POINTS chunk.  It gives (Gamma, chi, chi g^-1) at
+    plus at most one BLOCK_POINTS call.  It gives (Gamma, chi, chi g^-1) at
     the starts, then at each substep's midpoints and ends, len(x) rows each
     (_stage_points).
     """
@@ -534,7 +548,7 @@ def _sweep_fill(field, seed, plan, h, limit):
     The levels come from _fill_levels, which fails before anything marches
     when they miss a node.  Each level is one _integrate_batch call, fed by
     one stage-data stream for the whole fill (_stage_stream) that holds one
-    level's rows plus one STAGE_POINTS chunk.  Returns the positions and the
+    level's rows plus one BLOCK_POINTS call.  Returns the positions and the
     sup of the frame drift |E E^T - g| over the nodes; raises
     IntegrationError at the first node whose drift exceeds limit.
     """

@@ -50,6 +50,21 @@ from .jets import Jet, basis_monomials
 
 AMBIENT_ORDER = 5
 
+# Most chart points one jet pass takes: verify's grid
+# (bounds.evaluate_family_grid) evaluates each chart, and the march's stage
+# stream (embedsolve._stage_stream) its stage points, in consecutive blocks
+# of this many.  One order-5 product gathers 3 x 462 floats a point, so each
+# of its operands takes 1.9 MB for a block, whatever the grid size (a
+# resolution-21 chart has 4,169 points).  Evaluation is point by point and
+# jet products are batch-invariant, so the split does not move a bit.
+BLOCK_POINTS = 512
+
+
+def point_blocks(pts):
+    """Consecutive slices of pts (.., n) of BLOCK_POINTS points, only the
+    last one shorter."""
+    return [pts[at:at + BLOCK_POINTS] for at in range(0, len(pts), BLOCK_POINTS)]
+
 
 def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
     """Jets of the chart parametrization of the unit sphere, one per

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import support_floor
+from weylcheck import surfaces
 from weylcheck.bounds import (
     c2bound_report,
     diam_weyl_report,
@@ -12,7 +14,7 @@ from weylcheck.bounds import (
     weyl_report,
 )
 from weylcheck.errors import DomainError
-from weylcheck.surfaces import Ellipsoid, RoundSphere
+from weylcheck.surfaces import Ellipsoid, RoundSphere, ball_grid, radial_graph_random
 
 # rhs of the diameter-weighted estimate on the unit 3-sphere with d = pi:
 # exp(1/2) * pi^2 * (2*36 + 4*6/(64 pi^2)) = exp(1/2) * (72 pi^2 + 3/8)
@@ -197,3 +199,67 @@ class TestDeterminism:
                               "gauss_residual", "codazzi_residual"]
         assert cols["H"].shape == (s3_grid.num_points,)
         assert cols["gauss_residual"].max() < 1e-7
+
+
+# one family of each config variant in three dimensions, and the 2-sphere
+BLOCK_FAMILIES = {
+    "sphere": lambda: RoundSphere(1.0),
+    "ellipsoid": lambda: Ellipsoid((1.0, 1.15, 0.9, 1.05)),
+    "random-23": lambda: radial_graph_random(23),
+    "sphere-2d": lambda: RoundSphere(1.0, dim=2),
+}
+
+
+def _grid_columns(eg):
+    """Every per-point column of the grid, and each residual's per_point."""
+    cols = dict(eg.table())
+    cols["ricci_norm"] = eg.ricci_norm
+    cols["sectional_min"] = eg.sectional_min
+    cols["support_identities"] = eg.per_point(
+        lambda sd: np.stack(sd.support_identities(), axis=-1))
+    return cols
+
+
+@pytest.fixture(scope="module")
+def one_block_columns():
+    """Columns of each BLOCK_FAMILIES grid at resolution 9, each chart in
+    one block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surfaces, "BLOCK_POINTS", 10**9)
+        grids = {name: evaluate_family_grid(make(), resolution=9)
+                 for name, make in BLOCK_FAMILIES.items()}
+    assert all(len(eg.parts) == 2 for eg in grids.values())
+    return {name: _grid_columns(eg) for name, eg in grids.items()}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("size", [1, 37])
+    @pytest.mark.parametrize("name", list(BLOCK_FAMILIES))
+    def test_blocks_give_one_block_bits(self, one_block_columns, monkeypatch, name, size):
+        family = BLOCK_FAMILIES[name]()
+        monkeypatch.setattr(surfaces, "BLOCK_POINTS", size)
+        eg = evaluate_family_grid(family, resolution=9)
+        blocks = math.ceil(len(ball_grid(9, n=family.dim)) / size)
+        assert [chart for chart, _ in eg.parts] == [0] * blocks + [1] * blocks
+        assert max(sd.coords.shape[0] for _, sd in eg.parts) <= size
+        want = one_block_columns[name]
+        got = _grid_columns(eg)
+        assert list(got) == list(want)
+        for key, column in want.items():
+            assert got[key].dtype == column.dtype, key
+            assert got[key].shape == column.shape, key
+            assert got[key].tobytes() == column.tobytes(), key
+
+    def test_grid_transient_memory(self):
+        # one pass over a resolution-17 chart (2,109 points) held 13.3 MiB of
+        # jet temporaries; 512-point blocks hold 2.9 MiB
+        family = Ellipsoid((1.0, 1.2, 0.9, 1.05))
+        evaluate_family_grid(family, resolution=5)   # the jet basis tables
+        tracemalloc.start()
+        try:
+            eg = evaluate_family_grid(family, resolution=17)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eg.num_points == 4218
+        assert peak - retained <= 4 * 2**20

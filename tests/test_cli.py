@@ -452,6 +452,9 @@ class TestHeapPolicy:
 
 
 class TestGridDump:
+    HEADER = ["chart", "x1", "x2", "x3", "H", "R", "lap_R", "chi_norm",
+              "gauss_residual", "codazzi_residual"]
+
     def test_columns_and_rows(self, tmp_path, capsys):
         dump = tmp_path / "grid.tsv"
         path = tmp_path / "cfg.json"
@@ -463,14 +466,42 @@ class TestGridDump:
         assert main(["verify", "--config", str(path), "--quiet"]) == 0
         lines = dump.read_text().strip().split("\n")
         header = lines[0].split("\t")
-        assert header == ["chart", "x1", "x2", "x3", "H", "R", "lap_R",
-                          "chi_norm", "gauss_residual", "codazzi_residual"]
+        assert header == self.HEADER
         body = [ln.split("\t") for ln in lines[1:]]
         assert all(len(row) == len(header) for row in body)
         charts = {row[0] for row in body}
         assert charts == {"0", "1"}
         h_vals = {float(row[4]) for row in body}
         assert all(abs(v - 3.0) < 1e-9 for v in h_vals)
+        capsys.readouterr()
+
+    def test_dump_rows_and_blocks(self, tmp_path, monkeypatch, capsys):
+        def run(block_points, name):
+            # 16-point blocks split each resolution-7 chart into many parts
+            monkeypatch.setattr(surfaces, "BLOCK_POINTS", block_points)
+            dump, out = tmp_path / f"{name}.tsv", tmp_path / f"{name}.json"
+            path = tmp_path / f"{name}-cfg.json"
+            path.write_text(json.dumps({
+                "resolution": 7,
+                "family": {"variant": "ellipsoid", "semi_axes": [1.0, 1.2, 0.9, 1.05]},
+                "checks": ["weyl", "gauss-residual"],
+                "grid_dump": str(dump),
+            }))
+            assert main(["verify", "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 0
+            return dump.read_bytes(), json.loads(out.read_text())
+
+        blocked, report = run(16, "blocked")
+        whole, _ = run(10**9, "whole")
+        rows = [line.split("\t") for line in blocked.decode().splitlines()]
+        assert rows[0] == self.HEADER
+        num_points = report["sections"]["weyl"]["grid"]["num_points"]
+        assert num_points == 2 * len(surfaces.ball_grid(7))
+        assert len(rows) - 1 == num_points
+        assert all(len(row) == len(self.HEADER) for row in rows[1:])
+        half = num_points // 2
+        assert [row[0] for row in rows[1:]] == ["0"] * half + ["1"] * half
+        assert blocked == whole
         capsys.readouterr()
 
 

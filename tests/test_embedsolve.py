@@ -7,7 +7,7 @@ from scipy.linalg import eigh as generalized_eigh
 from scipy.linalg import orthogonal_procrustes
 
 from oracles import frame_components
-from weylcheck import _forkjoin, embedsolve
+from weylcheck import _forkjoin, embedsolve, surfaces
 from weylcheck.embedsolve import (
     ChiField,
     IntrinsicField,
@@ -460,7 +460,7 @@ class TestReconstruct:
         reconstruct(field, chi, h=0.1)
         default_calls = len(calls)
         calls.clear()
-        monkeypatch.setattr(embedsolve, "STAGE_POINTS", 7)
+        monkeypatch.setattr(surfaces, "BLOCK_POINTS", 7)
         capped = reconstruct(field, chi, h=0.1)
         assert max(calls) <= 7
         assert len(calls) > default_calls
@@ -481,7 +481,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("chunk", [512, 100, 7])
     def test_stream_calls_are_full_chunks(self, ellipsoid5, monkeypatch, chunk):
         field, chi, rec = ellipsoid5
-        monkeypatch.setattr(embedsolve, "STAGE_POINTS", chunk)
+        monkeypatch.setattr(surfaces, "BLOCK_POINTS", chunk)
         # both fills in this process, so that every call is counted
         monkeypatch.setattr(_forkjoin, "FORK", False)
         idx, spacing, center = embedsolve._lattice(field.coords)
@@ -548,8 +548,8 @@ class TestReconstruct:
         finally:
             tracemalloc.stop()
         assert next(stream, None) is None
-        full, last = divmod(sum(sizes), embedsolve.STAGE_POINTS)
-        assert calls == [embedsolve.STAGE_POINTS] * full + [last]
+        full, last = divmod(sum(sizes), surfaces.BLOCK_POINTS)
+        assert calls == [surfaces.BLOCK_POINTS] * full + [last]
         assert peak <= 1.25 * max(sizes) * 45 * 8
 
     @pytest.mark.parametrize("plan", list(itertools.permutations(range(3))))
