@@ -129,7 +129,7 @@ class BoundReport:
 
 def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
     """sup lhs_field against sup rhs_field (at rhs_idx when given); passes
-    when slack >= -tol, tol by default PASS_RULES[name].tol max(1, |rhs|)."""
+    when slack >= -tol, tol by default PASS_RULES[name].tol |rhs|."""
     lhs_idx = int(np.argmax(lhs_field))
     if rhs_idx is None:
         rhs_idx = int(np.argmax(rhs_field))
@@ -138,7 +138,7 @@ def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise DomainError(f"{name}: lhs {lhs!r} or rhs {rhs!r} is not finite")
     if tol is None:
-        tol = PASS_RULES[name].tol * max(1.0, abs(rhs))
+        tol = PASS_RULES[name].tol * abs(rhs)
     return BoundReport(
         name=name,
         lhs=lhs,

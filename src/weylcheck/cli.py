@@ -1,9 +1,10 @@
 """Command-line entry point: configure a family, run checks, emit reports.
 
-Reports are canonical JSON: keys sorted, floats printed with 17 significant
-digits (enough to reproduce every float64 bit-exactly), no locale or hash
-dependence anywhere.  Identical config and seed therefore produce
-byte-identical reports except for the wall-time section.
+Reports are canonical JSON: keys sorted, floats in Python's shortest
+round-trip spelling (each parses back as a float with the same bits, sign
+included), no locale or hash dependence anywhere.  Identical config and
+seed therefore produce byte-identical reports except for the wall-time
+section.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
 3 numerical-domain error (nonpositive curvature, cone obstruction, frame
@@ -268,55 +269,30 @@ class RunConfig:
 # ------------------------------------------------------ canonical output
 
 def _plain(obj):
-    """Recursively convert numpy containers to plain python values."""
+    """Recursively convert numpy containers to plain python values, and
+    non-finite floats to the strings "NaN", "Infinity" and "-Infinity"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        x = float(obj)
+        if math.isfinite(x):
+            return x
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
 
 
-def fmt17(x):
-    """A float with 17 significant digits; parses back bit-identically."""
-    if math.isnan(x):
-        return '"NaN"'
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(float(x), ".17g")
-
-
-def canonical_json(obj, indent=0):
-    """Deterministic JSON: sorted keys, fmt17 floats, two-space indent."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{json.dumps(str(k))}: {canonical_json(v, indent + 1)}'
-                for k, v in sorted(obj.items())]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{canonical_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return fmt17(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+def canonical_json(obj):
+    """Deterministic JSON: sorted keys, two-space indent, floats in Python's
+    shortest round-trip spelling, non-finite floats as strings."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True)
 
 
 def render_text(report):
@@ -330,8 +306,7 @@ def render_text(report):
         else:
             status = "  ok"
         detail = " ".join(
-            f"{k}={fmt17(v) if isinstance(v, float) else v}"
-            for k, v in sec.items()
+            f"{k}={v}" for k, v in sec.items()
             if isinstance(v, (int, float, str)) and k not in ("passed", "name")
         ) if isinstance(sec, dict) else str(sec)
         lines.append(f"  {name:<20} {status}  {detail}")

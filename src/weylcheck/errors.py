@@ -17,10 +17,10 @@ import numpy as np
 # power of lambda by which the verdict's quantity scales under X -> lambda X.
 PassRule = namedtuple("PassRule", "tol relative_to override weight")
 PASS_RULES = {
-    "weyl": PassRule(1e-7, "max(1, |rhs|)", "tolerances.weyl", -2),
-    "diam-weyl": PassRule(1e-7, "max(1, |rhs|)", "tolerances.diam-weyl", -2),
-    "c2bound": PassRule(1e-7, "max(1, |rhs|)", "tolerances.c2bound", -1),
-    "second-deriv": PassRule(1e-7, "max(1, |rhs|)", "tolerances.second-deriv", -2),
+    "weyl": PassRule(1e-7, "|rhs|", "tolerances.weyl", -2),
+    "diam-weyl": PassRule(1e-7, "|rhs|", "tolerances.diam-weyl", -2),
+    "c2bound": PassRule(1e-7, "|rhs|", "tolerances.c2bound", -1),
+    "second-deriv": PassRule(1e-7, "|rhs|", "tolerances.second-deriv", -2),
     "gauss-residual": PassRule(1e-7, "absolute", "tolerances.gauss-residual", 0),
     "codazzi-residual": PassRule(1e-7, "absolute", "tolerances.codazzi-residual", 1),
     "support-identities hessian": PassRule(1e-7, "absolute", "tolerances.support-identities", 2),

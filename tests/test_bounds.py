@@ -59,7 +59,19 @@ class TestWeyl:
 
     def test_default_tolerance_policy(self, s3_grid):
         rep = weyl_report(s3_grid)
-        assert rep.tol == pytest.approx(1e-7 * max(1.0, abs(rep.rhs)), rel=1e-12)
+        assert rep.tol == pytest.approx(1e-7 * abs(rep.rhs), rel=1e-12)
+
+    def test_small_rhs_one_percent_violation_fails(self):
+        # the ellipsoid x 1e4 has a weyl rhs of 2.4e-7, so an absolute floor
+        # of 1e-7 on the tolerance would pass an lhs 1% above the rhs
+        eg = evaluate_family_grid(Ellipsoid([1e4 * a for a in (1.0, 1.2, 0.9, 1.05)]),
+                                  resolution=9)
+        rep = weyl_report(eg)
+        assert rep.passed and rep.rhs < 1e-6
+        eg.H = eg.H * math.sqrt(1.01 * rep.rhs / rep.lhs)
+        rep = weyl_report(eg)
+        assert rep.lhs == pytest.approx(1.01 * rep.rhs, rel=1e-12)
+        assert not rep.passed
 
     def test_argmax_locations_recorded(self, ell_grid):
         rep = weyl_report(ell_grid)

@@ -10,7 +10,6 @@ from weylcheck.cli import (
     ConfigError,
     RunConfig,
     canonical_json,
-    fmt17,
     main,
 )
 from weylcheck.errors import PASS_RULES, DomainError
@@ -98,9 +97,13 @@ class TestCanonicalJson:
         assert "true" in s and "null" in s
 
     @pytest.mark.parametrize("x", [1.0 / 3.0, np.pi, 0.1, 1e-300, -2.5e17,
-                                   5.0, 1234567890.123456])
+                                   5.0, 1234567890.123456, 0.0, -0.0])
     def test_floats_roundtrip_bit_exact(self, x):
-        assert json.loads(fmt17(x)) == x
+        # an integral float comes back a float, and -0.0 keeps its sign
+        for got in (json.loads(canonical_json(x)),
+                    json.loads(canonical_json({"x": [x]}))["x"][0]):
+            assert type(got) is float
+            assert got.hex() == x.hex()   # the bits, sign included
 
     def test_nonfinite_become_strings(self):
         assert canonical_json(float("nan")) == '"NaN"'
@@ -380,6 +383,35 @@ def test_family_multiplies_no_jet_above_order_2(tmp_path, monkeypatch, capsys):
     assert main(["family", "--config", str(path), "--quiet"]) == 0
     assert orders and max(orders) <= 2
     capsys.readouterr()
+
+
+class OffsetSphere:
+    """The unit sphere moved to centre (2, 0, 0, 0): the support function
+    X.N turns negative, and the eigenvalues of g - Hess rho leave the
+    sigma_2 cone, while the curvature is the unit sphere's."""
+    dim = 3
+
+    def ambient_jets(self, chart, pts, order=surfaces.AMBIENT_ORDER):
+        comps = surfaces.unit_sphere_jets(chart, pts, order)
+        return [comps[0] + 2.0] + comps[1:]
+
+
+class TestSigma2Cone:
+    def test_support_identities_raise(self):
+        sd = surfaces.evaluate_grid(OffsetSphere(), 0, surfaces.ball_grid(5))
+        with pytest.raises(DomainError, match="left the sigma_2 ellipticity cone"):
+            sd.support_identities()
+
+    @pytest.mark.parametrize("check,code", [("support-identities", 3), ("weyl", 0)])
+    def test_exit_code(self, monkeypatch, capsys, check, code):
+        monkeypatch.setattr(RunConfig, "build_family", lambda self: OffsetSphere())
+        assert main(["verify", "--resolution", "5", "--checks", check, "--quiet"]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == ("numerical-domain error: "
+                           "eigenvalues left the sigma_2 ellipticity cone\n")
+        else:
+            assert err == ""
 
 
 class TestDeterminism:

@@ -2,9 +2,9 @@
 
 Scaling a float by a power of two is exact, so every float of every
 command's report must be the unscaled one times lambda^weight, bit for bit.
-A verdict quantity takes its weight from errors.PASS_RULES; WEIGHTS below
-lists the weights of the other floats.  The bound checks' `tol` is exempt:
-its default 1e-7 max(1, |rhs|) is not homogeneous.
+A verdict quantity takes its weight from errors.PASS_RULES, and so does a
+bound check's default `tol`, 1e-7 |rhs|; WEIGHTS below lists the weights of
+the other floats.
 
 Sphere and ellipsoid scale through their radius and semi-axes; a radial
 graph X = xhat / u scales as u / lambda, and the `family` command's
@@ -52,13 +52,10 @@ VERDICT_FLOATS = {("solve", "max_residual"): "solve",
 
 
 def weight(path):
-    """The power of lambda of the report float at path (section first), or
-    None when it is exempt."""
+    """The power of lambda of the report float at path (section first)."""
     section, key = path[0], path[-1]
     if section in BOUND_CHECKS:
-        if key == "tol":
-            return None
-        if key in ("lhs", "rhs", "slack"):
+        if key in ("lhs", "rhs", "slack", "tol"):
             return PASS_RULES[section].weight
         if key == "weyl_rhs":
             return PASS_RULES["weyl"].weight
@@ -114,10 +111,8 @@ def assert_scaled(base, scaled, k, path):
         for i, (a, b) in enumerate(zip(base, scaled)):
             assert_scaled(a, b, k, path + (i,))
     elif isinstance(base, float):
-        w = weight(path)
-        if w is not None:
-            want = math.ldexp(base, k * w)
-            assert type(scaled) is float and scaled.hex() == want.hex(), (path, base, scaled, want)
+        want = math.ldexp(base, k * weight(path))
+        assert type(scaled) is float and scaled.hex() == want.hex(), (path, base, scaled, want)
     elif not isinstance(base, bool):      # flags are the verdict relation's
         assert type(base) is type(scaled) and base == scaled, path
 

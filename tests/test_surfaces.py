@@ -5,7 +5,7 @@ import pytest
 
 from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss, sphere_chain
 from weylcheck.errors import DomainError
-from weylcheck.intrinsic import transition_coords
+from weylcheck.intrinsic import ricci_norm, sectional_extremes, transition_coords
 from weylcheck.surfaces import (
     Ellipsoid,
     RadialGraph,
@@ -300,6 +300,46 @@ class TestTwoDimensional:
         assert sd.gauss_residual().max() <= 1e-9
         r1, r2, r3 = sd.support_identities()
         assert max(r1.max(), r2.max(), np.nanmax(r3)) <= 1e-9
+
+
+class TestEllipsoidLevelSet:
+    """The pipeline against closed forms from the level set sum x_i^2/a_i^2
+    = 1, which share no jet with it: with A = diag(a^-2), the unit normal
+    nu = Ax/|Ax| and P = I - nu nu^T, the shape operator is S = PAP/|Ax|."""
+
+    @staticmethod
+    def level_set(axes, chart, pts):
+        """(H, |chi|, R, |Ric|, (kmin, kmax)) per point from S."""
+        a = np.asarray(axes)
+        w = 1.0 + (pts**2).sum(axis=-1, keepdims=True)
+        last = (2.0 - w) / w * (1.0 if chart == 0 else -1.0)
+        x = a * np.concatenate([2.0 * pts / w, last], axis=-1)
+        ax = x / a**2
+        nu = ax / np.linalg.norm(ax, axis=-1, keepdims=True)
+        proj = np.eye(4) - nu[:, :, None] * nu[:, None, :]
+        shape = proj @ np.diag(a**-2.0) @ proj / np.linalg.norm(ax, axis=-1)[:, None, None]
+        shape_sq = shape @ shape
+        h = np.trace(shape, axis1=1, axis2=2)
+        tr_sq = np.trace(shape_sq, axis1=1, axis2=2)
+        ricci = h[:, None, None] * shape - shape_sq
+        ricci_sq = np.trace(ricci @ ricci, axis1=1, axis2=2)
+        # the least eigenvalue of S is 0, along nu; kappa ascending
+        kappa = np.linalg.eigvalsh(shape)[:, 1:]
+        sectional = (kappa[:, 0] * kappa[:, 1], kappa[:, 1] * kappa[:, 2])
+        return h, np.sqrt(tr_sq), h**2 - tr_sq, np.sqrt(ricci_sq), sectional
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_pointwise_curvature(self, chart):
+        pts = sample_points(50, seed=23 + chart)
+        sd = evaluate_grid(Ellipsoid(AXES), chart, pts)
+        cs = sd.curvature()
+        h, chi_norm, scalar, ricci, (kmin, kmax) = self.level_set(AXES, chart, pts)
+        got = sectional_extremes(cs)
+        for name, value, want in [("H", sd.H, h), ("chi_norm", sd.chi_norm, chi_norm),
+                                  ("R", cs.scalar, scalar),
+                                  ("ricci_norm", ricci_norm(cs), ricci),
+                                  ("kmin", got[0], kmin), ("kmax", got[1], kmax)]:
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=0, err_msg=name)
 
 
 class TestGaussNegativeControl:
