@@ -6,6 +6,10 @@ their locations, and every constant used.  Grid sups stand in for sups over
 the sphere; reports carry the grid resolution so refinement studies can
 confirm stability.
 
+The grid (EvaluatedGrid) keeps per-point columns only: each block of chart
+points is evaluated to jets, reduced to its columns and dropped before the
+next block starts, so its memory is the columns plus one block's jets.
+
 The diameter-weighted estimate is exposed as `diam_weyl_report`; its
 constant is C = 4 (n-1)^{-2} e^{(n-1)/4}, which collapses to e^{1/2} in
 dimension three.
@@ -14,43 +18,50 @@ dimension three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import PASS_RULES, DomainError, location, worst
-from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
+from .intrinsic import (
+    build_geodesic_graph,
+    curvature,
+    diameter,
+    ricci_norm,
+    sectional_extremes,
+)
 from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn, point_blocks
 
 
+@dataclass(eq=False)
 class EvaluatedGrid:
-    """A family evaluated over the two covering chart grids, flattened.
+    """A family evaluated over the two covering chart grids, as per-point
+    columns: plain arrays over both charts' points in grid order (chart 0's
+    lattice, then chart 1's), with no jet behind them.
 
-    parts holds (chart, SurfaceData) pairs, one per block of a chart's points
-    in grid order; every column is joined over them in that order.
+    residuals maps each identity residual the grid was asked for (see
+    RESIDUALS) to its column.
     """
 
-    def __init__(self, family, resolution, extent, parts):
-        self.family = family
-        self.resolution = resolution
-        self.extent = extent
-        self.parts = parts
-        self.chart_ids = np.concatenate(
-            [np.full(sd.coords.shape[0], chart) for chart, sd in parts]
-        )
-        self.coords = np.concatenate([sd.coords for _, sd in parts])
-        states = [sd.curvature() for _, sd in parts]
-        self.H = np.concatenate([sd.H for _, sd in parts])
-        self.chi_norm = np.concatenate([sd.chi_norm for _, sd in parts])
-        self.scalar = np.concatenate([cs.scalar for cs in states])
-        self.laplacian = np.concatenate([cs.laplacian_scalar for cs in states])
-        self.ricci_norm = np.concatenate([ricci_norm(cs) for cs in states])
-        self.sectional_min = np.concatenate([sectional_extremes(cs)[0] for cs in states])
+    family: object
+    resolution: int
+    extent: float
+    chart_ids: np.ndarray
+    coords: np.ndarray
+    X: np.ndarray
+    N: np.ndarray
+    H: np.ndarray
+    chi_norm: np.ndarray
+    scalar: np.ndarray
+    laplacian: np.ndarray
+    ricci_norm: np.ndarray
+    sectional_min: np.ndarray
+    residuals: dict = field(default_factory=dict)
 
     @property
     def n(self):
-        return self.parts[0][1].n
+        return self.coords.shape[1]
 
     @property
     def num_points(self):
@@ -59,12 +70,9 @@ class EvaluatedGrid:
     def location(self, index):
         return location(self.chart_ids[index], self.coords[index])
 
-    def per_point(self, fn):
-        """fn(SurfaceData) of both charts' parts, joined along the point axis."""
-        return np.concatenate([fn(sd) for _, sd in self.parts])
-
     def table(self):
-        """Per-point columns in a fixed order, for grid dumps."""
+        """Per-point columns in a fixed order, for grid dumps; needs the
+        gauss and codazzi residuals."""
         return {
             "chart": self.chart_ids,
             "coords": self.coords,
@@ -72,22 +80,61 @@ class EvaluatedGrid:
             "R": self.scalar,
             "lap_R": self.laplacian,
             "chi_norm": self.chi_norm,
-            "gauss_residual": self.per_point(lambda sd: sd.gauss_residual()),
-            "codazzi_residual": self.per_point(lambda sd: sd.codazzi_residual()),
+            "gauss_residual": self.residuals["gauss-residual"],
+            "codazzi_residual": self.residuals["codazzi-residual"],
         }
 
 
-def evaluate_family_grid(family, resolution, extent=GRID_EXTENT) -> EvaluatedGrid:
-    """The family over the chart ball of both charts, which cover the sphere.
+# The identity residual columns a grid can take, named after the verify
+# checks that read them, each from one block's SurfaceData and
+# CurvatureState: the contracted Gauss and the Codazzi residual (K,), and the
+# three support identities (K, 3).
+RESIDUALS = {
+    "gauss-residual": lambda sd, cs: sd.gauss_residual(cs),
+    "codazzi-residual": lambda sd, cs: sd.codazzi_residual(cs),
+    "support-identities": lambda sd, cs: np.stack(sd.support_identities(cs), axis=-1),
+}
+
+
+def _block_columns(family, chart, block, residuals):
+    """The per-point columns of one block of chart points, copied out of its
+    jets, which die with this call."""
+    sd = evaluate_grid(family, chart, block)
+    cs = curvature(sd.metric)
+    columns = {
+        "chart_ids": np.full(block.shape[0], chart),
+        "coords": sd.coords,
+        "X": sd.X,
+        "N": sd.N,
+        "H": sd.H,
+        "chi_norm": sd.chi_norm,
+        "scalar": cs.scalar,
+        "laplacian": cs.laplacian_scalar,
+        "ricci_norm": ricci_norm(cs),
+        "sectional_min": sectional_extremes(cs)[0],
+    }
+    columns.update((name, RESIDUALS[name](sd, cs)) for name in residuals)
+    return {name: np.array(column) for name, column in columns.items()}
+
+
+def evaluate_family_grid(family, resolution, extent=GRID_EXTENT, residuals=()) -> EvaluatedGrid:
+    """The family over the chart ball of both charts, which cover the sphere,
+    with the named RESIDUALS columns (the support identities raise
+    DomainError outside the sigma_2 cone, so only a grid that asks for them
+    does).
 
     Each chart is evaluated in blocks of at most BLOCK_POINTS points
-    (surfaces.point_blocks), one part each, so a jet pass's temporaries stay
-    per block; the columns joined over the parts have the bits of one pass.
+    (surfaces.point_blocks), and each block is reduced to its columns before
+    the next one starts, so no jet outlives its block; the columns joined
+    over the blocks have the bits of one pass.
     """
     pts = ball_grid(resolution, extent, family.dim)
-    parts = [(chart, evaluate_grid(family, chart, block))
-             for chart in (0, 1) for block in point_blocks(pts)]
-    return EvaluatedGrid(family, resolution, extent, parts)
+    wanted = [name for name in RESIDUALS if name in residuals]
+    blocks = [_block_columns(family, chart, block, wanted)
+              for chart in (0, 1) for block in point_blocks(pts)]
+    columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    found = {name: columns.pop(name) for name in wanted}
+    return EvaluatedGrid(family, resolution, extent, residuals=found, **columns)
 
 
 @dataclass

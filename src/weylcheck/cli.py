@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from ._forkjoin import Forked
 from .bounds import (
+    RESIDUALS,
     c2bound_report,
     diam_weyl_report,
     evaluate_family_grid,
@@ -67,20 +68,21 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 
 # Largest grid resolution a run may ask for, from a memory estimate of both
 # processes a command runs at once (the parent and its forked child).  verify
-# evaluates its grid in blocks of surfaces.BLOCK_POINTS points, so its jet
-# temporaries do not grow with the grid: by tracemalloc, evaluating the grid
-# of the ellipsoid (1, 1.2, 0.9, 1.05) holds 2.9 and 2.6 MiB above what it
-# keeps at resolutions 17 and 21.  What grows is the fields kept per point.
-# By RSS, in a fresh process per job with every check, verify on that
-# ellipsoid peaked at 42.1, 49.3 and 58.9 MiB at resolutions 9, 13 and 17
-# (514, 1850 and 4218 points of both charts), 4.7 KiB per point from 9 to 17.
-# With the imports (~61 MiB) that is 61 MiB + 4.7 KiB x 130,534 points = 660
-# MiB at resolution 51.  Its child, the graph diameter, peaked at 57.4, 57.3
-# and 62.2 MiB, much of it the parent's pages shared at the fork: about 1.2
-# KiB per point of both charts over 33 MiB of scipy, so ~185 MiB of its own
-# at 51 and ~845 MiB for the two.  reconstruct at 51 stays under 1.1 GiB with
-# MAX_SUBSTEPS substeps (see embedsolve.MAX_SUBSTEPS), as each march level's
-# stage data is written once, in place; at 250 substeps a spacing it peaked
+# evaluates its grid in blocks of surfaces.BLOCK_POINTS points and reduces
+# each block to per-point columns before the next, so only the columns grow
+# with the grid: by tracemalloc, the grid of the ellipsoid (1, 1.2, 0.9, 1.05)
+# with every residual peaks at 6.4 MiB and keeps 0.76 MiB (192 B a point) at
+# resolution 17.  By RSS, in a fresh process per job with every check, verify
+# on that ellipsoid peaked at 41.3, 44.7 and 46.0 MiB at resolutions 9, 13
+# and 17 (514, 1850 and 4218 points of both charts), 1.3 KiB per point from 9
+# to 17 (0.6 KiB from 13 to 17, once the blocks are full).  That is 41 MiB +
+# 1.3 KiB x 130,534 points = 207 MiB at resolution 51.  Its child, the graph
+# diameter, peaked at 57.6, 57.6 and 62.1 MiB, much of it the parent's pages
+# shared at the fork: about 1.2 KiB per point of both charts over 33 MiB of
+# scipy, so ~185 MiB of its own at 51 and ~390 MiB for the two.  reconstruct
+# at 51 stays under 1.1 GiB with MAX_SUBSTEPS substeps (see
+# embedsolve.MAX_SUBSTEPS), as each march level's stage data is written
+# once, in place; at 250 substeps a spacing it peaked
 # at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and 17, its child at
 # 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration;
 # on the ellipsoid at resolutions 9, 13 and 17 (257, 925 and 2109 points a
@@ -345,8 +347,12 @@ def cmd_verify(cfg: RunConfig):
     graph = Forked(graph_diameter, family, cfg.resolution, cfg.extent) \
         if "diam-weyl" in cfg.checks and cfg.diameter is None else None
     with graph or contextlib.nullcontext():
+        # the residual columns the checks and the grid dump read
+        residuals = {check for check in cfg.checks if check in RESIDUALS}
+        if cfg.grid_dump:
+            residuals |= {"gauss-residual", "codazzi-residual"}
         t0 = time.perf_counter()
-        eg = evaluate_family_grid(family, cfg.resolution, cfg.extent)
+        eg = evaluate_family_grid(family, cfg.resolution, cfg.extent, residuals)
         timing["grid"] = time.perf_counter() - t0
 
         for check in cfg.checks:
@@ -362,14 +368,10 @@ def cmd_verify(cfg: RunConfig):
                 sections[check] = c2bound_report(eg, _tolerance(cfg, check)).to_dict()
             elif check == "second-deriv":
                 sections[check] = second_deriv_report(eg, _tolerance(cfg, check)).to_dict()
-            elif check == "gauss-residual":
-                sections[check] = _residual_section(
-                    cfg, eg, check, eg.per_point(lambda sd: sd.gauss_residual()))
-            elif check == "codazzi-residual":
-                sections[check] = _residual_section(
-                    cfg, eg, check, eg.per_point(lambda sd: sd.codazzi_residual()))
+            elif check in ("gauss-residual", "codazzi-residual"):
+                sections[check] = _residual_section(cfg, eg, check, eg.residuals[check])
             elif check == "support-identities":
-                vals = eg.per_point(lambda sd: np.stack(sd.support_identities(), axis=-1))
+                vals = eg.residuals[check]
                 subs = {label: _residual_section(cfg, eg, f"{check} {label}", vals[:, k])
                         for k, label in enumerate(("hessian", "gradient", "curvature"))}
                 sections[check] = {

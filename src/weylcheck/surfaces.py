@@ -238,7 +238,10 @@ class SurfaceData:
 
     The scalar entries are arrays over the batch; metric is a MetricJet of
     order 4 and chi_jet a Jet of order 1 whose trailing batch axes are the
-    (n, n) tensor slots.
+    (n, n) tensor slots.  Nothing derived is cached: curvature() runs
+    intrinsic.curvature on each call, and the residual methods take the
+    CurvatureState a caller already has, so one block's curvature is formed
+    once (bounds.evaluate_family_grid).
     """
 
     def __init__(self, family, chart, coords, X, N, metric, chi_jet, rho_jet, support):
@@ -251,7 +254,6 @@ class SurfaceData:
         self.chi_jet = chi_jet
         self.rho_jet = rho_jet
         self.support = support
-        self._curv = None
 
     # -- plain-value views ------------------------------------------------
 
@@ -286,23 +288,23 @@ class SurfaceData:
         return np.sqrt((self.principal_curvatures**2).sum(axis=-1))
 
     def curvature(self):
-        if self._curv is None:
-            self._curv = curvature(self.metric)
-        return self._curv
+        return curvature(self.metric)
 
     # -- identity residuals ------------------------------------------------
+    # each takes the metric's CurvatureState, or forms it when given none
 
-    def gauss_residual(self):
+    def gauss_residual(self, cs=None):
         """Max-norm of the contracted Gauss residual per point, which is the
         whole Gauss equation for n <= 3 (see contracted_gauss_residual)."""
-        cs = self.curvature()
+        cs = self.curvature() if cs is None else cs
         return contracted_gauss_residual(cs.metric_inv, self.chi, cs.ricci)
 
-    def codazzi_residual(self):
+    def codazzi_residual(self, cs=None):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
-        return codazzi_residual(self.curvature().christoffel, self.chi_jet)
+        cs = self.curvature() if cs is None else cs
+        return codazzi_residual(cs.christoffel, self.chi_jet)
 
-    def support_identities(self):
+    def support_identities(self, cs=None):
         """Residuals of the three support-function identities.
 
         Returns (r1, r2, r3) arrays: the Hessian identity for rho, the
@@ -312,7 +314,8 @@ class SurfaceData:
         NaN in r3 (the comparison involves sqrt(R)); where R > 0 the lam
         must lie in the sigma_2 ellipticity cone, else DomainError.
         """
-        grad, hess_cov = covariant_hessian(self.rho_jet, self.curvature().christoffel)
+        cs = self.curvature() if cs is None else cs
+        grad, hess_cov = covariant_hessian(self.rho_jet, cs.christoffel)
         g = self.g
         ginv = np.linalg.inv(g)
         r1 = np.abs(hess_cov - g + self.support[..., None, None] * self.chi
@@ -323,7 +326,7 @@ class SurfaceData:
         lam = principal_curvatures(g, g - hess_cov)
         s1 = lam.sum(axis=-1)
         s2 = (s1**2 - (lam**2).sum(axis=-1)) / 2.0
-        big_r = self.curvature().scalar
+        big_r = cs.scalar
         pos = big_r > 0
         if np.any(pos & ((s1 <= 0) | (s2 <= 0))):
             raise DomainError("eigenvalues left the sigma_2 ellipticity cone")

@@ -145,11 +145,11 @@ def support_floor(eg, x0=None) -> float:
     Positive exactly when X0 sits inside the convex body, so a nonpositive
     floor raises rather than returning.
     """
-    x = eg.per_point(lambda sd: sd.X)
+    x = eg.X
     if x0 is None:
         x0 = x.mean(axis=0)
     x0 = np.asarray(x0, dtype=float)
-    vals = np.einsum("ka,ka->k", x - x0, eg.per_point(lambda sd: sd.N))
+    vals = np.einsum("ka,ka->k", x - x0, eg.N)
     floor = float(vals.min())
     if floor <= 0:
         where = eg.location(int(np.argmin(vals)))

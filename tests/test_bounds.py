@@ -1,12 +1,15 @@
+import gc
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from oracles import support_floor
-from weylcheck import surfaces
+from weylcheck import bounds, surfaces
 from weylcheck.bounds import (
+    EvaluatedGrid,
     c2bound_report,
     diam_weyl_report,
     evaluate_family_grid,
@@ -14,7 +17,15 @@ from weylcheck.bounds import (
     weyl_report,
 )
 from weylcheck.errors import DomainError
-from weylcheck.surfaces import Ellipsoid, RoundSphere, ball_grid, radial_graph_random
+from weylcheck.intrinsic import CurvatureState, MetricJet
+from weylcheck.jets import Jet
+from weylcheck.surfaces import (
+    Ellipsoid,
+    RoundSphere,
+    SurfaceData,
+    ball_grid,
+    radial_graph_random,
+)
 
 # rhs of the diameter-weighted estimate on the unit 3-sphere with d = pi:
 # exp(1/2) * pi^2 * (2*36 + 4*6/(64 pi^2)) = exp(1/2) * (72 pi^2 + 3/8)
@@ -154,6 +165,22 @@ class TestSecondDeriv:
         assert rep.passed
         assert rep.lhs <= rep.constants["weyl_rhs"] + rep.tol
 
+    @pytest.mark.parametrize("chi_norm,passed", [(1.4, True), (2.9, False)])
+    def test_weyl_comparison_decides(self, chi_norm, passed):
+        # hand-made columns: |chi|^2 <= H^2 = 9 holds for both, and the weyl
+        # rhs 2R - (Delta R)/R = 2 is above 1.96 and below 8.41
+        k = 3
+        eg = EvaluatedGrid(
+            family=None, resolution=5, extent=1.2,
+            chart_ids=np.zeros(k, dtype=int), coords=np.zeros((k, 3)),
+            X=np.zeros((k, 4)), N=np.zeros((k, 4)),
+            H=np.full(k, 3.0), chi_norm=np.full(k, chi_norm), scalar=np.ones(k),
+            laplacian=np.zeros(k), ricci_norm=np.ones(k), sectional_min=np.ones(k))
+        rep = second_deriv_report(eg)
+        assert (rep.lhs, rep.rhs) == (chi_norm**2, 9.0)
+        assert rep.constants["weyl_rhs"] == 2.0
+        assert rep.passed is passed
+
 
 class TestScaling:
     def test_pass_ratio_invariance(self):
@@ -205,12 +232,19 @@ class TestDeterminism:
         assert weyl_report(a).to_dict() == weyl_report(b).to_dict()
         assert c2bound_report(a).to_dict() == c2bound_report(b).to_dict()
 
-    def test_table_columns(self, s3_grid):
-        cols = s3_grid.table()
+    def test_table_columns(self):
+        eg = evaluate_family_grid(RoundSphere(1.0), 9, residuals={"gauss-residual", "codazzi-residual"})
+        cols = eg.table()
         assert list(cols) == ["chart", "coords", "H", "R", "lap_R", "chi_norm",
                               "gauss_residual", "codazzi_residual"]
-        assert cols["H"].shape == (s3_grid.num_points,)
+        assert cols["H"].shape == (eg.num_points,)
         assert cols["gauss_residual"].max() < 1e-7
+
+    def test_no_residual_work_unless_asked(self, monkeypatch):
+        for name in bounds.RESIDUALS:
+            monkeypatch.setitem(bounds.RESIDUALS, name, None)
+        eg = evaluate_family_grid(RoundSphere(1.0), resolution=5)
+        assert eg.residuals == {}
 
 
 # one family of each config variant in three dimensions, and the 2-sphere
@@ -222,14 +256,28 @@ BLOCK_FAMILIES = {
 }
 
 
+GRID_COLUMNS = ("chart_ids", "coords", "X", "N", "H", "chi_norm", "scalar",
+                "laplacian", "ricci_norm", "sectional_min")
+
+
 def _grid_columns(eg):
-    """Every per-point column of the grid, and each residual's per_point."""
-    cols = dict(eg.table())
-    cols["ricci_norm"] = eg.ricci_norm
-    cols["sectional_min"] = eg.sectional_min
-    cols["support_identities"] = eg.per_point(
-        lambda sd: np.stack(sd.support_identities(), axis=-1))
+    """Every per-point column of the grid, residuals included."""
+    cols = {name: getattr(eg, name) for name in GRID_COLUMNS}
+    cols.update(eg.residuals)
     return cols
+
+
+def _spied_grid(monkeypatch, family, resolution):
+    """The grid with every residual, and the (chart, points) of each
+    evaluate_grid call that made it."""
+    calls = []
+
+    def spy(family, chart, pts):
+        calls.append((chart, pts.shape[0]))
+        return surfaces.evaluate_grid(family, chart, pts)
+
+    monkeypatch.setattr(bounds, "evaluate_grid", spy)
+    return evaluate_family_grid(family, resolution, residuals=bounds.RESIDUALS), calls
 
 
 @pytest.fixture(scope="module")
@@ -238,10 +286,9 @@ def one_block_columns():
     one block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surfaces, "BLOCK_POINTS", 10**9)
-        grids = {name: evaluate_family_grid(make(), resolution=9)
-                 for name, make in BLOCK_FAMILIES.items()}
-    assert all(len(eg.parts) == 2 for eg in grids.values())
-    return {name: _grid_columns(eg) for name, eg in grids.items()}
+        grids = {name: _spied_grid(mp, make(), 9) for name, make in BLOCK_FAMILIES.items()}
+    assert all(len(calls) == 2 for _, calls in grids.values())
+    return {name: _grid_columns(eg) for name, (eg, _) in grids.items()}
 
 
 class TestBlocks:
@@ -250,10 +297,10 @@ class TestBlocks:
     def test_blocks_give_one_block_bits(self, one_block_columns, monkeypatch, name, size):
         family = BLOCK_FAMILIES[name]()
         monkeypatch.setattr(surfaces, "BLOCK_POINTS", size)
-        eg = evaluate_family_grid(family, resolution=9)
+        eg, calls = _spied_grid(monkeypatch, family, 9)
         blocks = math.ceil(len(ball_grid(9, n=family.dim)) / size)
-        assert [chart for chart, _ in eg.parts] == [0] * blocks + [1] * blocks
-        assert max(sd.coords.shape[0] for _, sd in eg.parts) <= size
+        assert [chart for chart, _ in calls] == [0] * blocks + [1] * blocks
+        assert max(points for _, points in calls) <= size
         want = one_block_columns[name]
         got = _grid_columns(eg)
         assert list(got) == list(want)
@@ -263,15 +310,31 @@ class TestBlocks:
             assert got[key].tobytes() == column.tobytes(), key
 
     def test_grid_transient_memory(self):
-        # one pass over a resolution-17 chart (2,109 points) held 13.3 MiB of
-        # jet temporaries; 512-point blocks hold 2.9 MiB
+        # the whole grid with every residual, at resolution 17 (4,218 points):
+        # one 512-point block's jets peak near 5.7 MiB and the columns take
+        # 192 B a point; one pass per chart peaked at 23.7 MiB, and keeping
+        # each block's jets retained 17.1 MiB
         family = Ellipsoid((1.0, 1.2, 0.9, 1.05))
         evaluate_family_grid(family, resolution=5)   # the jet basis tables
         tracemalloc.start()
         try:
-            eg = evaluate_family_grid(family, resolution=17)
+            eg = evaluate_family_grid(family, resolution=17, residuals=bounds.RESIDUALS)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert eg.num_points == 4218
-        assert peak - retained <= 4 * 2**20
+        assert peak <= 8 * 2**20
+        assert retained <= 1 * 2**20
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "random-23"])
+    def test_no_jet_outlives_its_block(self, name):
+        eg = evaluate_family_grid(BLOCK_FAMILIES[name](), 9, residuals=bounds.RESIDUALS)
+        # everything reachable from the grid but through code and modules
+        seen, stack = set(), [eg]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (Jet, MetricJet, SurfaceData, CurvatureState)), obj
+            stack.extend(gc.get_referents(obj))

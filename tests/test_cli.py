@@ -343,6 +343,35 @@ class TestSolveAndFamily:
         assert all(r["min_chi_eigenvalue"] > 0 for r in rows)
         capsys.readouterr()
 
+    def test_family_fails_on_a_deviation_that_is_not_monotone(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # adding 1 to every entry of the second family's g (eps 0.05) lifts
+        # its deviation above the first's and keeps g and chi convex
+        values = cli.surface_values
+        calls = []
+
+        def lifted(family, chart, pts):
+            x, g, chi = values(family, chart, pts)
+            calls.append(family)
+            return x, g + (1.0 if len(calls) == 2 else 0.0), chi
+
+        monkeypatch.setattr(cli, "surface_values", lifted)
+        out_path = tmp_path / "family.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "resolution": 5,
+            "family": {"variant": "radial_graph", "kind": "bump", "amplitude": 0.15},
+            "eps_list": [0.1, 0.05],
+        }))
+        code = main(["family", "--config", str(path), "--out", str(out_path), "--quiet"])
+        sec = json.loads(out_path.read_text())["sections"]["family"]
+        assert len(calls) == 2
+        assert sec["all_convex"] is True
+        assert sec["deviation_monotone"] is False
+        assert sec["passed"] is False
+        assert code == 1
+        capsys.readouterr()
+
 
 VALUE_JOBS = [
     ("family", {"variant": "radial_graph", "kind": "bump", "amplitude": 0.1}, {}),
@@ -401,6 +430,13 @@ class TestSigma2Cone:
         sd = surfaces.evaluate_grid(OffsetSphere(), 0, surfaces.ball_grid(5))
         with pytest.raises(DomainError, match="left the sigma_2 ellipticity cone"):
             sd.support_identities()
+
+    def test_grid_raises_only_with_the_support_column(self):
+        residuals = {"gauss-residual", "codazzi-residual"}
+        eg = bounds.evaluate_family_grid(OffsetSphere(), 5, residuals=residuals)
+        assert set(eg.residuals) == residuals
+        with pytest.raises(DomainError, match="left the sigma_2 ellipticity cone"):
+            bounds.evaluate_family_grid(OffsetSphere(), 5, residuals={"support-identities"})
 
     @pytest.mark.parametrize("check,code", [("support-identities", 3), ("weyl", 0)])
     def test_exit_code(self, monkeypatch, capsys, check, code):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss, sphere_chain
+from weylcheck.bounds import c2bound_report, evaluate_family_grid
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import ricci_norm, sectional_extremes, transition_coords
 from weylcheck.surfaces import (
@@ -340,6 +341,20 @@ class TestEllipsoidLevelSet:
                                   ("ricci_norm", ricci_norm(cs), ricci),
                                   ("kmin", got[0], kmin), ("kmax", got[1], kmax)]:
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_c2bound_reads_the_grid_extremes(self):
+        # kappa is the grid min of the least sectional curvature and Lambda
+        # the grid max of |Ric|, at the grid's own points
+        eg = evaluate_family_grid(Ellipsoid(AXES), 9)
+        kmin, ricci = [], []
+        for chart in (0, 1):
+            pts = eg.coords[eg.chart_ids == chart]
+            _, _, _, ric, (low, _) = self.level_set(AXES, chart, pts)
+            kmin.append(low)
+            ricci.append(ric)
+        constants = c2bound_report(eg).constants
+        assert constants["kappa"] == pytest.approx(np.concatenate(kmin).min(), rel=1e-12)
+        assert constants["Lambda"] == pytest.approx(np.concatenate(ricci).max(), rel=1e-12)
 
 
 class TestGaussNegativeControl:
