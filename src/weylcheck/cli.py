@@ -84,17 +84,15 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # embedsolve.MAX_SUBSTEPS), as each march level's stage data is written
 # once, in place; at 250 substeps a spacing it peaked
 # at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and 17, its child at
-# 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration;
-# on the ellipsoid at resolutions 9, 13 and 17 (257, 925 and 2109 points a
-# chart) it peaked at 40.5, 48.5 and 62.3 MiB RSS, its child at 31.1, 38.8
-# and 52.4 MiB (without the heap thresholds of _heap_policy 40.6, 48.1 and
-# 62.1; 30.6, 38.2 and 51.3), much of that shared at the fork.  By
-# tracemalloc the parent peaks at 11.3, 10.6 and 10.5 KiB per point and the
-# child adds 8.7, 8.2 and 8.2 KiB of its own, so at 51 (65,267 points) the
-# two stay near 61 MiB + 19 KiB x 65,267 = 1272 MiB, the largest estimate of
-# the three commands.  The cap was set at 51 when verify evaluated a chart in
+# 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration
+# and keeps its fields' values only (embedsolve.IntrinsicField, formed in
+# BLOCK_POINTS blocks).  On the ellipsoid at resolutions 9, 13 and 17 (257,
+# 925 and 2109 points a chart) it peaked at 40.4, 44.2 and 48.0 MiB RSS, its
+# child at 31.2, 34.6 and 38.2 MiB (max of 5 runs): 4.2 and 3.9 KiB per point
+# from 9 to 17, so at 51 (65,267 points) the two stay near 86 MiB + 8.1 KiB x
+# 63,158 = 590 MiB.  The cap was set at 51 when verify evaluated a chart in
 # one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays there, and
-# every estimate at 51 is under 1.3 GiB.
+# every estimate at 51 is under 1.1 GiB, reconstruct's the largest.
 MAX_RESOLUTION = 51
 
 

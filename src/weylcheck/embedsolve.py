@@ -10,9 +10,11 @@ residual carries no grid-differencing noise.  The Codazzi gate's default
 threshold is calibrated on three embedded reference families in both
 charts; on Linux chart 1's solves run in a forked child beside chart 0's.
 
-IntrinsicField.from_family builds metric jets of order 3, as the solver
-reads Ricci (order m - 2) to first derivatives and Codazzi reads Christoffel
-values; order 4 gives the same bits (see weylcheck.jets).
+An IntrinsicField holds values, not jets: g, Ricci, their first partials
+and the Christoffel symbols.  from_family forms them from metric jets of
+order 3 (the solver reads Ricci, order m - 2, to first partials) one
+surfaces.BLOCK_POINTS block at a time, each block's jets dropped before the
+next; order 4 and any block size give the same bits (see weylcheck.jets).
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice.
@@ -42,7 +44,7 @@ import dataclasses
 import itertools
 import warnings
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,62 +75,76 @@ def metric_jets(family, chart, pts, order) -> MetricJet:
     return MetricJet(induced_metric(family.ambient_jets(chart, pts, order=order + 1)))
 
 
+@dataclasses.dataclass(eq=False)
 class IntrinsicField:
-    """Metric jets plus Ricci jets and Christoffel values over one chart grid.
+    """Values over one chart grid: g (read by g()), Ricci, their first partials
+    dg and d_ricci (leading axis k for d/dx_k) and the Christoffel symbols.
 
     Ricci is always derived from the metric's own curvature, so the two are
-    consistent by construction; an optional perturbation (jet-valued
-    callable of the coordinates) is added on top to model data that no
-    embedding produced.  family is kept when known: it makes the field
-    evaluable between grid nodes, which reconstruction needs.
+    consistent by construction; perturbed() adds a perturbation (jet-valued
+    callable of the coordinates) on top, to model data that no embedding
+    produced.  family is kept when known: it makes the field evaluable
+    between grid nodes, which reconstruction needs.
     """
 
-    def __init__(self, chart, coords, metric, ricci_jet, christoffel, family=None,
-                 perturbation=None):
-        self.chart = chart
-        self.coords = np.asarray(coords, dtype=float)
-        self.metric = metric
-        self.ricci_jet = ricci_jet
-        self.christoffel = christoffel
-        self.family = family
-        self.perturbation = perturbation
-        if self.coords.shape[-1] != metric.n:
-            raise ValueError("coordinate width does not match the metric")
+    chart: int
+    coords: np.ndarray
+    _g: np.ndarray
+    dg: np.ndarray
+    ricci: np.ndarray
+    d_ricci: np.ndarray
+    christoffel: np.ndarray
+    family: object = None
+    perturbation: Optional[Callable] = None
 
     @property
     def n(self):
-        return self.metric.n
-
-    @property
-    def ricci(self):
-        return self.ricci_jet.value
+        return self.coords.shape[-1]
 
     def g(self):
-        return self.metric.values()
+        return self._g
 
     @classmethod
-    def from_metric(cls, metric, chart, coords, family=None, perturbation=None):
-        cs = curvature(metric)
-        rj = cs.ricci_jet
-        if perturbation is not None:
-            rj = rj + perturbation(coords, rj.order)
-        return cls(chart, coords, metric, rj, cs.christoffel, family=family,
-                   perturbation=perturbation)
+    def from_metric(cls, metric, chart, coords, family=None):
+        """The field of metric jets a caller already has (order >= 3)."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape[-1] != metric.n:
+            raise ValueError("coordinate width does not match the metric")
+        return cls(chart, coords, *_field_values(metric), family=family)
 
     @classmethod
-    def from_family(cls, family, chart, pts, perturbation=None):
-        mj = metric_jets(family, chart, pts, order=3)
-        return cls.from_metric(mj, chart, pts, family=family,
-                               perturbation=perturbation)
+    def from_family(cls, family, chart, pts):
+        """The family's field from metric jets of order 3, formed one
+        surfaces.BLOCK_POINTS block at a time; each block is reduced to its
+        values before the next starts, which does not move a bit."""
+        pts = np.asarray(pts, dtype=float)
+        parts = zip(*[_field_values(metric_jets(family, chart, block, order=3))
+                      for block in surfaces.point_blocks(pts)])
+        # dg and d_ricci hold the points on axis 1
+        return cls(chart, pts, *map(np.concatenate, parts, (0, 1, 0, 1, 0)), family=family)
 
     def perturbed(self, perturbation):
-        return IntrinsicField.from_metric(self.metric, self.chart, self.coords,
-                                          family=self.family,
-                                          perturbation=perturbation)
+        """The field with perturbation(coords, 1)'s value and first partials
+        added to Ricci's; once only, as _continuous_data reads one."""
+        if self.perturbation is not None:
+            raise ValueError("the field is already perturbed")
+        p = perturbation(self.coords, 1)
+        return dataclasses.replace(self, ricci=self.ricci + p.value,
+                                   d_ricci=self.d_ricci + p.gradient(), perturbation=perturbation)
 
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
         return int(_axis_values(self.coords[..., 0]).size)
+
+
+def _field_values(metric):
+    """(g, dg, ricci, d_ricci, christoffel), an IntrinsicField's values, of
+    metric jets of order m >= 3: the solver reads Ricci (m - 2) to first partials."""
+    if metric.order < 3:
+        raise ValueError(f"an intrinsic field needs metric jets of order >= 3, got {metric.order}")
+    cs = curvature(metric)
+    return (cs.metric, metric.jet.gradient(), np.array(cs.ricci), cs.ricci_jet.gradient(),
+            cs.christoffel)
 
 
 def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
@@ -184,22 +200,15 @@ def _chi_values(g, ginv, ric, chart, coords):
     return s[..., None, None] * (g @ einv @ g), r, einv, s, gaps
 
 
+@dataclasses.dataclass(eq=False)
 class ChiField:
     """Solver output: chi with first derivatives over the field's grid."""
 
-    def __init__(self, field, values, d_values, residuals, gaps):
-        self.field = field
-        self.values = values
-        self.d_values = d_values          # (..., n, n, n), last axis = d/dx_k
-        self.residuals = residuals
-        self.gaps = gaps
-
-    @property
-    def n(self):
-        return self.field.n
-
-    def as_jet(self):
-        return Jet.linear(self.values, self.d_values, self.n)
+    field: IntrinsicField
+    values: np.ndarray
+    d_values: np.ndarray              # (..., n, n, n), last axis = d/dx_k
+    residuals: np.ndarray
+    gaps: np.ndarray
 
     def principal_min(self):
         return principal_curvatures(self.field.g(), self.values)[..., 0]
@@ -218,8 +227,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     """
     if field.n != 3:
         raise ValueError("the contracted-Gauss solve is three-dimensional only")
-    g = field.g()
-    ric = field.ricci
+    g, ric = field.g(), field.ricci
     ginv = np.linalg.inv(g)
     chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
     residuals = contracted_gauss_residual(ginv, chi, ric)
@@ -227,9 +235,7 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     if not ok:
         raise ConvergenceError("solver residual above the per-point limit",
                                residual=sup)
-    # leading axis k: the partials d/dx_k
-    dg = np.stack([field.metric.jet.derivative(k).value for k in range(3)])
-    dric = np.stack([field.ricci_jet.derivative(k).value for k in range(3)])
+    dg, dric = field.dg, field.d_ricci    # leading axis k: the partials d/dx_k
     dr = np.einsum("...ab,k...ba->k...", ginv, dric) \
         - np.einsum("...ab,k...bc,...ca->k...", ginv, dg, ginv @ ric)
     de = dr[..., None, None] * g + r[..., None, None] * dg - 2.0 * dric
@@ -274,7 +280,7 @@ def _chart_residuals(pts, chart):
     for name, fam in reference_families().items():
         f = IntrinsicField.from_family(fam, chart, pts)
         chi = solve_contracted_gauss(f)
-        observed[name] = float(codazzi_residual(f.christoffel, chi.as_jet()).max())
+        observed[name] = float(codazzi_residual(f.christoffel, chi.values, chi.d_values).max())
     return observed
 
 
@@ -305,13 +311,7 @@ class EmbeddabilityVerdict:
     calibration: dict
 
     def to_dict(self):
-        return {
-            "embeddable": self.embeddable,
-            "sup_residual": self.sup_residual,
-            "threshold": self.threshold,
-            "at": self.at,
-            "calibration": self.calibration,
-        }
+        return dataclasses.asdict(self)
 
 
 def embeddability_check(field: IntrinsicField, chi: ChiField,
@@ -323,7 +323,7 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
     """
     if field.n != 3:
         raise ValueError("the embeddability gate is three-dimensional only")
-    residuals = codazzi_residual(field.christoffel, chi.as_jet())
+    residuals = codazzi_residual(field.christoffel, chi.values, chi.d_values)
     if theta is None:
         # a ball grid reaches its extent exactly, at the ends of each axis
         extent = float(np.abs(field.coords).max())
@@ -357,7 +357,7 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 # at once (the reversed one in a forked child), and the largest level has
 # 1941 starts at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the
 # two fills near 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
-# the child shares with the parent (2.2 KiB per node, 142 MiB) and each
+# the child shares with the parent (0.8 KiB per node, 52 MiB) and each
 # fill's frame arrays (~17 MiB), a reconstruct stays under 1.1 GiB.
 MAX_SUBSTEPS = 250
 

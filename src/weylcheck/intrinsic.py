@@ -261,7 +261,7 @@ def covariant_hessian(f: Jet, christoffel):
     with grad[..., i] = d_i f and hess[..., i, j] = d_i d_j f - Gamma^k_ij d_k f.
     """
     unit = np.eye(f.nvars, dtype=int)
-    grad = np.stack([f.partial(u) for u in unit], -1)
+    grad = f.gradient(-1)
     hess = np.stack([np.stack([f.partial(u + v) for v in unit], -1) for u in unit], -2)
     return grad, hess - np.einsum("...kij,...k->...ij", christoffel, grad)
 
@@ -299,22 +299,20 @@ def ricci_norm(cs: CurvatureState) -> np.ndarray:
     return np.sqrt(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, cs.ricci, cs.ricci))
 
 
-def covariant_antisym(christoffel, t: Jet) -> np.ndarray:
+def covariant_antisym(christoffel, t, dt) -> np.ndarray:
     """Antisymmetrized covariant derivative T_{ij;k} - T_{ik;j} of a
-    symmetric 2-tensor given as a Jet with trailing (n, n) batch axes and
-    order >= 1, under the connection with symbol values christoffel
-    [..., k, i, j].  Returns values shaped (..., n, n, n), last axes (i, j, k).
+    symmetric 2-tensor from its values t (..., n, n) and first partials dt
+    (..., n, n, n; last axis d/dx_k), under the connection with symbol values
+    christoffel [..., k, i, j].  Returns values (..., n, n, n), axes (i, j, k).
     """
     n = christoffel.shape[-1]
-    tv = t.value
-    if tv.shape[-2:] != (n, n):
-        raise ValueError("tensor jet must have trailing (n, n) batch axes")
-    if not np.allclose(tv, np.swapaxes(tv, -1, -2), rtol=1e-8, atol=1e-10):
+    if t.shape[-2:] != (n, n) or dt.shape != t.shape + (n,):
+        raise ValueError("tensor needs trailing (n, n) axes and its partials (n, n, n)")
+    if not np.allclose(t, np.swapaxes(t, -1, -2), rtol=1e-8, atol=1e-10):
         raise ValueError("tensor is not symmetric")
-    dt = np.stack([t.derivative(k).value for k in range(n)], axis=-1)
     cov = dt \
-        - np.einsum("...lki,...lj->...ijk", christoffel, tv) \
-        - np.einsum("...lkj,...il->...ijk", christoffel, tv)
+        - np.einsum("...lki,...lj->...ijk", christoffel, t) \
+        - np.einsum("...lkj,...il->...ijk", christoffel, t)
     return cov - np.swapaxes(cov, -1, -2)
 
 
@@ -328,9 +326,9 @@ def contracted_gauss_residual(ginv, chi, ric) -> np.ndarray:
     return np.abs(res).max(axis=(-2, -1))
 
 
-def codazzi_residual(christoffel, chi: Jet) -> np.ndarray:
-    """Per-point max-norm of the Codazzi residual chi_{ij;k} - chi_{ik;j}."""
-    return np.abs(covariant_antisym(christoffel, chi)).max(axis=(-3, -2, -1))
+def codazzi_residual(christoffel, chi, d_chi) -> np.ndarray:
+    """Per-point max-norm of chi_{ij;k} - chi_{ik;j}, from chi and its partials."""
+    return np.abs(covariant_antisym(christoffel, chi, d_chi)).max(axis=(-3, -2, -1))
 
 
 def lattice_axes(resolution, extent):

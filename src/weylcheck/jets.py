@@ -258,6 +258,10 @@ class Jet:
         fac = math.prod(math.factorial(e) for e in gamma)
         return self.coeffs[..., b.index[gamma]] * fac
 
+    def gradient(self, axis=0):
+        """The first partials d/dx_k at the base point, stacked on axis k."""
+        return np.stack([self.partial(u) for u in np.eye(self.nvars, dtype=int)], axis)
+
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot raise a jet's order by truncation")

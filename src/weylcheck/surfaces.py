@@ -302,7 +302,7 @@ class SurfaceData:
     def codazzi_residual(self, cs=None):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
         cs = self.curvature() if cs is None else cs
-        return codazzi_residual(cs.christoffel, self.chi_jet)
+        return codazzi_residual(cs.christoffel, self.chi, self.chi_jet.gradient(-1))
 
     def support_identities(self, cs=None):
         """Residuals of the three support-function identities.

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from weylcheck.embedsolve import (
 )
 from weylcheck.errors import ConvergenceError, IntegrationError, ObstructionError
 from weylcheck.intrinsic import (
+    CurvatureState,
     MetricJet,
     codazzi_residual,
     curvature,
@@ -129,18 +132,18 @@ class TestSolver:
             assert rep.member
             assert rep.eps_gap == pytest.approx(ellipsoid_chi.gaps[k], rel=1e-9)
 
-    def test_eps_gap_is_twice_least_sectional(self, ellipsoid_field, ellipsoid_chi):
-        kmin = sectional_extremes(curvature(ellipsoid_field.metric))[0]
+    def test_eps_gap_is_twice_least_sectional(self, grid7, ellipsoid_chi):
+        kmin = sectional_extremes(curvature(metric_jets(Ellipsoid(AXES), 0, grid7, order=3)))[0]
         np.testing.assert_allclose(ellipsoid_chi.gaps, 2.0 * kmin, rtol=1e-12)
 
     def test_chi_is_spd(self, ellipsoid_chi):
         assert ellipsoid_chi.principal_min().min() > 0
 
-    def test_scaling_laws(self, ellipsoid_field, ellipsoid_chi):
+    def test_scaling_laws(self, grid7, ellipsoid_field, ellipsoid_chi):
         # c^2 g: frame eigenvalues mu scale by c^-2, lambda by c^-1, and the
         # coordinate tensor by c
         c = 1.7
-        scaled = MetricJet(ellipsoid_field.metric.jet * c**2)
+        scaled = MetricJet(metric_jets(Ellipsoid(AXES), 0, grid7, order=3).jet * c**2)
         f2 = IntrinsicField.from_metric(scaled, 0, ellipsoid_field.coords)
         chi2 = solve_contracted_gauss(f2)
         assert np.abs(chi2.values - c * ellipsoid_chi.values).max() < 1e-9
@@ -156,7 +159,9 @@ class TestSolver:
     def test_derivatives_match_differencing(self, grid7, family, perturbation):
         # jet-propagated d chi vs central differences of fresh solves, also
         # on Ricci data that no embedding produced
-        field = IntrinsicField.from_family(family, 0, grid7, perturbation=perturbation)
+        field = IntrinsicField.from_family(family, 0, grid7)
+        if perturbation is not None:
+            field = field.perturbed(perturbation)
         chi = solve_contracted_gauss(field)
         sample = field.coords[::13]
         want = chi.d_values[::13]
@@ -178,7 +183,7 @@ class TestSolver:
         coords = np.zeros((3, 3))
         coords[1, 0] = 0.1
         coords[2, 1] = -0.2
-        flat = MetricJet(Jet.constant(np.broadcast_to(np.eye(3), (3, 3, 3)), 3, 2))
+        flat = MetricJet(Jet.constant(np.broadcast_to(np.eye(3), (3, 3, 3)), 3, 3))
         field = IntrinsicField.from_metric(flat, 0, coords)
         with pytest.raises(ObstructionError) as exc:
             solve_contracted_gauss(field)
@@ -193,8 +198,7 @@ class TestSolver:
             return Jet.linear(val, np.zeros(val.shape + (3,)), 3,
                               order=max(order, 1))
 
-        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid7,
-                                           perturbation=pert)
+        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid7).perturbed(pert)
         with pytest.raises(ObstructionError) as exc:
             solve_contracted_gauss(field)
         assert exc.value.point["chart"] == 0
@@ -202,14 +206,14 @@ class TestSolver:
 
 
 class TestField:
-    def test_ricci_consistency(self, ellipsoid_field):
-        from weylcheck.intrinsic import curvature
-        cs = curvature(ellipsoid_field.metric)
+    def test_ricci_consistency(self, grid7, ellipsoid_field):
+        cs = curvature(metric_jets(Ellipsoid(AXES), 0, grid7, order=3))
         assert np.abs(cs.ricci - ellipsoid_field.ricci).max() < 1e-10
 
-    def test_array_roundtrip(self, ellipsoid_field):
-        coeffs = ellipsoid_field.metric.jet.coeffs
-        order = ellipsoid_field.metric.order
+    def test_array_roundtrip(self, grid7, ellipsoid_field):
+        mj = metric_jets(Ellipsoid(AXES), 0, grid7, order=3)
+        coeffs = mj.jet.coeffs
+        order = mj.order
         back = IntrinsicField.from_metric(MetricJet(Jet(3, order, coeffs)), 0,
                                           ellipsoid_field.coords)
         assert np.abs(back.g() - ellipsoid_field.g()).max() < 1e-14
@@ -229,8 +233,8 @@ class TestField:
         chi, chi_full = solve_contracted_gauss(field), solve_contracted_gauss(full)
         for name in ("values", "d_values", "residuals", "gaps"):
             assert getattr(chi, name).tobytes() == getattr(chi_full, name).tobytes(), name
-        assert codazzi_residual(field.christoffel, chi.as_jet()).tobytes() \
-            == codazzi_residual(full.christoffel, chi_full.as_jet()).tobytes()
+        assert codazzi_residual(field.christoffel, chi.values, chi.d_values).tobytes() \
+            == codazzi_residual(full.christoffel, chi_full.values, chi_full.d_values).tobytes()
 
     def test_light_metric_jets_match_full(self, grid7):
         mj = metric_jets(Ellipsoid(AXES), 0, grid7, order=4)
@@ -238,10 +242,109 @@ class TestField:
         assert np.abs(mj.jet.coeffs - full.jet.coeffs).max() < 1e-12
 
 
+FIELD_ARRAYS = ("coords", "dg", "ricci", "d_ricci", "christoffel")
+CHI_ARRAYS = ("values", "d_values", "residuals", "gaps")
+
+
+def _spied_field(monkeypatch, family, chart, pts, perturbation=None):
+    """(field, chi, block sizes metric_jets saw), from_family under spy."""
+    sizes = []
+    jets = embedsolve.metric_jets
+
+    def spied(family, chart, block, order):
+        sizes.append(len(block))
+        return jets(family, chart, block, order)
+
+    monkeypatch.setattr(embedsolve, "metric_jets", spied)
+    field = IntrinsicField.from_family(family, chart, pts)
+    monkeypatch.setattr(embedsolve, "metric_jets", jets)
+    if perturbation is not None:
+        field = field.perturbed(perturbation)
+    return field, solve_contracted_gauss(field), sizes
+
+
+def _reachable(*roots):
+    """Everything reachable from roots but through code and modules."""
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestFieldBlocks:
+    @pytest.mark.parametrize("size", [7, 37])
+    @pytest.mark.parametrize("name, chart, perturbation", [
+        ("ellipsoid", 0, None),
+        ("ellipsoid", 1, None),
+        ("random-23", 0, diag_ramp_perturbation()),
+    ], ids=["ellipsoid-chart0", "ellipsoid-chart1", "random-23-diag-ramp"])
+    def test_blocks_give_one_block_bits(self, grid7, monkeypatch, size, name, chart,
+                                        perturbation):
+        family = {"ellipsoid": Ellipsoid(AXES), "random-23": radial_graph_random(23)}[name]
+        monkeypatch.setattr(surfaces, "BLOCK_POINTS", 10**6)
+        one, one_chi, sizes = _spied_field(monkeypatch, family, chart, grid7, perturbation)
+        assert sizes == [len(grid7)]
+        monkeypatch.setattr(surfaces, "BLOCK_POINTS", size)
+        field, chi, sizes = _spied_field(monkeypatch, family, chart, grid7, perturbation)
+        assert sizes == [size] * (len(grid7) // size) + [len(grid7) % size]
+        assert field.g().tobytes() == one.g().tobytes()
+        for key in FIELD_ARRAYS:
+            assert getattr(field, key).shape == getattr(one, key).shape, key
+            assert getattr(field, key).tobytes() == getattr(one, key).tobytes(), key
+        for key in CHI_ARRAYS:
+            assert getattr(chi, key).tobytes() == getattr(one_chi, key).tobytes(), key
+
+    def test_no_jet_is_kept(self, grid7, ellipsoid_field, ellipsoid_chi):
+        perturbed = IntrinsicField.from_family(radial_graph_random(23), 0, grid7).perturbed(
+            diag_ramp_perturbation())
+        given = IntrinsicField.from_metric(metric_jets(Ellipsoid(AXES), 0, grid7, order=4),
+                                           0, grid7)
+        for obj in _reachable(ellipsoid_field, ellipsoid_chi, perturbed,
+                              solve_contracted_gauss(perturbed), given):
+            assert not isinstance(obj, (Jet, MetricJet, CurvatureState)), obj
+
+    def test_perturbs_once(self, ellipsoid_field):
+        field = ellipsoid_field.perturbed(diag_ramp_perturbation())
+        with pytest.raises(ValueError, match="already perturbed"):
+            field.perturbed(diag_ramp_perturbation())
+
+    def test_from_metric_validation(self, grid7):
+        with pytest.raises(ValueError, match="order >= 3, got 2"):
+            IntrinsicField.from_metric(metric_jets(Ellipsoid(AXES), 0, grid7, order=2),
+                                       0, grid7)
+        with pytest.raises(ValueError, match="coordinate width"):
+            IntrinsicField.from_metric(metric_jets(Ellipsoid(AXES), 0, grid7, order=3),
+                                       0, grid7[:, :2])
+
+    def test_transient_memory(self):
+        # one chart at resolution 17 (2,109 points) in 512-point blocks peaks
+        # at 4.2 MiB and keeps 1.6 MiB of values (0.8 KiB a point); one pass
+        # that kept order-3 metric and order-1 Ricci jets peaked at 12.4 MiB
+        # and kept 3.9 MiB
+        family = Ellipsoid(AXES)
+        IntrinsicField.from_family(family, 0, ball_grid(5, 1.2, 3))  # the jet basis tables
+        pts = ball_grid(17, 1.2, 3)
+        tracemalloc.start()
+        try:
+            field = IntrinsicField.from_family(family, 0, pts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.coords.shape == (2109, 3)
+        assert peak <= 8 * 2**20
+        assert kept <= 2 * 2**20
+
+
 class TestEmbeddability:
     def test_embedded_families_pass(self, sphere_field, sphere_chi,
                                     ellipsoid_field, ellipsoid_chi):
-        assert codazzi_residual(sphere_field.christoffel, sphere_chi.as_jet()).max() < 1e-10
+        assert codazzi_residual(sphere_field.christoffel, sphere_chi.values,
+                                sphere_chi.d_values).max() < 1e-10
         v = embeddability_check(ellipsoid_field, ellipsoid_chi)
         assert v.embeddable
         assert v.sup_residual <= 1e-6
@@ -594,7 +697,8 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="different field"):
             reconstruct(field, sphere_chi)
         with pytest.raises(ValueError, match="family-backed"):
-            f2 = IntrinsicField.from_metric(field.metric, 0, field.coords)
+            f2 = IntrinsicField.from_metric(metric_jets(RoundSphere(1.0), 0, grid5, order=3),
+                                            0, field.coords)
             c2 = solve_contracted_gauss(f2)
             reconstruct(f2, c2)
 

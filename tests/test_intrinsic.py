@@ -290,7 +290,7 @@ class TestCovariantDerivative:
     def test_metric_is_parallel(self):
         mj = bumpy_metric(SAMPLE_PTS)
         g_jet = mj.jet.truncate(1)
-        out = covariant_antisym(mj.christoffels().value, g_jet)
+        out = covariant_antisym(mj.christoffels().value, g_jet.value, g_jet.gradient(-1))
         np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_artificial_perturbation_detected(self):
@@ -303,7 +303,7 @@ class TestCovariantDerivative:
         coeffs[..., 0, 0, :] += 0.1 * x1.coeffs
         pert = Jet(3, 1, coeffs)
         assert bump.shape[-3:-1] == (3, 3)
-        out = covariant_antisym(mj.christoffels().value, pert)
+        out = covariant_antisym(mj.christoffels().value, pert.value, pert.gradient(-1))
         assert np.abs(out).max() > 1e-3
 
     def test_symmetry_required(self):
@@ -312,7 +312,7 @@ class TestCovariantDerivative:
         coeffs = t.coeffs.copy()
         coeffs[..., 0, 1, 0] += 1.0
         with pytest.raises(ValueError):
-            covariant_antisym(mj.christoffels().value, Jet(3, 1, coeffs))
+            covariant_antisym(mj.christoffels().value, coeffs[..., 0], Jet(3, 1, coeffs).gradient(-1))
 
 
 class TestMetricJetValidation:

@@ -342,6 +342,62 @@ class TestEllipsoidLevelSet:
                                   ("kmin", got[0], kmin), ("kmax", got[1], kmax)]:
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0, err_msg=name)
 
+    @staticmethod
+    def mp_scalar(mp, axes, chart, xi):
+        """R = H^2 - |S|^2 at chart coords xi, from S in mpmath."""
+        w = 1 + sum(t**2 for t in xi)
+        unit = [2 * t / w for t in xi] + [(2 - w) / w * (1 if chart == 0 else -1)]
+        ax = [c / a for a, c in zip(axes, unit)]
+        norm = mp.sqrt(sum(c**2 for c in ax))
+        nu = [c / norm for c in ax]
+        proj = mp.matrix([[(i == j) - nu[i] * nu[j] for j in range(4)] for i in range(4)])
+        shape = proj * mp.diag([a**-2 for a in axes]) * proj / norm
+        h = sum(shape[i, i] for i in range(4))
+        return h**2 - sum(shape[i, j]**2 for i in range(4) for j in range(4))
+
+    @staticmethod
+    def mp_metric(mp, axes, chart, xi):
+        """g_ij = dx/dxi_i . dx/dxi_j of the ellipsoid's chart map, in closed form."""
+        w = 1 + sum(t**2 for t in xi)
+        jac = [[axes[k] * (2 * (k == i) / w - 4 * xi[k] * xi[i] / w**2) for i in range(3)]
+               for k in range(3)]
+        jac.append([axes[3] * (1 if chart == 0 else -1) * -4 * t / w**2 for t in xi])
+        return mp.matrix([[sum(jac[k][i] * jac[k][j] for k in range(4)) for j in range(3)]
+                          for i in range(3)])
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_laplacian_of_scalar_curvature(self, chart):
+        # Delta R = |g|^-1/2 d_i(|g|^1/2 g^ij d_j R), both partials by
+        # mpmath.diff at 30 digits on the level-set R, against curvature()'s
+        # order-4 jets; no coefficient of the jet chain enters the oracle
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        pts = sample_points(4, seed=31 + chart)
+        cs = evaluate_grid(Ellipsoid(AXES), chart, pts).curvature()
+
+        def scalar(xi):
+            return self.mp_scalar(mp, AXES, chart, xi)
+
+        def flux(i, xi):
+            g = self.mp_metric(mp, AXES, chart, xi)
+            grad = [mpmath.diff(lambda t: scalar(xi[:j] + (t,) + xi[j + 1:]), xi[j])
+                    for j in range(3)]
+            return mp.sqrt(mp.det(g)) * sum((g**-1)[i, j] * grad[j] for j in range(3))
+
+        with mpmath.workdps(30):
+            want_r, want_lap = [], []
+            for p in pts:
+                xi = tuple(mp.mpf(float(c)) for c in p)
+                div = sum(mpmath.diff(lambda t: flux(i, xi[:i] + (t,) + xi[i + 1:]), xi[i])
+                          for i in range(3))
+                want_r.append(float(scalar(xi)))
+                want_lap.append(float(div / mp.sqrt(mp.det(self.mp_metric(mp, AXES, chart, xi)))))
+        want_r, want_lap = np.array(want_r), np.array(want_lap)
+        np.testing.assert_allclose(cs.scalar, want_r, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cs.laplacian_scalar, want_lap, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(2.0 * cs.scalar - cs.laplacian_scalar / cs.scalar,
+                                   2.0 * want_r - want_lap / want_r, rtol=1e-12, atol=0)
+
     def test_c2bound_reads_the_grid_extremes(self):
         # kappa is the grid min of the least sectional curvature and Lambda
         # the grid max of |Ric|, at the grid's own points
