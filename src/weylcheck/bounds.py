@@ -7,8 +7,9 @@ the sphere; reports carry the grid resolution so refinement studies can
 confirm stability.
 
 The grid (EvaluatedGrid) keeps per-point columns only: each block of chart
-points is evaluated to jets, reduced to its columns and dropped before the
-next block starts, so its memory is the columns plus one block's jets.
+points is evaluated to a SurfaceData of values (whose jets die inside
+evaluate_grid), reduced to its columns and dropped before the next block
+starts, so its memory is the columns plus one block's pass.
 
 The diameter-weighted estimate is exposed as `diam_weyl_report`; its
 constant is C = 4 (n-1)^{-2} e^{(n-1)/4}, which collapses to e^{1/2} in
@@ -24,13 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PASS_RULES, DomainError, location, worst
-from .intrinsic import (
-    build_geodesic_graph,
-    curvature,
-    diameter,
-    ricci_norm,
-    sectional_extremes,
-)
+from .intrinsic import build_geodesic_graph, diameter, ricci_norm, sectional_extremes
 from .surfaces import GRID_EXTENT, ball_grid, evaluate_grid, metric_fn, point_blocks
 
 
@@ -86,21 +81,20 @@ class EvaluatedGrid:
 
 
 # The identity residual columns a grid can take, named after the verify
-# checks that read them, each from one block's SurfaceData and
-# CurvatureState: the contracted Gauss and the Codazzi residual (K,), and the
-# three support identities (K, 3).
+# checks that read them, each from one block's SurfaceData: the contracted
+# Gauss and the Codazzi residual (K,), and the three support identities (K, 3).
 RESIDUALS = {
-    "gauss-residual": lambda sd, cs: sd.gauss_residual(cs),
-    "codazzi-residual": lambda sd, cs: sd.codazzi_residual(cs),
-    "support-identities": lambda sd, cs: np.stack(sd.support_identities(cs), axis=-1),
+    "gauss-residual": lambda sd: sd.gauss_residual(),
+    "codazzi-residual": lambda sd: sd.codazzi_residual(),
+    "support-identities": lambda sd: np.stack(sd.support_identities(), axis=-1),
 }
 
 
 def _block_columns(family, chart, block, residuals):
     """The per-point columns of one block of chart points, copied out of its
-    jets, which die with this call."""
+    SurfaceData, which dies with this call."""
     sd = evaluate_grid(family, chart, block)
-    cs = curvature(sd.metric)
+    cs = sd.curvature
     columns = {
         "chart_ids": np.full(block.shape[0], chart),
         "coords": sd.coords,
@@ -113,7 +107,7 @@ def _block_columns(family, chart, block, residuals):
         "ricci_norm": ricci_norm(cs),
         "sectional_min": sectional_extremes(cs)[0],
     }
-    columns.update((name, RESIDUALS[name](sd, cs)) for name in residuals)
+    columns.update((name, RESIDUALS[name](sd)) for name in residuals)
     return {name: np.array(column) for name, column in columns.items()}
 
 
@@ -225,17 +219,14 @@ def graph_diameter(family, resolution, extent=GRID_EXTENT) -> float:
     return diameter(gg).value
 
 
-def diam_weyl_report(eg: EvaluatedGrid, d: Optional[float] = None,
-                     tol: Optional[float] = None, d_source="provided") -> BoundReport:
+def diam_weyl_report(eg: EvaluatedGrid, d: float, tol: Optional[float] = None,
+                     d_source="provided") -> BoundReport:
     """sup H^2 against C d^2 sup(2R^2 - Delta R + (n-1)^2 R / (64 d^2)).
 
-    d may be passed directly (exact diameters in tests, or a graph_diameter
-    computed elsewhere, d_source "graph"); otherwise it is graph_diameter at
-    the grid's own resolution.
+    d is the diameter: an exact one (d_source "provided") or a
+    graph_diameter (d_source "graph").
     """
     n = eg.n
-    if d is None:
-        d, d_source = graph_diameter(eg.family, eg.resolution, eg.extent), "graph"
     try:
         d2 = float(d) ** 2
     except OverflowError:

@@ -143,8 +143,7 @@ def _field_values(metric):
     if metric.order < 3:
         raise ValueError(f"an intrinsic field needs metric jets of order >= 3, got {metric.order}")
     cs = curvature(metric)
-    return (cs.metric, metric.jet.gradient(), np.array(cs.ricci), cs.ricci_jet.gradient(),
-            cs.christoffel)
+    return cs.metric, metric.jet.gradient(), cs.ricci, cs.d_ricci, cs.christoffel
 
 
 def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):

@@ -14,7 +14,8 @@ Storage.  Every tensor field is one Jet whose trailing batch axes are its
 slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
 (n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet and Ricci an
 (n, n)-slot Jet.  Products are formed one slot entry at a time, once per
-independent entry, on views of those arrays.  No Riemann tensor is formed:
+independent entry, on views of those arrays.  These jets live only inside
+curvature(), which returns plain values.  No Riemann tensor is formed:
 the Ricci jet is summed from the entries R^mu_{s mu nu} its trace reads,
 and in the supported dimensions (n = 2, 3) the Weyl tensor vanishes, so
 Ricci and the metric fix every other curvature quantity.
@@ -23,10 +24,10 @@ Orders.  A field is formed at the order its readers use: for a metric of
 order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
 Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
 are views of the leading coefficients of the order-(m - 1) jets.
-curvature() forms the inverse once per call and keeps no jet beyond the
-Ricci jet.  A CurvatureState holds values of the metric, its inverse,
-Christoffel, Ricci, scalar curvature and (for m >= 4) its Laplacian, plus
-the Ricci jet; the per-point summaries sectional_extremes(cs) and
+curvature() forms the inverse once per call and keeps no jet.  A
+CurvatureState holds values of the metric, its inverse, Christoffel, Ricci
+and (for m >= 3) Ricci's first partials, scalar curvature and (for m >= 4)
+its Laplacian; the per-point summaries sectional_extremes(cs) and
 ricci_norm(cs) are formed on request.
 
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  ricci[..., s, nu]
@@ -37,7 +38,7 @@ so positive curvature has positive sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -157,16 +158,18 @@ class MetricJet:
 
 @dataclass
 class CurvatureState:
-    """Pointwise curvature data over a batch of points; see module docstring."""
+    """Pointwise curvature values over a batch of points, no jet among them;
+    d_ricci holds Ricci's first partials, leading axis k for d/dx_k.  See the
+    module docstring."""
 
     n: int
     metric: np.ndarray
     metric_inv: np.ndarray
     christoffel: np.ndarray
     ricci: np.ndarray
+    d_ricci: Optional[np.ndarray]
     scalar: np.ndarray
     laplacian_scalar: Optional[np.ndarray]
-    ricci_jet: Jet = field(repr=False)
 
 
 def _riemann_up(gamma: Jet, gamma_t: Jet, r, s, mu, nu) -> Jet:
@@ -212,10 +215,10 @@ def _ricci(gamma: Jet, order) -> Jet:
 def curvature(mj: MetricJet) -> CurvatureState:
     """Run the full intrinsic pipeline on a metric jet field.
 
-    The metric must carry order >= 2; the scalar-curvature Laplacian needs
-    order 4 and is None below that.  All tensor outputs are plain arrays over
-    the batch; Ricci is additionally returned as a jet (order = metric
-    order - 2) so its derivatives stay exact.
+    The metric must carry order >= 2; Ricci's first partials need order 3
+    and the scalar-curvature Laplacian order 4, each None below that.  All
+    outputs are plain arrays over the batch, copied out of the jets, which
+    die with this call.
     """
     n, m = mj.n, mj.order
     if m < 2:
@@ -247,10 +250,10 @@ def curvature(mj: MetricJet) -> CurvatureState:
         metric=gvals,
         metric_inv=ginv_vals,
         christoffel=gamma_vals,
-        ricci=ricci.value,
-        scalar=scalar.value,
+        ricci=np.array(ricci.value),
+        d_ricci=ricci.gradient() if ro >= 1 else None,
+        scalar=np.array(scalar.value),
         laplacian_scalar=lap,
-        ricci_jet=ricci,
     )
 
 

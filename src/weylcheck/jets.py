@@ -321,9 +321,6 @@ class Jet:
             return Jet(self.nvars, self.order, self.coeffs - other.coeffs)
         return self.__add__(-np.asarray(other, dtype=float))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
@@ -356,30 +353,6 @@ class Jet:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        other = np.asarray(other, dtype=float)
-        return Jet(self.nvars, self.order, self.coeffs / other[..., None])
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, np.integer)):
-            raise TypeError("jet powers must be integers; use sqrt for the rest")
-        if p < 0:
-            return self.reciprocal() ** (-p)
-        out = Jet.constant(np.ones(self.batch_shape), self.nvars, self.order)
-        base = self
-        p = int(p)
-        while p:
-            if p & 1:
-                out = out * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return out
 
     # ------------------------------------------------------------- analytic
 

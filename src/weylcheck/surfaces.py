@@ -3,11 +3,13 @@
 Families are maps from the unit n-sphere into R^{n+1}: round spheres,
 ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
 field at a chart point is produced by exact jet arithmetic, with the chart
-map at the order the field's readers need.  Only evaluate_grid runs it at
-order 5: the induced metric then carries order 4, enough for the
-scalar-curvature Laplacian downstream; the normal and the second fundamental
-form carry order 1 for the exact first derivatives Codazzi reads, and
-rho = |X|^2/2 order 2 for its Hessian in the support identities.
+map at the order the field's readers need; evaluate_grid, surface_values
+and metric_values return plain values, and their jets die inside them.
+Only evaluate_grid runs it at order 5: the induced metric then carries
+order 4, enough for the scalar-curvature Laplacian of its CurvatureState;
+the normal and the second fundamental form carry order 1 for the exact
+first derivatives Codazzi reads, and rho = |X|^2/2 order 2 for its Hessian
+in the support identities.
 surface_values runs it at order 2 for the values of X, g and chi, and
 metric_values at order 1 for the values of g.  A coefficient has the same
 bits at every order that holds it (see weylcheck.jets), so the three agree
@@ -27,6 +29,7 @@ is ever evaluated near a chart boundary (see weylcheck.intrinsic).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -38,6 +41,7 @@ from .errors import DomainError
 from .intrinsic import (
     CHART_RADIUS,
     GRID_EXTENT,
+    CurvatureState,
     MetricJet,
     ball_lattice,
     codazzi_residual,
@@ -233,45 +237,32 @@ def _det_jets(rows):
     raise ValueError("determinant supported for sizes 2 and 3")
 
 
+@dataclass(eq=False)
 class SurfaceData:
-    """Fields of a family over a batch of chart points.
+    """Fields of a family over a batch of chart points, as plain arrays.
 
-    The scalar entries are arrays over the batch; metric is a MetricJet of
-    order 4 and chi_jet a Jet of order 1 whose trailing batch axes are the
-    (n, n) tensor slots.  Nothing derived is cached: curvature() runs
-    intrinsic.curvature on each call, and the residual methods take the
-    CurvatureState a caller already has, so one block's curvature is formed
-    once (bounds.evaluate_family_grid).
+    X and N (.., n+1) are the embedding and its unit normal; g and chi
+    (.., n, n) the induced metric and the second fundamental form, and d_chi
+    (.., n, n, n) chi's first partials, last axis k for d/dx_k; rho = |X|^2/2
+    comes with its gradient (.., n) and covariant Hessian (.., n, n), and
+    support is X.N.  curvature is the CurvatureState of the order-4 metric,
+    whose values g shares.  evaluate_grid forms every field and drops its
+    jets before it returns, so no jet outlives the call.
     """
 
-    def __init__(self, family, chart, coords, X, N, metric, chi_jet, rho_jet, support):
-        self.family = family
-        self.chart = chart
-        self.coords = coords
-        self.X = X
-        self.N = N
-        self.metric = metric
-        self.chi_jet = chi_jet
-        self.rho_jet = rho_jet
-        self.support = support
-
-    # -- plain-value views ------------------------------------------------
-
-    @property
-    def n(self):
-        return self.metric.n
-
-    @property
-    def g(self):
-        return self.metric.values()
-
-    @property
-    def chi(self):
-        return self.chi_jet.value
-
-    @property
-    def rho(self):
-        return self.rho_jet.value
+    family: object
+    chart: int
+    coords: np.ndarray
+    X: np.ndarray
+    N: np.ndarray
+    g: np.ndarray
+    chi: np.ndarray
+    d_chi: np.ndarray
+    rho: np.ndarray
+    rho_grad: np.ndarray
+    rho_hess: np.ndarray
+    support: np.ndarray
+    curvature: CurvatureState
 
     @cached_property
     def principal_curvatures(self):
@@ -287,24 +278,19 @@ class SurfaceData:
         """|chi|_g, the root-sum-square of the principal curvatures."""
         return np.sqrt((self.principal_curvatures**2).sum(axis=-1))
 
-    def curvature(self):
-        return curvature(self.metric)
-
     # -- identity residuals ------------------------------------------------
-    # each takes the metric's CurvatureState, or forms it when given none
 
-    def gauss_residual(self, cs=None):
+    def gauss_residual(self):
         """Max-norm of the contracted Gauss residual per point, which is the
         whole Gauss equation for n <= 3 (see contracted_gauss_residual)."""
-        cs = self.curvature() if cs is None else cs
+        cs = self.curvature
         return contracted_gauss_residual(cs.metric_inv, self.chi, cs.ricci)
 
-    def codazzi_residual(self, cs=None):
+    def codazzi_residual(self):
         """Max-norm of the antisymmetrized covariant derivative of chi."""
-        cs = self.curvature() if cs is None else cs
-        return codazzi_residual(cs.christoffel, self.chi, self.chi_jet.gradient(-1))
+        return codazzi_residual(self.curvature.christoffel, self.chi, self.d_chi)
 
-    def support_identities(self, cs=None):
+    def support_identities(self):
         """Residuals of the three support-function identities.
 
         Returns (r1, r2, r3) arrays: the Hessian identity for rho, the
@@ -314,19 +300,16 @@ class SurfaceData:
         NaN in r3 (the comparison involves sqrt(R)); where R > 0 the lam
         must lie in the sigma_2 ellipticity cone, else DomainError.
         """
-        cs = self.curvature() if cs is None else cs
-        grad, hess_cov = covariant_hessian(self.rho_jet, cs.christoffel)
-        g = self.g
-        ginv = np.linalg.inv(g)
+        g, grad, hess_cov = self.g, self.rho_grad, self.rho_hess
         r1 = np.abs(hess_cov - g + self.support[..., None, None] * self.chi
                     ).max(axis=(-2, -1))
-        grad_sq = np.einsum("...ij,...i,...j->...", ginv, grad, grad)
+        grad_sq = np.einsum("...ij,...i,...j->...", self.curvature.metric_inv, grad, grad)
         r2 = np.abs(2.0 * self.rho - grad_sq - self.support**2)
 
         lam = principal_curvatures(g, g - hess_cov)
         s1 = lam.sum(axis=-1)
         s2 = (s1**2 - (lam**2).sum(axis=-1)) / 2.0
-        big_r = cs.scalar
+        big_r = self.curvature.scalar
         pos = big_r > 0
         if np.any(pos & ((s1 <= 0) | (s2 <= 0))):
             raise DomainError("eigenvalues left the sigma_2 ellipticity cone")
@@ -403,24 +386,30 @@ def _check_points(family, pts):
 
 
 def evaluate_grid(family, chart, pts) -> SurfaceData:
-    """Evaluate every surface field of the family at chart points (.., n)."""
+    """Evaluate every surface field of the family at chart points (.., n);
+    the ambient jets are dropped before curvature() runs, and its jets and
+    the metric's die with this call."""
     pts = _check_points(family, pts)
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
     metric = MetricJet(induced_metric(amb))
     normal, chi_jet = _normal_chi(amb, 1)
 
-    rho = None
+    rho_jet = None
     for x in amb:
         t = x.truncate(2)
         t = t * t
-        rho = t if rho is None else rho + t
-    rho = 0.5 * rho
+        rho_jet = t if rho_jet is None else rho_jet + t
+    rho_jet = 0.5 * rho_jet
 
     x_vals = np.stack([x.value for x in amb], axis=-1)
     n_vals = np.stack([c.value for c in normal], axis=-1)
+    del amb, normal
     support = np.einsum("...a,...a->...", x_vals, n_vals)
-    return SurfaceData(family, chart, pts, x_vals, n_vals, metric, chi_jet,
-                       rho, support)
+    cs = curvature(metric)
+    rho_grad, rho_hess = covariant_hessian(rho_jet, cs.christoffel)
+    return SurfaceData(family, chart, pts, x_vals, n_vals, cs.metric,
+                       np.array(chi_jet.value), chi_jet.gradient(-1),
+                       np.array(rho_jet.value), rho_grad, rho_hess, support, cs)
 
 
 def surface_values(family, chart, pts):

@@ -18,9 +18,12 @@
 - sphere_chain: the unit sphere's chart jets by plain Jet arithmetic, as
   unit_sphere_jets formed them before it wrote them in closed form.
 - coefficient: a Jet's Taylor coefficient of one monomial.
+- reachable: every object reachable from one, but through code and modules.
 """
 
+import gc
 import math
+import types
 
 import numpy as np
 
@@ -79,7 +82,8 @@ def full_riemann_curvature(mj):
 
     cs = CurvatureState(n=n, metric=gvals, metric_inv=ginv_vals,
                         christoffel=gamma_vals, ricci=ricci.value,
-                        scalar=scalar.value, laplacian_scalar=lap, ricci_jet=ricci)
+                        d_ricci=ricci.gradient() if ro >= 1 else None,
+                        scalar=scalar.value, laplacian_scalar=lap)
     return cs, riemann
 
 
@@ -214,3 +218,16 @@ def sphere_chain(chart, pts, order):
     last = (2.0 * winv) - 1.0
     out.append(-1.0 * last if chart == 1 else last)
     return [c.truncate(order) for c in out]
+
+
+def reachable(obj):
+    """Every object reachable from obj by gc referents, but through types,
+    modules and functions, obj included."""
+    seen, stack = set(), [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import cholesky_frame, frame_components, full_riemann_curvature, jet_exp
+from oracles import (
+    cholesky_frame,
+    frame_components,
+    full_riemann_curvature,
+    jet_exp,
+    reachable,
+)
 from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
 from weylcheck.intrinsic import (
@@ -24,7 +30,6 @@ from weylcheck.surfaces import (
     Ellipsoid,
     RoundSphere,
     ball_grid,
-    evaluate_grid,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -34,7 +39,8 @@ def conformal_metric(pts, phi_fn, n=3, order=4):
     """g = phi^2 * identity with phi = phi_fn(coordinate jets)."""
     pts = np.asarray(pts, dtype=float)
     xs = [Jet.variable(pts[..., i], i, n, order) for i in range(n)]
-    p2 = phi_fn(xs) ** 2
+    phi = phi_fn(xs)
+    p2 = phi * phi
     return MetricJet(Jet(n, order, np.eye(n)[:, :, None] * p2.coeffs[..., None, None, :]))
 
 
@@ -337,8 +343,9 @@ class TestMetricJetValidation:
         assert np.array_equal(g, np.swapaxes(g, -3, -2))
         gamma = mj.christoffels().coeffs
         assert np.array_equal(gamma, np.swapaxes(gamma, -3, -2))
-        ric = curvature(mj).ricci_jet.coeffs
-        assert np.array_equal(ric, np.swapaxes(ric, -3, -2))
+        cs = curvature(mj)
+        for ric in (cs.ricci, cs.d_ricci):
+            assert np.array_equal(ric, np.swapaxes(ric, -1, -2))
 
     def test_coeff_array_round_trip(self):
         mj = bumpy_metric(SAMPLE_PTS)
@@ -354,7 +361,7 @@ ORACLE_FAMILIES = {
     "bump": lambda: radial_graph_bump(0.1),
     "random-23": lambda: radial_graph_random(23, 0.05),
 }
-CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "ricci", "scalar",
+CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "ricci", "d_ricci", "scalar",
                     "laplacian_scalar")
 
 
@@ -382,7 +389,6 @@ class TestFullRiemannOracle:
                 got, (want, _) = curvature(mj), full_riemann_curvature(mj)
                 for f in CURVATURE_FIELDS:
                     assert_same_bits(getattr(got, f), getattr(want, f))
-                assert_same_bits(got.ricci_jet.coeffs, want.ricci_jet.coeffs)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + ["bumpy-conformal"])
     def test_ricci_fixes_riemann(self, name):
@@ -400,7 +406,7 @@ class TestFullRiemannOracle:
 
 class TestCurvatureMemory:
     def test_order4_peak_per_point(self):
-        mj = evaluate_grid(ORACLE_FAMILIES["ellipsoid"](), 0, ball_grid(13)).metric
+        mj = metric_jets(ORACLE_FAMILIES["ellipsoid"](), 0, ball_grid(13), 4)
         assert mj.order == 4
         curvature(mj)   # the jet basis tables are built once per process
         gc.collect()
@@ -414,6 +420,18 @@ class TestCurvatureMemory:
         assert peak / mj.batch_shape[0] <= 10 * 1024
         held = [k for k, v in vars(mj).items() if isinstance(v, Jet) and v is not mj.jet]
         assert held == []
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_state_keeps_no_jet(self, order):
+        # plain value arrays that own their data: Ricci's jet dies in curvature()
+        cs = curvature(metric_jets(ORACLE_FAMILIES["bump"](), 1, SAMPLE_PTS, order))
+        for obj in reachable(cs):
+            assert not isinstance(obj, (Jet, MetricJet)), obj
+            assert not isinstance(obj, np.ndarray) or obj.base is None
+        assert (cs.d_ricci is None) == (order < 3)
+        assert (cs.laplacian_scalar is None) == (order < 4)
+        if order >= 3:
+            assert cs.d_ricci.shape == (3, len(SAMPLE_PTS), 3, 3)
 
 
 class TestDiameter:

@@ -1,12 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import full_riemann_curvature, radial_graph_forms, scalar_gauss, sphere_chain
+from oracles import (
+    full_riemann_curvature,
+    radial_graph_forms,
+    reachable,
+    scalar_gauss,
+    sphere_chain,
+)
 from weylcheck.bounds import c2bound_report, evaluate_family_grid
+from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
-from weylcheck.intrinsic import ricci_norm, sectional_extremes, transition_coords
+from weylcheck.jets import Jet
+from weylcheck.intrinsic import (
+    CurvatureState,
+    MetricJet,
+    codazzi_residual,
+    contracted_gauss_residual,
+    ricci_norm,
+    sectional_extremes,
+    transition_coords,
+)
 from weylcheck.surfaces import (
     Ellipsoid,
     RadialGraph,
@@ -129,7 +146,7 @@ class TestEmbeddingIdentities:
         pts = sample_points(12, seed=11)
         sd = evaluate_grid(fam, 0, pts)
         amb = fam.ambient_jets(0, pts)
-        gam = sd.metric.christoffels().value
+        gam = metric_jets(fam, 0, pts, 4).christoffels().value
         e_vals = np.stack(
             [np.stack([x.derivative(i).value for x in amb], -1) for i in range(3)], -2
         )
@@ -168,7 +185,7 @@ class TestEmbeddingIdentities:
         np.testing.assert_allclose(a.support, b.support, atol=1e-10)
         np.testing.assert_allclose(a.rho, b.rho, atol=1e-10)
         np.testing.assert_allclose(
-            a.curvature().scalar, b.curvature().scalar, atol=1e-10
+            a.curvature.scalar, b.curvature.scalar, atol=1e-10
         )
 
     def test_fast_metric_path(self, name):
@@ -246,11 +263,11 @@ class TestRadialGraphRoutes:
         np.testing.assert_allclose(sd.support, sg.support, rtol=1e-10)
         np.testing.assert_allclose(sd.chi_norm, sg.chi_norm, rtol=1e-10)
         np.testing.assert_allclose(
-            sd.curvature().scalar, sg.curvature().scalar, rtol=1e-9
+            sd.curvature.scalar, sg.curvature.scalar, rtol=1e-9
         )
 
     def test_nonpositive_u_rejected(self):
-        bad = RadialGraph(lambda comps: 1.0 - 2.0 * (comps[-1] * comps[-1]))
+        bad = RadialGraph(lambda comps: 1.0 + -2.0 * (comps[-1] * comps[-1]))
         with pytest.raises(DomainError):
             evaluate_grid(bad, 0, np.zeros((1, 3)))
 
@@ -291,7 +308,7 @@ class TestTwoDimensional:
         sd = evaluate_grid(fam, 0, pts)
         np.testing.assert_allclose(sd.chi, sd.g, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(sd.H, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(sd.curvature().scalar, 2.0, rtol=1e-10)
+        np.testing.assert_allclose(sd.curvature.scalar, 2.0, rtol=1e-10)
         assert sd.gauss_residual().max() <= 1e-10
         assert sd.codazzi_residual().max() <= 1e-10
 
@@ -333,7 +350,7 @@ class TestEllipsoidLevelSet:
     def test_pointwise_curvature(self, chart):
         pts = sample_points(50, seed=23 + chart)
         sd = evaluate_grid(Ellipsoid(AXES), chart, pts)
-        cs = sd.curvature()
+        cs = sd.curvature
         h, chi_norm, scalar, ricci, (kmin, kmax) = self.level_set(AXES, chart, pts)
         got = sectional_extremes(cs)
         for name, value, want in [("H", sd.H, h), ("chi_norm", sd.chi_norm, chi_norm),
@@ -343,27 +360,69 @@ class TestEllipsoidLevelSet:
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0, err_msg=name)
 
     @staticmethod
-    def mp_scalar(mp, axes, chart, xi):
-        """R = H^2 - |S|^2 at chart coords xi, from S in mpmath."""
+    def mp_shape(mp, axes, chart, xi):
+        """S = PAP/|Ax| (4 x 4) at chart coords xi, in mpmath."""
         w = 1 + sum(t**2 for t in xi)
         unit = [2 * t / w for t in xi] + [(2 - w) / w * (1 if chart == 0 else -1)]
         ax = [c / a for a, c in zip(axes, unit)]
         norm = mp.sqrt(sum(c**2 for c in ax))
         nu = [c / norm for c in ax]
         proj = mp.matrix([[(i == j) - nu[i] * nu[j] for j in range(4)] for i in range(4)])
-        shape = proj * mp.diag([a**-2 for a in axes]) * proj / norm
+        return proj * mp.diag([a**-2 for a in axes]) * proj / norm
+
+    @classmethod
+    def mp_scalar(cls, mp, axes, chart, xi):
+        """R = H^2 - |S|^2 at chart coords xi, from S in mpmath."""
+        shape = cls.mp_shape(mp, axes, chart, xi)
         h = sum(shape[i, i] for i in range(4))
         return h**2 - sum(shape[i, j]**2 for i in range(4) for j in range(4))
 
     @staticmethod
-    def mp_metric(mp, axes, chart, xi):
-        """g_ij = dx/dxi_i . dx/dxi_j of the ellipsoid's chart map, in closed form."""
+    def mp_jacobian(mp, axes, chart, xi):
+        """J = dx/dxi (4 x 3) of the ellipsoid's chart map, in closed form."""
         w = 1 + sum(t**2 for t in xi)
         jac = [[axes[k] * (2 * (k == i) / w - 4 * xi[k] * xi[i] / w**2) for i in range(3)]
                for k in range(3)]
         jac.append([axes[3] * (1 if chart == 0 else -1) * -4 * t / w**2 for t in xi])
-        return mp.matrix([[sum(jac[k][i] * jac[k][j] for k in range(4)) for j in range(3)]
-                          for i in range(3)])
+        return mp.matrix(jac)
+
+    @classmethod
+    def mp_metric(cls, mp, axes, chart, xi):
+        """g = J^T J, the induced metric."""
+        jac = cls.mp_jacobian(mp, axes, chart, xi)
+        return jac.T * jac
+
+    @classmethod
+    def mp_chi(cls, mp, axes, chart, xi):
+        """chi = J^T S J, the second fundamental form."""
+        jac = cls.mp_jacobian(mp, axes, chart, xi)
+        return jac.T * cls.mp_shape(mp, axes, chart, xi) * jac
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_gauss_and_codazzi_hold_for_the_level_set_chi(self, chart):
+        # chi from the level set and its partials by mpmath.diff at 30 digits:
+        # the pipeline's Ricci and Christoffel symbols must satisfy Gauss and
+        # Codazzi with a chi that no jet of the pipeline formed
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        pts = sample_points(4, seed=41 + chart)
+        cs = evaluate_grid(Ellipsoid(AXES), chart, pts).curvature
+
+        def chi_entry(xi, i, j, k, t):
+            return self.mp_chi(mp, AXES, chart, xi[:k] + (t,) + xi[k + 1:])[i, j]
+
+        with mpmath.workdps(30):
+            chi, d_chi = [], []
+            for p in pts:
+                xi = tuple(mp.mpf(float(c)) for c in p)
+                chi.append(self.mp_chi(mp, AXES, chart, xi).tolist())
+                d_chi.append([[[mpmath.diff(lambda t: chi_entry(xi, i, j, k, t), xi[k])
+                                for k in range(3)] for j in range(3)] for i in range(3)])
+        chi, d_chi = np.array(chi, dtype=float), np.array(d_chi, dtype=float)
+        gauss = contracted_gauss_residual(cs.metric_inv, chi, cs.ricci)
+        assert gauss.max() <= 1e-12 * np.abs(cs.ricci).max()
+        codazzi = codazzi_residual(cs.christoffel, chi, d_chi)
+        assert codazzi.max() <= 1e-12 * np.abs(d_chi).max()
 
     @pytest.mark.parametrize("chart", [0, 1])
     def test_laplacian_of_scalar_curvature(self, chart):
@@ -373,7 +432,7 @@ class TestEllipsoidLevelSet:
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp
         pts = sample_points(4, seed=31 + chart)
-        cs = evaluate_grid(Ellipsoid(AXES), chart, pts).curvature()
+        cs = evaluate_grid(Ellipsoid(AXES), chart, pts).curvature
 
         def scalar(xi):
             return self.mp_scalar(mp, AXES, chart, xi)
@@ -422,14 +481,32 @@ class TestGaussNegativeControl:
         radial_graph_bump(0.1),
     ], ids=["sphere-3", "sphere-2", "ellipsoid", "bump"])
     def test_scaled_chi_fails(self, fam):
-        sd = evaluate_grid(fam, 0, sample_points(20, n=fam.dim, seed=5))
-        sd.chi_jet = 1.01 * sd.chi_jet
+        pts = sample_points(20, n=fam.dim, seed=5)
+        sd = evaluate_grid(fam, 0, pts)
+        sd = dataclasses.replace(sd, chi=1.01 * sd.chi, d_chi=1.01 * sd.d_chi)
         assert sd.gauss_residual().min() >= 1e-3
         chi = sd.chi
-        full = full_riemann_curvature(sd.metric)[1] \
+        full = full_riemann_curvature(metric_jets(fam, 0, pts, 4))[1] \
             - np.einsum("...ik,...jl->...ijkl", chi, chi) \
             + np.einsum("...il,...jk->...ijkl", chi, chi)
         assert np.abs(full).max(axis=(-4, -3, -2, -1)).min() >= 1e-3
+
+
+@pytest.mark.parametrize("fam", [RoundSphere(1.0, dim=2), Ellipsoid(AXES), radial_graph_bump(0.1)],
+                         ids=["sphere-2", "ellipsoid", "bump"])
+def test_surface_data_keeps_no_jet(fam):
+    # every field is a value array that owns its data: no jet, and no view
+    # into a jet's coefficients, outlives evaluate_grid
+    sd = evaluate_grid(fam, 0, sample_points(20, n=fam.dim, seed=8))
+    assert isinstance(sd.curvature, CurvatureState)
+    assert sd.g is sd.curvature.metric
+    arrays = 0
+    for obj in reachable(sd):
+        assert not isinstance(obj, (Jet, MetricJet)), obj
+        if isinstance(obj, np.ndarray):
+            assert obj.base is None
+            arrays += 1
+    assert arrays == 16   # ten fields and the state's seven, g shared
 
 
 def test_ball_grid_shape():
