@@ -247,8 +247,12 @@ class RunConfig:
                 elif kind == "bump":
                     fam = radial_graph_bump(spec.pop("amplitude", 0.1))
                 elif kind == "random":
-                    fam = radial_graph_random(spec.pop("seed", self.seed),
-                                              spec.pop("amplitude", 0.05))
+                    # the top-level seed's rule; true would run as seed 1
+                    seed = spec.pop("seed", self.seed)
+                    if not _is_int(seed) or seed < 0:
+                        raise ConfigError("family seed must be a nonnegative "
+                                          "integer")
+                    fam = radial_graph_random(seed, spec.pop("amplitude", 0.05))
                 else:
                     raise ConfigError(f"unknown radial_graph kind {kind!r}")
             else:

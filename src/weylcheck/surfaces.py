@@ -34,9 +34,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-# loaded with the module, not inside the first job that draws a random graph
-from numpy.random import default_rng
 
+from . import _rng
 from .errors import DomainError
 from .intrinsic import (
     CHART_RADIUS,
@@ -200,11 +199,13 @@ def radial_graph_bump(amp=0.1, dim=3):
 
 def radial_graph_random(seed, amp=0.05, dim=3):
     """u = 1 + amp * (xhat^T Q xhat) for a seeded random symmetric Q with
-    unit-bounded entries; small amp keeps the graph convex."""
+    unit-bounded entries; small amp keeps the graph convex.  Q symmetrizes
+    the draw of numpy.random.default_rng(seed).uniform(-1, 1, (dim + 1,
+    dim + 1)), taken from weylcheck._rng, which gives its bits without
+    loading numpy.random."""
     if not 0 <= amp < 0.2:
         raise ValueError("amplitude out of the convexity-safe range")
-    rng = default_rng(seed)
-    q = rng.uniform(-1.0, 1.0, size=(dim + 1, dim + 1))
+    q = np.array(_rng.uniform(seed, (dim + 1) ** 2)).reshape(dim + 1, dim + 1)
     q = (q + q.T) / 2.0
 
     def u(comps):

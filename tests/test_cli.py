@@ -84,6 +84,9 @@ class TestRunConfig:
         ("sphere", "family must be an object"),
         ({"variant": "sphere", "dim": 4}, "dimension must be 2 or 3"),
         ({"variant": "ellipsoid", "semi_axes": [1, 1]}, "dimension must be 2 or 3"),
+        # null would seed from OS entropy, true run as 1, a list as entropy words
+        *(({"variant": "radial_graph", "kind": "random", "seed": seed}, "family seed")
+          for seed in (None, True, [1, 2], -1, 1.5, "3")),
     ])
     def test_family_rejects(self, family, frag):
         with pytest.raises(ConfigError, match=frag):

@@ -81,7 +81,9 @@ INVALID = {
                {"variant": "radial_graph", "kind": "constant", "value": 0.0},
                {"variant": "sphere", "radius": 10**400},
                {"variant": "ellipsoid", "semi_axes": [1.0, 10**400, 0.9, 1.05]},
-               {"variant": "radial_graph", "kind": "constant", "value": 10**400}],
+               {"variant": "radial_graph", "kind": "constant", "value": 10**400},
+               *({"variant": "radial_graph", "kind": "random", "seed": seed}
+                 for seed in (None, True, [1, 2], -1, 1.5, "3"))],
     "resolution": [3, 4, 6, -5, 53, 7.0, "7", True, None],
     "h": [0, -0.1, 10.0, 1e-5, "x", True],
     "extent": [1.0, 1.8, 0.5, -1.0, "a", None, True],

@@ -1,11 +1,15 @@
-"""Import hygiene: no command loads scipy in the calling process.
+"""Import hygiene: no command loads scipy in the calling process, nor
+numpy.random beyond what importing numpy loads.
 
 Only verify computing a diameter uses scipy, in the forked child that
 computes it (on Linux).  Every command, and importing the CLI, runs on numpy
 alone, and a job loads no numpy submodule on first use that the import did
-not load.  The heap policy of cli.main stays off the import path: importing
-the CLI loads no ctypes module beyond those numpy loads, and the CLI imports
-and runs where ctypes cannot be imported.  Each case runs in a fresh
+not load.  Random graphs draw from weylcheck._rng, so weylcheck never
+loads numpy.random, nor hashlib, _hashlib (OpenSSL) and secrets, which it
+brings, beyond what importing numpy loads (all of them before numpy 2.0).
+The heap policy of cli.main stays off the import path: importing the CLI
+loads no ctypes module beyond those numpy loads, and the CLI imports and
+runs where ctypes cannot be imported.  Each case runs in a fresh
 interpreter, because this one has scipy loaded.
 """
 
@@ -24,11 +28,16 @@ from weylcheck.surfaces import GRID_EXTENT, RoundSphere
 
 SRC = str(Path(weylcheck.__file__).resolve().parent.parent)
 
-# prints the scipy modules loaded at the end, and the numpy ones the jobs loaded
+# prints the scipy modules loaded at the end, the numpy.random stack modules
+# loaded beyond those importing numpy loads (numpy < 2 imports numpy.random
+# itself), and the numpy ones the jobs loaded
 PROBE = """
 import contextlib, io, json, sys
+import numpy
+numpy_loaded = set(sys.modules)
 import weylcheck.cli
 before = set(sys.modules)
+RANDOM_STACK = {"hashlib", "_hashlib", "secrets"}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = weylcheck.cli.main(argv)
@@ -36,15 +45,20 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy_in_jobs": sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"),
+    "random": sorted(m for m in set(sys.modules) - numpy_loaded
+                     if m in RANDOM_STACK or m.split(".")[:2] == ["numpy", "random"]),
 }))
 """
 
 BUMP = {"variant": "radial_graph", "kind": "bump", "amplitude": 0.1}
+RANDOM = {"variant": "radial_graph", "kind": "random", "seed": 23}
 RUNS = {
-    "solve": {"resolution": 5},
-    "reconstruct": {"resolution": 5, "h": 0.1},
-    "family": {"family": BUMP, "resolution": 5},
-    "verify": {"resolution": 5, "diameter": 3.0},
+    # the default solve draws graph-random in its Codazzi calibration
+    "solve": ("solve", {"resolution": 5}),
+    "reconstruct": ("reconstruct", {"resolution": 5, "h": 0.1}),
+    "family": ("family", {"family": BUMP, "resolution": 5}),
+    "verify": ("verify", {"resolution": 5, "diameter": 3.0}),
+    "verify-random": ("verify", {"family": RANDOM, "resolution": 5, "diameter": 3.0}),
 }
 
 
@@ -62,14 +76,17 @@ def probe(tmp_path, runs):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    assert probe(tmp_path, [])["scipy"] == []
+    loaded = probe(tmp_path, [])
+    assert loaded["scipy"] == []
+    assert loaded["random"] == []
 
 
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_command_loads_no_scipy(tmp_path, command):
-    loaded = probe(tmp_path, [(command, RUNS[command])])
+    loaded = probe(tmp_path, [RUNS[command]])
     assert loaded["scipy"] == []
     assert loaded["numpy_in_jobs"] == []
+    assert loaded["random"] == []
 
 
 @pytest.mark.skipif(not _forkjoin.FORK, reason="computed inline off Linux")
@@ -80,6 +97,7 @@ def test_computed_diameter_loads_no_scipy(tmp_path):
                                           "out": str(out)})])
     assert loaded["scipy"] == []
     assert loaded["numpy_in_jobs"] == []
+    assert loaded["random"] == []
     constants = json.loads(out.read_text())["sections"]["diam-weyl"]["constants"]
     assert constants["d_source"] == "graph"
     assert constants["d"] == graph_diameter(RoundSphere(1.0), 5, GRID_EXTENT)
