@@ -230,7 +230,9 @@ def diam_weyl_report(eg: EvaluatedGrid, d: float, tol: Optional[float] = None,
     try:
         d2 = float(d) ** 2
     except OverflowError:
-        raise DomainError(f"diam-weyl: d**2 overflows for d = {d!r}") from None
+        d2 = math.inf       # inf ** 2 is inf, while 1e200 ** 2 raises
+    if not math.isfinite(d2):
+        raise DomainError(f"diam-weyl: d**2 overflows for d = {d!r}")
     if d2 < np.finfo(float).tiny:   # zero or subnormal
         raise DomainError(f"diam-weyl: d**2 underflows for d = {d!r}")
     big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 4.0)

@@ -87,10 +87,10 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration
 # and keeps its fields' values only (embedsolve.IntrinsicField, formed in
 # BLOCK_POINTS blocks).  On the ellipsoid at resolutions 9, 13 and 17 (257,
-# 925 and 2109 points a chart) it peaked at 40.4, 44.2 and 48.0 MiB RSS, its
-# child at 31.2, 34.6 and 38.2 MiB (max of 5 runs): 4.2 and 3.9 KiB per point
-# from 9 to 17, so at 51 (65,267 points) the two stay near 86 MiB + 8.1 KiB x
-# 63,158 = 590 MiB.  The cap was set at 51 when verify evaluated a chart in
+# 925 and 2109 points a chart) it peaked at 34.9, 38.4 and 42.9 MiB RSS, its
+# child at 29.4, 32.5 and 37.2 MiB (max of 3 runs): 4.4 KiB per point each
+# from 9 to 17, so at 51 (65,267 points) the two stay near 80 MiB + 8.8 KiB x
+# 63,158 = 620 MiB.  The cap was set at 51 when verify evaluated a chart in
 # one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays there, and
 # every estimate at 51 is under 1.1 GiB, reconstruct's the largest.
 MAX_RESOLUTION = 51
@@ -232,6 +232,10 @@ class RunConfig:
     def build_family(self):
         spec = dict(self.family)
         variant = spec.pop("variant", "sphere")
+        for key in ("radius", "semi_axes", "value", "amplitude"):
+            given = spec.get(key)
+            if any(isinstance(v, bool) for v in (given if isinstance(given, list) else [given])):
+                raise ConfigError(f"family {key} must be numbers, not true or false")
         try:
             if variant == "sphere":
                 fam = RoundSphere(spec.pop("radius", 1.0),

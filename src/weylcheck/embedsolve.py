@@ -10,11 +10,11 @@ residual carries no grid-differencing noise.  The Codazzi gate's default
 threshold is calibrated on three embedded reference families in both
 charts; on Linux chart 1's solves run in a forked child beside chart 0's.
 
-An IntrinsicField holds values, not jets: g, Ricci, their first partials
-and the Christoffel symbols.  from_family forms them from metric jets of
-order 3 (the solver reads Ricci, order m - 2, to first partials) one
-surfaces.BLOCK_POINTS block at a time, each block's jets dropped before the
-next; order 4 and any block size give the same bits (see weylcheck.jets).
+An IntrinsicField holds values, not jets: g and its inverse, Ricci, their
+first partials, last axis k for d/dx_k, and the Christoffel symbols, formed
+by from_family from metric jets of order 3 (Ricci, order m - 2, is read to
+first partials) one surfaces.BLOCK_POINTS block at a time, each block's jets
+dropped before the next; order 4 and any block size give the same bits.
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice.
@@ -59,7 +59,6 @@ from .intrinsic import (
     curvature,
     principal_curvatures,
 )
-from .jets import Jet
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
@@ -77,19 +76,20 @@ def metric_jets(family, chart, pts, order) -> MetricJet:
 
 @dataclasses.dataclass(eq=False)
 class IntrinsicField:
-    """Values over one chart grid: g (read by g()), Ricci, their first partials
-    dg and d_ricci (leading axis k for d/dx_k) and the Christoffel symbols.
+    """Values over one three-dimensional chart grid: g (read by g()), the
+    metric_inv curvature() formed, Ricci, their first partials dg and d_ricci,
+    last axis k for d/dx_k, and the Christoffel symbols.
 
-    Ricci is always derived from the metric's own curvature, so the two are
-    consistent by construction; perturbed() adds a perturbation (jet-valued
-    callable of the coordinates) on top, to model data that no embedding
-    produced.  family is kept when known: it makes the field evaluable
-    between grid nodes, which reconstruction needs.
+    Ricci comes from the metric's own curvature; perturbed() adds to it a
+    perturbation p(pts) -> (value, first partials), two arrays laid out as
+    ricci and d_ricci, to model data that no embedding produced.  family,
+    when known, makes the field evaluable between grid nodes for reconstruction.
     """
 
     chart: int
     coords: np.ndarray
     _g: np.ndarray
+    metric_inv: np.ndarray
     dg: np.ndarray
     ricci: np.ndarray
     d_ricci: np.ndarray
@@ -97,9 +97,9 @@ class IntrinsicField:
     family: object = None
     perturbation: Optional[Callable] = None
 
-    @property
-    def n(self):
-        return self.coords.shape[-1]
+    def __post_init__(self):
+        if self.coords.shape[-1] != 3:
+            raise ValueError("an intrinsic field is three-dimensional only")
 
     def g(self):
         return self._g
@@ -115,22 +115,20 @@ class IntrinsicField:
     @classmethod
     def from_family(cls, family, chart, pts):
         """The family's field from metric jets of order 3, formed one
-        surfaces.BLOCK_POINTS block at a time; each block is reduced to its
-        values before the next starts, which does not move a bit."""
+        surfaces.BLOCK_POINTS block at a time, which does not move a bit."""
         pts = np.asarray(pts, dtype=float)
         parts = zip(*[_field_values(metric_jets(family, chart, block, order=3))
                       for block in surfaces.point_blocks(pts)])
-        # dg and d_ricci hold the points on axis 1
-        return cls(chart, pts, *map(np.concatenate, parts, (0, 1, 0, 1, 0)), family=family)
+        return cls(chart, pts, *map(np.concatenate, parts), family=family)
 
     def perturbed(self, perturbation):
-        """The field with perturbation(coords, 1)'s value and first partials
-        added to Ricci's; once only, as _continuous_data reads one."""
+        """The field with the two arrays of perturbation(coords) added to
+        ricci and d_ricci; once only, as _continuous_data reads one."""
         if self.perturbation is not None:
             raise ValueError("the field is already perturbed")
-        p = perturbation(self.coords, 1)
-        return dataclasses.replace(self, ricci=self.ricci + p.value,
-                                   d_ricci=self.d_ricci + p.gradient(), perturbation=perturbation)
+        value, partials = perturbation(self.coords)
+        return dataclasses.replace(self, ricci=self.ricci + value,
+                                   d_ricci=self.d_ricci + partials, perturbation=perturbation)
 
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
@@ -138,21 +136,22 @@ class IntrinsicField:
 
 
 def _field_values(metric):
-    """(g, dg, ricci, d_ricci, christoffel), an IntrinsicField's values, of
-    metric jets of order m >= 3: the solver reads Ricci (m - 2) to first partials."""
+    """(g, g^-1, dg, ricci, d_ricci, christoffel), an IntrinsicField's values,
+    of metric jets of order m >= 3: the solver reads Ricci (m - 2) to first partials."""
     if metric.order < 3:
         raise ValueError(f"an intrinsic field needs metric jets of order >= 3, got {metric.order}")
     cs = curvature(metric)
-    return cs.metric, metric.jet.gradient(), cs.ricci, cs.d_ricci, cs.christoffel
+    return cs.metric, cs.metric_inv, metric.jet.gradient(), cs.ricci, cs.d_ricci, cs.christoffel
 
 
 def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
-    """Position-dependent diagonal Ricci perturbation, jet-valued.
+    """Ric_ii + scale (1 + slope_i x_i), a perturbation p(pts) -> (value,
+    first partials) as IntrinsicField.perturbed takes it.
 
     Small scales keep the input inside the solvable cone while breaking the
     Codazzi relation, which is what the negative-control tests need.
     """
-    def pert(pts, order):
+    def pert(pts):
         pts = np.asarray(pts, dtype=float)
         n = pts.shape[-1]
         val = np.zeros(pts.shape[:-1] + (n, n))
@@ -160,7 +159,7 @@ def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
         for i in range(n):
             val[..., i, i] = scale * (1.0 + slopes[i % len(slopes)] * pts[..., i])
             grad[..., i, i, i] = scale * slopes[i % len(slopes)]
-        return Jet.linear(val, grad, n, order=max(order, 1))
+        return val, grad
     return pert
 
 
@@ -201,11 +200,11 @@ def _chi_values(g, ginv, ric, chart, coords):
 
 @dataclasses.dataclass(eq=False)
 class ChiField:
-    """Solver output: chi with first derivatives over the field's grid."""
+    """Solver output: chi and its first partials d_values, last axis k for d/dx_k."""
 
     field: IntrinsicField
     values: np.ndarray
-    d_values: np.ndarray              # (..., n, n, n), last axis = d/dx_k
+    d_values: np.ndarray
     residuals: np.ndarray
     gaps: np.ndarray
 
@@ -214,8 +213,7 @@ class ChiField:
 
 
 def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
-    """The unique SPD chi with tr_g(chi) chi - chi g^{-1} chi = Ric (n = 3),
-    and its first derivatives.
+    """The unique SPD chi with tr_g(chi) chi - chi g^{-1} chi = Ric, and its partials.
 
     chi is the closed form s g E^{-1} g of _chi_values, E = R g - 2 Ric.
     d chi / dx_k is the product rule on it, fed by exact jet partials of g
@@ -224,20 +222,19 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     Raises ObstructionError at the first point where E is not positive
     definite relative to g, reporting its eps-gap (E's least eigenvalue).
     """
-    if field.n != 3:
-        raise ValueError("the contracted-Gauss solve is three-dimensional only")
-    g, ric = field.g(), field.ricci
-    ginv = np.linalg.inv(g)
+    g, ginv, ric = field.g(), field.metric_inv, field.ricci
     chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
     residuals = contracted_gauss_residual(ginv, chi, ric)
     _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
     if not ok:
         raise ConvergenceError("solver residual above the per-point limit",
                                residual=sup)
-    dg, dric = field.dg, field.d_ricci    # leading axis k: the partials d/dx_k
+    # contiguous copies with d/dx_k on the leading axis, which the algebra reads
+    dg, dric = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (field.dg, field.d_ricci))
     dr = np.einsum("...ab,k...ba->k...", ginv, dric) \
         - np.einsum("...ab,k...bc,...ca->k...", ginv, dg, ginv @ ric)
     de = dr[..., None, None] * g + r[..., None, None] * dg - 2.0 * dric
+    del dric                          # before the d chi temporaries
     ds_s = 0.5 * (np.einsum("...ab,k...ba->k...", einv, de)
                   - np.einsum("...ab,k...ba->k...", ginv, dg))
     w = g @ einv                      # d (g E^{-1} g) = dg W^T + W dg - W dE W^T
@@ -256,7 +253,7 @@ def _continuous_data(field, pts):
     cs = curvature(mj)
     ric = cs.ricci
     if field.perturbation is not None:
-        ric = ric + field.perturbation(pts, 1).value
+        ric = ric + field.perturbation(pts)[0]
     chi = _chi_values(cs.metric, cs.metric_inv, ric, field.chart, pts)[0]
     return cs.christoffel, chi, chi @ cs.metric_inv
 
@@ -320,8 +317,6 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
     theta defaults to the threshold calibrated on the field's chart ball
     (resolution and extent); the calibration data is echoed in the verdict.
     """
-    if field.n != 3:
-        raise ValueError("the embeddability gate is three-dimensional only")
     residuals = codazzi_residual(field.christoffel, chi.values, chi.d_values)
     if theta is None:
         # a ball grid reaches its extent exactly, at the ends of each axis
@@ -356,7 +351,7 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 # at once (the reversed one in a forked child), and the largest level has
 # 1941 starts at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the
 # two fills near 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
-# the child shares with the parent (0.8 KiB per node, 52 MiB) and each
+# the child shares with the parent (0.85 KiB per node, 55 MiB) and each
 # fill's frame arrays (~17 MiB), a reconstruct stays under 1.1 GiB.
 MAX_SUBSTEPS = 250
 
@@ -604,8 +599,6 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
     On Linux the reversed fill marches in a forked child (_forkjoin) while
     this process marches the forward one; neither reads the other.
     """
-    if field.n != 3:
-        raise ValueError("reconstruction is three-dimensional only")
     if sorted(path_plan) != [0, 1, 2]:
         raise ValueError("path_plan must be a permutation of (0, 1, 2)")
     if chi.field is not field:

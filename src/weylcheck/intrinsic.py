@@ -24,11 +24,10 @@ Orders.  A field is formed at the order its readers use: for a metric of
 order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
 Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
 are views of the leading coefficients of the order-(m - 1) jets.
-curvature() forms the inverse once per call and keeps no jet.  A
-CurvatureState holds values of the metric, its inverse, Christoffel, Ricci
-and (for m >= 3) Ricci's first partials, scalar curvature and (for m >= 4)
-its Laplacian; the per-point summaries sectional_extremes(cs) and
-ricci_norm(cs) are formed on request.
+curvature() forms the inverse once per call and keeps no jet.  A CurvatureState
+holds values of the metric, its inverse, Christoffel, Ricci and (for m >= 3)
+its first partials, last axis k for d/dx_k, scalar curvature and (for m >= 4)
+its Laplacian; sectional_extremes(cs) and ricci_norm(cs) are formed on request.
 
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  ricci[..., s, nu]
 is the trace R^mu_{s mu nu} of the curvature tensor of _riemann_up and
@@ -159,7 +158,7 @@ class MetricJet:
 @dataclass
 class CurvatureState:
     """Pointwise curvature values over a batch of points, no jet among them;
-    d_ricci holds Ricci's first partials, leading axis k for d/dx_k.  See the
+    d_ricci holds Ricci's first partials, last axis k for d/dx_k.  See the
     module docstring."""
 
     n: int
@@ -264,7 +263,7 @@ def covariant_hessian(f: Jet, christoffel):
     with grad[..., i] = d_i f and hess[..., i, j] = d_i d_j f - Gamma^k_ij d_k f.
     """
     unit = np.eye(f.nvars, dtype=int)
-    grad = f.gradient(-1)
+    grad = f.gradient()
     hess = np.stack([np.stack([f.partial(u + v) for v in unit], -1) for u in unit], -2)
     return grad, hess - np.einsum("...kij,...k->...ij", christoffel, grad)
 
@@ -303,10 +302,10 @@ def ricci_norm(cs: CurvatureState) -> np.ndarray:
 
 
 def covariant_antisym(christoffel, t, dt) -> np.ndarray:
-    """Antisymmetrized covariant derivative T_{ij;k} - T_{ik;j} of a
-    symmetric 2-tensor from its values t (..., n, n) and first partials dt
-    (..., n, n, n; last axis d/dx_k), under the connection with symbol values
-    christoffel [..., k, i, j].  Returns values (..., n, n, n), axes (i, j, k).
+    """Antisymmetrized covariant derivative T_{ij;k} - T_{ik;j} of a symmetric
+    2-tensor from its values t (..., n, n) and first partials dt, last axis k
+    for d/dx_k, under the connection of symbol values christoffel [..., k, i, j].
+    Returns values (..., n, n, n), axes (i, j, k).
     """
     n = christoffel.shape[-1]
     if t.shape[-2:] != (n, n) or dt.shape != t.shape + (n,):

@@ -10,10 +10,11 @@ Tensor fields are single Jets whose trailing batch axes are the tensor's
 slots: coeffs[..., *slots, monomial], so a metric field is coeffs[..., i, j, :]
 and the Christoffel symbols are christoffel[..., k, i, j] = Gamma^k_ij.
 Indexing a Jet (jet[..., i, j], for reading or assignment) selects batch and
-slot axes and always keeps the monomial axis whole.  Slot Jets that feed many
-products are stored slot-major (Jet.zeros): the slot axes are outermost in
-memory, so each entry is one contiguous block, which products gather from much
-faster than from a strided view.  Truncation keeps that layout.
+slot axes and always keeps the monomial axis whole; Jet.gradient() gives the
+first partials, last axis k for d/dx_k.  Slot Jets that feed many products are
+stored slot-major (Jet.zeros), slot axes outermost in memory, so that each
+entry is one contiguous block, which products gather much faster than a
+strided view; truncation keeps that layout.
 
 A product is a Cauchy product formed with elementwise numpy alone: both
 operands are gathered monomial-first (through their transposes) at every
@@ -225,20 +226,6 @@ class Jet:
         out.coeffs[..., _basis(nvars, order).index[unit]] = 1.0
         return out
 
-    @classmethod
-    def linear(cls, value, grad, nvars, order=1):
-        """Jet with given value and first partials (higher terms zero)."""
-        value = np.asarray(value, dtype=float)
-        grad = np.asarray(grad, dtype=float)
-        if grad.shape != value.shape + (nvars,):
-            raise ValueError("gradient must have one trailing axis per variable")
-        out = cls.constant(value, nvars, order)
-        b = _basis(nvars, order)
-        for v in range(nvars):
-            unit = tuple(1 if k == v else 0 for k in range(nvars))
-            out.coeffs[..., b.index[unit]] = grad[..., v]
-        return out
-
     # ------------------------------------------------------------- accessors
 
     @property
@@ -258,9 +245,9 @@ class Jet:
         fac = math.prod(math.factorial(e) for e in gamma)
         return self.coeffs[..., b.index[gamma]] * fac
 
-    def gradient(self, axis=0):
-        """The first partials d/dx_k at the base point, stacked on axis k."""
-        return np.stack([self.partial(u) for u in np.eye(self.nvars, dtype=int)], axis)
+    def gradient(self):
+        """The first partials, batch_shape + (nvars,), last axis k for d/dx_k."""
+        return np.stack([self.partial(u) for u in np.eye(self.nvars, dtype=int)], -1)
 
     def truncate(self, order):
         if order > self.order:

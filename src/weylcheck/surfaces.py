@@ -409,7 +409,7 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     cs = curvature(metric)
     rho_grad, rho_hess = covariant_hessian(rho_jet, cs.christoffel)
     return SurfaceData(family, chart, pts, x_vals, n_vals, cs.metric,
-                       np.array(chi_jet.value), chi_jet.gradient(-1),
+                       np.array(chi_jet.value), chi_jet.gradient(),
                        np.array(rho_jet.value), rho_grad, rho_hess, support, cs)
 
 

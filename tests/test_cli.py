@@ -87,6 +87,12 @@ class TestRunConfig:
         # null would seed from OS entropy, true run as 1, a list as entropy words
         *(({"variant": "radial_graph", "kind": "random", "seed": seed}, "family seed")
           for seed in (None, True, [1, 2], -1, 1.5, "3")),
+        # each would run as 1.0 or 0.0
+        ({"variant": "sphere", "radius": True}, "family radius"),
+        ({"variant": "ellipsoid", "semi_axes": [True, 1.2, 0.9, 1.05]}, "family semi_axes"),
+        ({"variant": "radial_graph", "kind": "constant", "value": True}, "family value"),
+        *(({"variant": "radial_graph", "kind": kind, "amplitude": False}, "family amplitude")
+          for kind in ("bump", "random")),
     ])
     def test_family_rejects(self, family, frag):
         with pytest.raises(ConfigError, match=frag):

@@ -9,7 +9,7 @@ from scipy.linalg import eigh as generalized_eigh
 from scipy.linalg import orthogonal_procrustes
 
 from oracles import frame_components
-from weylcheck import _forkjoin, embedsolve, surfaces
+from weylcheck import _forkjoin, embedsolve, intrinsic, surfaces
 from weylcheck.embedsolve import (
     ChiField,
     IntrinsicField,
@@ -174,10 +174,9 @@ class TestSolver:
             assert np.abs(fd - want[..., k]).max() < 1e-6
 
     def test_rejects_other_dimensions(self):
-        field = IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9)), 0,
-                                           ball_grid(7, 1.2, 2))
+        # the field itself is three-dimensional only, so a 2-D one never forms
         with pytest.raises(ValueError, match="three-dimensional"):
-            solve_contracted_gauss(field)
+            IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9)), 0, ball_grid(7, 1.2, 2))
 
     def test_flat_metric_is_obstructed(self):
         coords = np.zeros((3, 3))
@@ -191,12 +190,10 @@ class TestSolver:
         assert "coords" in str(exc.value)
 
     def test_cone_exit_names_point_and_gap(self, grid7):
-        def pert(pts, order):
-            pts = np.asarray(pts, float)
-            val = np.zeros(pts.shape[:-1] + (3, 3))
+        def pert(pts):
+            val = np.zeros(np.shape(pts)[:-1] + (3, 3))
             val[..., 2, 2] = 3.0
-            return Jet.linear(val, np.zeros(val.shape + (3,)), 3,
-                              order=max(order, 1))
+            return val, np.zeros(val.shape + (3,))
 
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid7).perturbed(pert)
         with pytest.raises(ObstructionError) as exc:
@@ -243,6 +240,61 @@ class TestField:
         for name in ("metric", "metric_inv", "christoffel", "ricci", "d_ricci", "scalar",
                      "laplacian_scalar"):
             assert getattr(cs, name).tobytes() == getattr(full, name).tobytes(), name
+
+    def test_first_partials_put_k_last(self, grid7, monkeypatch):
+        # every stored first-partial array holds d/dx_k of its jet at [..., k]
+        family, jets = Ellipsoid(AXES), {}
+
+        def spy(module, name, pick):
+            real = getattr(module, name)
+
+            def spied(*args):
+                out = real(*args)
+                jets.setdefault(name, []).append(pick(out, *args))
+                return out
+            monkeypatch.setattr(module, name, spied)
+
+        spy(intrinsic, "_ricci", lambda ricci, *args: ricci)
+        spy(surfaces, "_normal_chi", lambda out, *args: out[1])
+        spy(surfaces, "covariant_hessian", lambda out, rho, christoffel: rho)
+        metric = metric_jets(family, 0, grid7, order=3)
+        cs = curvature(metric)
+        field = IntrinsicField.from_family(family, 0, grid7)
+        data = evaluate_grid(family, 0, grid7)
+        pairs = {"Jet.gradient": (metric.jet.gradient(), metric.jet),
+                 "CurvatureState.d_ricci": (cs.d_ricci, jets["_ricci"][0]),
+                 "IntrinsicField.dg": (field.dg, metric.jet),
+                 "IntrinsicField.d_ricci": (field.d_ricci, jets["_ricci"][1]),
+                 "SurfaceData.d_chi": (data.d_chi, jets["_normal_chi"][0]),
+                 "SurfaceData.rho_grad": (data.rho_grad, jets["covariant_hessian"][0])}
+        for name, (partials, jet) in pairs.items():
+            assert partials.shape == jet.batch_shape + (3,), name
+            for k, unit in enumerate(np.eye(3, dtype=int)):
+                assert np.array_equal(partials[..., k], jet.partial(unit)), (name, k)
+
+    def test_perturbation_protocol(self, ellipsoid_field):
+        # perturbed() adds the two arrays of p(coords) bit for bit, and
+        # _continuous_data adds only the value: NaN partials change nothing
+        ramp = diag_ramp_perturbation(0.05)
+        value, partials = ramp(ellipsoid_field.coords)
+        field = ellipsoid_field.perturbed(ramp)
+        assert field.ricci.tobytes() == (ellipsoid_field.ricci + value).tobytes()
+        assert field.d_ricci.tobytes() == (ellipsoid_field.d_ricci + partials).tobytes()
+        for name in ("coords", "metric_inv", "dg", "christoffel"):
+            assert getattr(field, name) is getattr(ellipsoid_field, name), name
+        with pytest.raises(ValueError, match="already perturbed"):
+            field.perturbed(ramp)
+
+        pts = ellipsoid_field.coords[::11] * 0.97
+        cs = curvature(metric_jets(Ellipsoid(AXES), 0, pts, order=2))
+        chi = embedsolve._chi_values(cs.metric, cs.metric_inv, cs.ricci + ramp(pts)[0],
+                                     0, pts)[0]
+        nan_partials = ellipsoid_field.perturbed(
+            lambda pts: (ramp(pts)[0], np.full(np.shape(pts)[:-1] + (3, 3, 3), np.nan)))
+        for f in (field, nan_partials):
+            _, got, chi_ginv = embedsolve._continuous_data(f, pts)
+            assert got.tobytes() == chi.tobytes()
+            assert chi_ginv.tobytes() == (chi @ cs.metric_inv).tobytes()
 
 
 FIELD_ARRAYS = ("coords", "dg", "ricci", "d_ricci", "christoffel")
@@ -326,7 +378,7 @@ class TestFieldBlocks:
 
     def test_transient_memory(self):
         # one chart at resolution 17 (2,109 points) in 512-point blocks peaks
-        # at 4.2 MiB and keeps 1.6 MiB of values (0.8 KiB a point); one pass
+        # at 4.3 MiB and keeps 1.75 MiB of values (0.85 KiB a point); one pass
         # that kept order-3 metric and order-1 Ricci jets peaked at 12.4 MiB
         # and kept 3.9 MiB
         family = Ellipsoid(AXES)

@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import sys
 import warnings
 
@@ -69,6 +70,12 @@ VALID = {
 # always set: the defaults (resolution 9, h 0.01) make a reconstruct cost seconds
 ALWAYS = ("family", "resolution", "h")
 
+# a JSON true or false where a family spec wants a number
+BOOLEAN_FAMILIES = [{"variant": "sphere", "radius": True},
+                    {"variant": "ellipsoid", "semi_axes": [True, 1.2, 0.9, 1.05]},
+                    {"variant": "radial_graph", "kind": "constant", "value": True},
+                    {"variant": "radial_graph", "kind": "bump", "amplitude": False},
+                    {"variant": "radial_graph", "kind": "random", "amplitude": False}]
 INVALID = {
     "family": ["sphere", {"variant": "torus"}, {"variant": "sphere", "radius": 0},
                {"variant": "sphere", "radius": "x"}, {"variant": "sphere", "dim": 4},
@@ -83,7 +90,8 @@ INVALID = {
                {"variant": "ellipsoid", "semi_axes": [1.0, 10**400, 0.9, 1.05]},
                {"variant": "radial_graph", "kind": "constant", "value": 10**400},
                *({"variant": "radial_graph", "kind": "random", "seed": seed}
-                 for seed in (None, True, [1, 2], -1, 1.5, "3"))],
+                 for seed in (None, True, [1, 2], -1, 1.5, "3")),
+               *BOOLEAN_FAMILIES],
     "resolution": [3, 4, 6, -5, 53, 7.0, "7", True, None],
     "h": [0, -0.1, 10.0, 1e-5, "x", True],
     "extent": [1.0, 1.8, 0.5, -1.0, "a", None, True],
@@ -190,7 +198,20 @@ def test_exit_code_contract(workdir, run):
         assert (code == 1) == bool(failed), (argv, config, failed)
 
 
-@pytest.mark.parametrize("diameter", [1e300, 10**400], ids=["1e300", "10**400"])
+@pytest.mark.parametrize("family", BOOLEAN_FAMILIES, ids=lambda f: json.dumps(f))
+def test_boolean_family_numbers_exit_2(tmp_path, family):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "resolution": 5}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["family", "--config", str(cfg), "--quiet"])
+    assert code == 2
+    assert err.getvalue().startswith("config error: family ")
+    assert "not true or false" in err.getvalue()
+
+
+@pytest.mark.parametrize("diameter", [1e300, 10**400, math.inf],
+                         ids=["1e300", "10**400", "inf"])
 def test_overflowing_diameter_names_check_and_value(tmp_path, diameter):
     # d**2 overflows a float; the message says which check and which value
     cfg = tmp_path / "cfg.json"

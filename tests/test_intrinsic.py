@@ -296,7 +296,7 @@ class TestCovariantDerivative:
     def test_metric_is_parallel(self):
         mj = bumpy_metric(SAMPLE_PTS)
         g_jet = mj.jet.truncate(1)
-        out = covariant_antisym(mj.christoffels().value, g_jet.value, g_jet.gradient(-1))
+        out = covariant_antisym(mj.christoffels().value, g_jet.value, g_jet.gradient())
         np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_artificial_perturbation_detected(self):
@@ -309,7 +309,7 @@ class TestCovariantDerivative:
         coeffs[..., 0, 0, :] += 0.1 * x1.coeffs
         pert = Jet(3, 1, coeffs)
         assert bump.shape[-3:-1] == (3, 3)
-        out = covariant_antisym(mj.christoffels().value, pert.value, pert.gradient(-1))
+        out = covariant_antisym(mj.christoffels().value, pert.value, pert.gradient())
         assert np.abs(out).max() > 1e-3
 
     def test_symmetry_required(self):
@@ -318,7 +318,7 @@ class TestCovariantDerivative:
         coeffs = t.coeffs.copy()
         coeffs[..., 0, 1, 0] += 1.0
         with pytest.raises(ValueError):
-            covariant_antisym(mj.christoffels().value, coeffs[..., 0], Jet(3, 1, coeffs).gradient(-1))
+            covariant_antisym(mj.christoffels().value, coeffs[..., 0], Jet(3, 1, coeffs).gradient())
 
 
 class TestMetricJetValidation:
@@ -344,8 +344,9 @@ class TestMetricJetValidation:
         gamma = mj.christoffels().coeffs
         assert np.array_equal(gamma, np.swapaxes(gamma, -3, -2))
         cs = curvature(mj)
-        for ric in (cs.ricci, cs.d_ricci):
-            assert np.array_equal(ric, np.swapaxes(ric, -1, -2))
+        assert np.array_equal(cs.ricci, np.swapaxes(cs.ricci, -1, -2))
+        # d_ricci[..., s, nu, k]: symmetric in (s, nu)
+        assert np.array_equal(cs.d_ricci, np.swapaxes(cs.d_ricci, -3, -2))
 
     def test_coeff_array_round_trip(self):
         mj = bumpy_metric(SAMPLE_PTS)
@@ -431,7 +432,7 @@ class TestCurvatureMemory:
         assert (cs.d_ricci is None) == (order < 3)
         assert (cs.laplacian_scalar is None) == (order < 4)
         if order >= 3:
-            assert cs.d_ricci.shape == (3, len(SAMPLE_PTS), 3, 3)
+            assert cs.d_ricci.shape == (len(SAMPLE_PTS), 3, 3, 3)
 
 
 class TestDiameter:

@@ -146,15 +146,6 @@ def test_batched_constant_and_array_scalars():
     np.testing.assert_allclose(f.partial((1, 0)), vals)
 
 
-def test_linear_builder_round_trip():
-    val = np.array([[2.0, 3.0], [4.0, 5.0]])
-    grad = np.arange(8, dtype=float).reshape(2, 2, 2)
-    j = Jet.linear(val, grad, nvars=2, order=1)
-    np.testing.assert_allclose(j.value, val)
-    np.testing.assert_allclose(j.partial((1, 0)), grad[..., 0])
-    np.testing.assert_allclose(j.partial((0, 1)), grad[..., 1])
-
-
 def test_known_series_coefficients():
     # 1-variable sanity anchors with hand-expanded series
     x = Jet.variable(0.0, 0, 1, 3)
