@@ -103,7 +103,7 @@ def _block_columns(family, chart, block, residuals):
         "H": sd.H,
         "chi_norm": sd.chi_norm,
         "scalar": cs.scalar,
-        "laplacian": cs.laplacian_scalar,
+        "laplacian": sd.laplacian_scalar,
         "ricci_norm": ricci_norm(cs),
         "sectional_min": sectional_extremes(cs)[0],
     }

@@ -71,15 +71,16 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # evaluates its grid in blocks of surfaces.BLOCK_POINTS points and reduces
 # each block to per-point columns before the next, so only the columns grow
 # with the grid: by tracemalloc, the grid of the ellipsoid (1, 1.2, 0.9, 1.05)
-# with every residual peaks at 6.4 MiB and keeps 0.76 MiB (192 B a point) at
-# resolution 17.  By RSS, in a fresh process per job with every check, verify
-# on that ellipsoid peaked at 41.3, 44.7 and 46.0 MiB at resolutions 9, 13
-# and 17 (514, 1850 and 4218 points of both charts), 1.3 KiB per point from 9
-# to 17 (0.6 KiB from 13 to 17, once the blocks are full).  That is 41 MiB +
-# 1.3 KiB x 130,534 points = 207 MiB at resolution 51.  Its child, the graph
-# diameter, peaked at 57.6, 57.6 and 62.1 MiB, much of it the parent's pages
-# shared at the fork: about 1.2 KiB per point of both charts over 33 MiB of
-# scipy, so ~185 MiB of its own at 51 and ~390 MiB for the two.  reconstruct
+# with every residual peaks at 3.7 MiB and keeps 0.76 MiB (192 B a point) at
+# resolution 17.  By RSS (ru_maxrss of the process and of its children), in a
+# fresh process per job with every check, verify on that ellipsoid peaked at
+# 33.6, 36.0 and 36.5 MiB at resolutions 9, 13 and 17 (514, 1850 and 4218
+# points of both charts), 0.8 KiB per point from 9 to 17 (0.2 KiB, the
+# columns, from 13 to 17, once the blocks are full).  That is 34 MiB +
+# 0.8 KiB x 130,534 points = 136 MiB at resolution 51.  Its child, the graph
+# diameter, peaked at 61.8, 61.7 and 66.5 MiB, much of it the parent's pages
+# shared at the fork: about 1.3 KiB per point of both charts over 33 MiB of
+# scipy, so ~200 MiB of its own at 51 and ~340 MiB for the two.  reconstruct
 # at 51 stays under 1.1 GiB with MAX_SUBSTEPS substeps (see
 # embedsolve.MAX_SUBSTEPS), as each march level's stage data is written
 # once, in place; at 250 substeps a spacing it peaked
@@ -582,7 +583,7 @@ TRIM_THRESHOLD = 64 << 20
 
 
 def _heap_policy():
-    """Serve jet temporaries (1.9 MB an order-5 operand for a block of
+    """Serve jet temporaries (0.86 MB an order-4 operand for a block of
     surfaces.BLOCK_POINTS points) from the heap.
 
     glibc hands a block above its mmap threshold (128 KiB at start) fresh

@@ -98,8 +98,7 @@ class IntrinsicField:
     perturbation: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.coords.shape[-1] != 3:
-            raise ValueError("an intrinsic field is three-dimensional only")
+        _three_dimensional(self.coords)
 
     def g(self):
         return self._g
@@ -115,8 +114,9 @@ class IntrinsicField:
     @classmethod
     def from_family(cls, family, chart, pts):
         """The family's field from metric jets of order 3, formed one
-        surfaces.BLOCK_POINTS block at a time, which does not move a bit."""
-        pts = np.asarray(pts, dtype=float)
+        surfaces.BLOCK_POINTS block at a time, which does not move a bit;
+        a family of another dimension is rejected before the first block."""
+        pts = _three_dimensional(np.asarray(pts, dtype=float))
         parts = zip(*[_field_values(metric_jets(family, chart, block, order=3))
                       for block in surfaces.point_blocks(pts)])
         return cls(chart, pts, *map(np.concatenate, parts), family=family)
@@ -133,6 +133,13 @@ class IntrinsicField:
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
         return int(_axis_values(self.coords[..., 0]).size)
+
+
+def _three_dimensional(coords):
+    """coords, or ValueError unless its points have three coordinates."""
+    if coords.shape[-1] != 3:
+        raise ValueError("an intrinsic field is three-dimensional only")
+    return coords
 
 
 def _field_values(metric):

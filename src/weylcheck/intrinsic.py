@@ -1,7 +1,8 @@
 """Curvature of a metric given as a field of Taylor jets.
 
 Everything downstream of a metric happens here: Christoffel symbols, the
-Ricci tensor, scalar curvature and its Laplacian, sectional-curvature
+Ricci tensor, scalar curvature, the covariant Hessian of a scalar (its trace
+is the scalar-curvature Laplacian of weylcheck.surfaces), sectional-curvature
 ranges, eigenvalues relative to the metric, the contracted Gauss and the
 Codazzi residuals, covariant derivatives of symmetric 2-tensors, the two
 stereographic chart balls (lattice and transition), and a shortest-path
@@ -26,8 +27,8 @@ Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
 are views of the leading coefficients of the order-(m - 1) jets.
 curvature() forms the inverse once per call and keeps no jet.  A CurvatureState
 holds values of the metric, its inverse, Christoffel, Ricci and (for m >= 3)
-its first partials, last axis k for d/dx_k, scalar curvature and (for m >= 4)
-its Laplacian; sectional_extremes(cs) and ricci_norm(cs) are formed on request.
+its first partials, last axis k for d/dx_k, and scalar curvature;
+sectional_extremes(cs) and ricci_norm(cs) are formed on request.
 
 Conventions.  christoffel[..., k, i, j] holds Gamma^k_{ij}.  ricci[..., s, nu]
 is the trace R^mu_{s mu nu} of the curvature tensor of _riemann_up and
@@ -168,7 +169,6 @@ class CurvatureState:
     ricci: np.ndarray
     d_ricci: Optional[np.ndarray]
     scalar: np.ndarray
-    laplacian_scalar: Optional[np.ndarray]
 
 
 def _riemann_up(gamma: Jet, gamma_t: Jet, r, s, mu, nu) -> Jet:
@@ -214,10 +214,9 @@ def _ricci(gamma: Jet, order) -> Jet:
 def curvature(mj: MetricJet) -> CurvatureState:
     """Run the full intrinsic pipeline on a metric jet field.
 
-    The metric must carry order >= 2; Ricci's first partials need order 3
-    and the scalar-curvature Laplacian order 4, each None below that.  All
-    outputs are plain arrays over the batch, copied out of the jets, which
-    die with this call.
+    The metric must carry order >= 2; Ricci's first partials need order 3,
+    None below that.  All outputs are plain arrays over the batch, copied
+    out of the jets, which die with this call.
     """
     n, m = mj.n, mj.order
     if m < 2:
@@ -235,24 +234,15 @@ def curvature(mj: MetricJet) -> CurvatureState:
             scalar = term if scalar is None else scalar + term
 
     gvals = mj.values()
-    ginv_vals = np.linalg.inv(gvals)
-    # a copy: a view would keep the whole Christoffel jet alive in the state
-    gamma_vals = np.ascontiguousarray(gamma.value)
-
-    lap = None
-    if m >= 4:
-        _, hess = covariant_hessian(scalar, gamma_vals)
-        lap = np.einsum("...ij,...ij->...", ginv_vals, hess)
-
     return CurvatureState(
         n=n,
         metric=gvals,
-        metric_inv=ginv_vals,
-        christoffel=gamma_vals,
+        metric_inv=np.linalg.inv(gvals),
+        # a copy: a view would keep the whole Christoffel jet alive in the state
+        christoffel=np.ascontiguousarray(gamma.value),
         ricci=np.array(ricci.value),
         d_ricci=ricci.gradient() if ro >= 1 else None,
         scalar=np.array(scalar.value),
-        laplacian_scalar=lap,
     )
 
 

@@ -48,8 +48,9 @@ from the same pairs, summed in the same generation order, of coefficients
 of degree below d, none of which depends on the order either.  Every step
 is elementwise over the batch, so a point's coefficients are the same bits
 whatever batch it is in.  So each field is formed at the order its readers
-use: metric jets of order 4 for the scalar-curvature Laplacian, order 3 for
-the solver, from chart maps one order higher (the metric is a product of
+use: metric jets of order 3 for the solver and for verify's grid, whose
+inverse to order 2 gives the scalar curvature's 2-jet and so its Laplacian,
+from chart maps of order 4, one order higher (the metric is a product of
 derivatives).
 """
 

@@ -5,11 +5,13 @@ ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
 field at a chart point is produced by exact jet arithmetic, with the chart
 map at the order the field's readers need; evaluate_grid, surface_values
 and metric_values return plain values, and their jets die inside them.
-Only evaluate_grid runs it at order 5: the induced metric then carries
-order 4, enough for the scalar-curvature Laplacian of its CurvatureState;
-the normal and the second fundamental form carry order 1 for the exact
-first derivatives Codazzi reads, and rho = |X|^2/2 order 2 for its Hessian
-in the support identities.
+Only evaluate_grid runs it at order 4: the induced metric then carries
+order 3 and its inverse order 2, and the normal and the second fundamental
+form order 2, so the Gauss equation R = (tr A)^2 - tr(A^2), A = g^-1 chi,
+gives R's jet to order 2, whose covariant Hessian traced with g^-1 is the
+scalar-curvature Laplacian (curvature() runs on the metric's order-2 part);
+chi's first derivatives are what Codazzi reads, and rho = |X|^2/2 carries
+order 2 for its Hessian in the support identities.
 surface_values runs it at order 2 for the values of X, g and chi, and
 metric_values at order 1 for the values of g.  A coefficient has the same
 bits at every order that holds it (see weylcheck.jets), so the three agree
@@ -51,13 +53,13 @@ from .intrinsic import (
 )
 from .jets import Jet, basis_monomials
 
-AMBIENT_ORDER = 5
+AMBIENT_ORDER = 4
 
 # Most chart points one jet pass takes: verify's grid
 # (bounds.evaluate_family_grid) evaluates each chart, and the march's stage
 # stream (embedsolve._stage_stream) its stage points, in consecutive blocks
-# of this many.  One order-5 product gathers 3 x 462 floats a point, so each
-# of its operands takes 1.9 MB for a block, whatever the grid size (a
+# of this many.  One order-4 product gathers 3 x 210 floats a point, so each
+# of its operands takes 0.86 MB for a block, whatever the grid size (a
 # resolution-21 chart has 4,169 points).  Evaluation is point by point and
 # jet products are batch-invariant, so the split does not move a bit.
 BLOCK_POINTS = 512
@@ -67,6 +69,12 @@ def point_blocks(pts):
     """Consecutive slices of pts (.., n) of BLOCK_POINTS points, only the
     last one shorter."""
     return [pts[at:at + BLOCK_POINTS] for at in range(0, len(pts), BLOCK_POINTS)]
+
+
+def _sum(terms):
+    """The terms (Jets or arrays) added in order, with no zero to start."""
+    terms = iter(terms)
+    return sum(terms, next(terms))
 
 
 def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
@@ -181,11 +189,7 @@ def radial_graph_ellipsoid(semi_axes):
     axes = _semi_axes(semi_axes)
 
     def u(comps):
-        s = None
-        for a, cjet in zip(axes, comps):
-            t = (cjet * cjet) * (1.0 / a**2)
-            s = t if s is None else s + t
-        return s.sqrt()
+        return _sum((c * c) * (1.0 / a**2) for a, c in zip(axes, comps)).sqrt()
 
     return RadialGraph(u, dim=len(axes) - 1)
 
@@ -210,15 +214,9 @@ def radial_graph_random(seed, amp=0.05, dim=3):
 
     def u(comps):
         # xhat^T Q xhat = sum_a xhat_a (Q xhat)_a: dim + 1 jet products
-        s = None
-        for a in range(dim + 1):
-            qx = None
-            for b in range(dim + 1):
-                t = comps[b] * q[a, b]
-                qx = t if qx is None else qx + t
-            t = comps[a] * qx
-            s = t if s is None else s + t
-        return 1.0 + amp * s
+        axes = range(dim + 1)
+        return 1.0 + amp * _sum(comps[a] * _sum(comps[b] * q[a, b] for b in axes)
+                                for a in axes)
 
     return RadialGraph(u, dim=dim)
 
@@ -246,9 +244,10 @@ class SurfaceData:
     (.., n, n) the induced metric and the second fundamental form, and d_chi
     (.., n, n, n) chi's first partials, last axis k for d/dx_k; rho = |X|^2/2
     comes with its gradient (.., n) and covariant Hessian (.., n, n), and
-    support is X.N.  curvature is the CurvatureState of the order-4 metric,
-    whose values g shares.  evaluate_grid forms every field and drops its
-    jets before it returns, so no jet outlives the call.
+    support is X.N.  curvature is the CurvatureState of the order-2 metric,
+    whose values g shares, and laplacian_scalar is Delta R, from the Gauss
+    equation's R jet (see the module docstring).  evaluate_grid forms every
+    field and drops its jets before it returns, so no jet outlives the call.
     """
 
     family: object
@@ -264,6 +263,7 @@ class SurfaceData:
     rho_hess: np.ndarray
     support: np.ndarray
     curvature: CurvatureState
+    laplacian_scalar: np.ndarray
 
     @cached_property
     def principal_curvatures(self):
@@ -330,11 +330,8 @@ def _gram(tangent, out):
     n = len(tangent)
     for i in range(n):
         for j in range(i, n):
-            acc = None
-            for ti, tj in zip(tangent[i], tangent[j]):
-                t = ti * tj
-                acc = t if acc is None else acc + t
-            out[..., i, j] = out[..., j, i] = acc
+            out[..., i, j] = out[..., j, i] = _sum(
+                ti * tj for ti, tj in zip(tangent[i], tangent[j]))
     return out
 
 
@@ -358,11 +355,7 @@ def _normal_chi(amb, order):
         minor = [[rows[i][b] for b in range(n + 1) if b != a] for i in range(n)]
         d = _det_jets(minor)
         raw.append(d if a % 2 == 0 else -1.0 * d)
-    nrm2 = None
-    for c in raw:
-        t = c * c
-        nrm2 = t if nrm2 is None else nrm2 + t
-    scale = nrm2.sqrt().reciprocal()
+    scale = _sum(c * c for c in raw).sqrt().reciprocal()
     normal = [c * scale for c in raw]
     xdotn = sum((amb[a].value * normal[a].value for a in range(n + 1)))
     sign = np.where(xdotn >= 0, 1.0, -1.0)
@@ -371,11 +364,9 @@ def _normal_chi(amb, order):
     chi_jet = Jet.constant(np.zeros(amb[0].batch_shape + (n, n)), n, order)
     for i in range(n):
         for j in range(i, n):
-            acc = None
-            for a in range(n + 1):
-                t = amb[a].derivative(i).derivative(j).truncate(order) * normal[a]
-                acc = t if acc is None else acc + t
-            chi_jet[..., i, j] = chi_jet[..., j, i] = -acc
+            chi_jet[..., i, j] = chi_jet[..., j, i] = -_sum(
+                amb[a].derivative(i).derivative(j).truncate(order) * normal[a]
+                for a in range(n + 1))
     return normal, chi_jet
 
 
@@ -386,31 +377,42 @@ def _check_points(family, pts):
     return pts
 
 
+def _gauss_scalar(ginv, chi):
+    """Scalar curvature (tr A)^2 - tr(A^2), A = g^-1 chi, of a hypersurface
+    (the Gauss equation), as a Jet of the order of the (n, n)-slot Jets ginv
+    and chi."""
+    n = range(chi.nvars)
+    a = [[_sum(ginv[..., i, k] * chi[..., k, j] for k in n) for j in n] for i in n]
+    trace = _sum(a[i][i] for i in n)
+    return trace * trace - _sum(a[i][j] * a[j][i] for i in n for j in n)
+
+
 def evaluate_grid(family, chart, pts) -> SurfaceData:
     """Evaluate every surface field of the family at chart points (.., n);
-    the ambient jets are dropped before curvature() runs, and its jets and
-    the metric's die with this call."""
+    each jet is dropped once it is last read, and none outlives this call."""
     pts = _check_points(family, pts)
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
     metric = MetricJet(induced_metric(amb))
-    normal, chi_jet = _normal_chi(amb, 1)
+    normal, chi_jet = _normal_chi(amb, 2)
 
-    rho_jet = None
-    for x in amb:
-        t = x.truncate(2)
-        t = t * t
-        rho_jet = t if rho_jet is None else rho_jet + t
-    rho_jet = 0.5 * rho_jet
+    rho_jet = 0.5 * _sum(t * t for t in (x.truncate(2) for x in amb))
 
     x_vals = np.stack([x.value for x in amb], axis=-1)
     n_vals = np.stack([c.value for c in normal], axis=-1)
     del amb, normal
-    support = np.einsum("...a,...a->...", x_vals, n_vals)
-    cs = curvature(metric)
+    ginv = metric.inverse()
+    cs = curvature(MetricJet(metric.jet.truncate(2)))
+    del metric
+    scalar_jet = _gauss_scalar(ginv, chi_jet)
+    del ginv
+    chi, d_chi = np.array(chi_jet.value), chi_jet.gradient()
+    del chi_jet
+    _, scalar_hess = covariant_hessian(scalar_jet, cs.christoffel)
+    laplacian = np.einsum("...ij,...ij->...", cs.metric_inv, scalar_hess)
     rho_grad, rho_hess = covariant_hessian(rho_jet, cs.christoffel)
-    return SurfaceData(family, chart, pts, x_vals, n_vals, cs.metric,
-                       np.array(chi_jet.value), chi_jet.gradient(),
-                       np.array(rho_jet.value), rho_grad, rho_hess, support, cs)
+    support = np.einsum("...a,...a->...", x_vals, n_vals)
+    return SurfaceData(family, chart, pts, x_vals, n_vals, cs.metric, chi, d_chi,
+                       np.array(rho_jet.value), rho_grad, rho_hess, support, cs, laplacian)
 
 
 def surface_values(family, chart, pts):

@@ -1,8 +1,10 @@
 """Reference routes and test-only helpers; no command reaches them.
 
 - full_riemann_curvature: curvature() of an earlier version, from a whole
-  (n, n, n, n)-slot Riemann Jet, and the lowered Riemann tensor that
-  version returned; curvature() must agree with it in every bit.
+  (n, n, n, n)-slot Riemann Jet, the lowered Riemann tensor and the
+  intrinsic scalar-curvature Laplacian that version returned; curvature()
+  must agree with it in every bit, and evaluate_grid's Gauss-equation
+  Laplacian with its Laplacian to rounding.
 - cholesky_frame, frame_components: the g-orthonormal Cholesky frame and a
   2-tensor's components in it.
 - scalar_gauss: scalar curvature by the extrinsic route H^2 - tr(chi^2).
@@ -34,10 +36,12 @@ from weylcheck.surfaces import unit_sphere_jets
 
 
 def full_riemann_curvature(mj):
-    """(CurvatureState, riemann): the state by the Gamma route through a
-    whole Riemann Jet, and its lowered values riemann[..., i, j, k, l],
+    """(CurvatureState, riemann, laplacian): the state by the Gamma route
+    through a whole Riemann Jet; its lowered values riemann[..., i, j, k, l],
     which contract with u^i v^j u^k v^l to the sectional numerator of the
-    plane of u and v (g_ik g_jl - g_il g_jk on the unit sphere)."""
+    plane of u and v (g_ik g_jl - g_il g_jk on the unit sphere); and, for a
+    metric of order >= 4, the Laplacian of the scalar curvature's jet (None
+    below that)."""
     n, m = mj.n, mj.order
     ro = m - 2
     gamma = mj.christoffels()
@@ -83,8 +87,8 @@ def full_riemann_curvature(mj):
     cs = CurvatureState(n=n, metric=gvals, metric_inv=ginv_vals,
                         christoffel=gamma_vals, ricci=ricci.value,
                         d_ricci=ricci.gradient() if ro >= 1 else None,
-                        scalar=scalar.value, laplacian_scalar=lap)
-    return cs, riemann
+                        scalar=scalar.value)
+    return cs, riemann, lap
 
 
 def cholesky_frame(g):

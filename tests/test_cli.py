@@ -393,7 +393,7 @@ VALUE_JOBS = [
 @pytest.mark.parametrize("command,family,extra", VALUE_JOBS)
 def test_value_commands_skip_evaluate_grid(tmp_path, monkeypatch, capsys, command,
                                            family, extra):
-    """family, solve and reconstruct read values only, never the order-5 grid."""
+    """family, solve and reconstruct read values only, never the order-4 grid."""
     def boom(*args):
         raise AssertionError("evaluate_grid called")
 

@@ -173,10 +173,14 @@ class TestSolver:
                   - embedsolve._continuous_data(field, sample - off)[1]) / (2.0 * delta)
             assert np.abs(fd - want[..., k]).max() < 1e-6
 
-    def test_rejects_other_dimensions(self):
-        # the field itself is three-dimensional only, so a 2-D one never forms
+    def test_rejects_other_dimensions(self, monkeypatch):
+        # the field itself is three-dimensional only, so a 2-D one never forms,
+        # and from_family rejects it before any block's curvature() runs
+        calls, real = [], embedsolve.curvature
+        monkeypatch.setattr(embedsolve, "curvature", lambda mj: calls.append(mj) or real(mj))
         with pytest.raises(ValueError, match="three-dimensional"):
             IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9)), 0, ball_grid(7, 1.2, 2))
+        assert calls == []
 
     def test_flat_metric_is_obstructed(self):
         coords = np.zeros((3, 3))
@@ -234,12 +238,15 @@ class TestField:
             == codazzi_residual(full.christoffel, chi_full.values, chi_full.d_values).tobytes()
 
     def test_light_metric_jets_match_full(self, grid7):
-        # evaluate_grid's curvature is that of metric_jets at order 4, bit for bit
-        cs = curvature(metric_jets(Ellipsoid(AXES), 0, grid7, order=4))
+        # evaluate_grid's curvature is that of metric_jets at order 2, bit for
+        # bit, and so are the values of order 4's
         full = evaluate_grid(Ellipsoid(AXES), 0, grid7).curvature
-        for name in ("metric", "metric_inv", "christoffel", "ricci", "d_ricci", "scalar",
-                     "laplacian_scalar"):
-            assert getattr(cs, name).tobytes() == getattr(full, name).tobytes(), name
+        assert full.d_ricci is None
+        for order in (2, 4):
+            cs = curvature(metric_jets(Ellipsoid(AXES), 0, grid7, order=order))
+            for name in ("metric", "metric_inv", "christoffel", "ricci", "scalar"):
+                assert getattr(cs, name).tobytes() == getattr(full, name).tobytes(), \
+                    (name, order)
 
     def test_first_partials_put_k_last(self, grid7, monkeypatch):
         # every stored first-partial array holds d/dx_k of its jet at [..., k]
@@ -266,7 +273,8 @@ class TestField:
                  "IntrinsicField.dg": (field.dg, metric.jet),
                  "IntrinsicField.d_ricci": (field.d_ricci, jets["_ricci"][1]),
                  "SurfaceData.d_chi": (data.d_chi, jets["_normal_chi"][0]),
-                 "SurfaceData.rho_grad": (data.rho_grad, jets["covariant_hessian"][0])}
+                 # evaluate_grid's first covariant Hessian is the scalar curvature's
+                 "SurfaceData.rho_grad": (data.rho_grad, jets["covariant_hessian"][1])}
         for name, (partials, jet) in pairs.items():
             assert partials.shape == jet.batch_shape + (3,), name
             for k, unit in enumerate(np.eye(3, dtype=int)):

@@ -30,6 +30,7 @@ from weylcheck.surfaces import (
     Ellipsoid,
     RoundSphere,
     ball_grid,
+    evaluate_grid,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -92,7 +93,8 @@ class TestRoundSphere:
         cs = curvature(sphere_metric(SAMPLE_PTS))
         np.testing.assert_allclose(cs.scalar, 6.0, rtol=1e-10)
         np.testing.assert_allclose(cs.ricci, 2.0 * cs.metric, rtol=1e-9, atol=1e-10)
-        np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-8)
+        lap = evaluate_grid(RoundSphere(1.0), 0, SAMPLE_PTS).laplacian_scalar
+        np.testing.assert_allclose(lap, 0.0, atol=1e-8)
         kmin, kmax = sectional_extremes(cs)
         np.testing.assert_allclose(kmin, 1.0, rtol=1e-9)
         np.testing.assert_allclose(kmax, 1.0, rtol=1e-9)
@@ -108,7 +110,8 @@ class TestRoundSphere:
         cs = curvature(sphere_metric(pts, radius=1.0, n=2))
         np.testing.assert_allclose(cs.scalar, 2.0, rtol=1e-10)
         np.testing.assert_allclose(sectional_extremes(cs)[0], 1.0, rtol=1e-10)
-        np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-9)
+        lap = evaluate_grid(RoundSphere(1.0, dim=2), 0, pts).laplacian_scalar
+        np.testing.assert_allclose(lap, 0.0, atol=1e-9)
 
     def test_riemann_matches_constant_curvature_form(self):
         mj = sphere_metric(SAMPLE_PTS)
@@ -129,7 +132,8 @@ class TestFlat:
         np.testing.assert_allclose(oracle_riemann(mj), 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.ricci, 0.0, atol=1e-12)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-12)
-        np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-12)
+        # no hypersurface family has this metric: the intrinsic route's Laplacian
+        np.testing.assert_allclose(full_riemann_curvature(mj)[2], 0.0, atol=1e-12)
 
     def test_flat_metric_in_curvilinear_coordinates(self):
         # pull back the euclidean metric through a nonlinear diffeomorphism;
@@ -152,7 +156,7 @@ class TestFlat:
         np.testing.assert_allclose(oracle_riemann(mj), 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.ricci, 0.0, atol=1e-9)
         np.testing.assert_allclose(cs.scalar, 0.0, atol=1e-9)
-        np.testing.assert_allclose(cs.laplacian_scalar, 0.0, atol=1e-7)
+        np.testing.assert_allclose(full_riemann_curvature(mj)[2], 0.0, atol=1e-7)
         kmin, kmax = sectional_extremes(cs)
         np.testing.assert_allclose(kmin, 0.0, atol=1e-9)
         np.testing.assert_allclose(kmax, 0.0, atol=1e-9)
@@ -205,9 +209,12 @@ class TestScaling:
         scaled = curvature(MetricJet(scaled_jet))
         np.testing.assert_allclose(scaled.scalar, base.scalar / c**2, rtol=1e-10)
         np.testing.assert_allclose(scaled.ricci, base.ricci, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            scaled.laplacian_scalar, base.laplacian_scalar / c**4, atol=1e-10
-        )
+        # Delta R scales as c^-4; on the ellipsoid, where it does not vanish
+        axes = np.array([1.0, 1.2, 0.9, 1.05])
+        base_lap = evaluate_grid(Ellipsoid(axes), 0, SAMPLE_PTS).laplacian_scalar
+        scaled_lap = evaluate_grid(Ellipsoid(c * axes), 0, SAMPLE_PTS).laplacian_scalar
+        assert np.abs(base_lap).min() > 1.0
+        np.testing.assert_allclose(scaled_lap, base_lap / c**4, atol=1e-10)
         np.testing.assert_allclose(
             sectional_extremes(scaled)[0], sectional_extremes(base)[0] / c**2, rtol=1e-10
         )
@@ -216,12 +223,14 @@ class TestScaling:
 class TestLaplacian:
     def test_laplacian_against_finite_differences(self):
         # independent route: difference scalar curvature values over a stencil
-        # and assemble the coordinate laplacian by hand
+        # and assemble the coordinate laplacian by hand, against evaluate_grid's
+        # Delta R from the Gauss equation
+        family = radial_graph_random(23, 0.05)
         base = np.array([[0.25, -0.15, 0.3]])
         h = 1e-3
 
         def scalar_at(p):
-            return curvature(bumpy_metric(p.reshape(1, 3), order=2)).scalar[0]
+            return curvature(metric_jets(family, 0, p.reshape(1, 3), 2)).scalar[0]
 
         r0 = scalar_at(base[0])
         grad = np.zeros(3)
@@ -244,11 +253,13 @@ class TestLaplacian:
                     scalar_at(pp) - scalar_at(pm) - scalar_at(mp) + scalar_at(mm)
                 ) / (4 * h**2)
 
-        cs = curvature(bumpy_metric(base))
+        sd = evaluate_grid(family, 0, base)
+        cs = sd.curvature
         fd_lap = np.einsum("ij,ij->", cs.metric_inv[0], hess) - np.einsum(
             "ij,kij,k->", cs.metric_inv[0], cs.christoffel[0], grad
         )
-        assert cs.laplacian_scalar[0] == pytest.approx(fd_lap, rel=1e-5, abs=1e-5)
+        assert abs(fd_lap) > 0.1
+        assert sd.laplacian_scalar[0] == pytest.approx(fd_lap, rel=1e-5, abs=1e-5)
 
 
 class TestSectional:
@@ -257,7 +268,7 @@ class TestSectional:
         # Riemann tensor, never leaves the range taken from Ricci
         for mj in (bumpy_metric(SAMPLE_PTS),
                    metric_jets(radial_graph_random(23, 0.05), 1, SAMPLE_PTS, 2)):
-            cs, riemann = full_riemann_curvature(mj)
+            cs, riemann, _ = full_riemann_curvature(mj)
             kmin, kmax = sectional_extremes(curvature(mj))
             tol = 1e-12 * np.maximum(np.abs(kmin), np.abs(kmax))
             rng = np.random.default_rng(3)
@@ -362,8 +373,7 @@ ORACLE_FAMILIES = {
     "bump": lambda: radial_graph_bump(0.1),
     "random-23": lambda: radial_graph_random(23, 0.05),
 }
-CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "ricci", "d_ricci", "scalar",
-                    "laplacian_scalar")
+CURVATURE_FIELDS = ("metric", "metric_inv", "christoffel", "ricci", "d_ricci", "scalar")
 
 
 def assert_same_bits(a, b):
@@ -387,7 +397,7 @@ class TestFullRiemannOracle:
         for pts in (grid[300:301], grid[:37], grid):
             for order in (2, 3, 4):
                 mj = metric_jets(fam, chart, pts, order)
-                got, (want, _) = curvature(mj), full_riemann_curvature(mj)
+                got, (want, _, _) = curvature(mj), full_riemann_curvature(mj)
                 for f in CURVATURE_FIELDS:
                     assert_same_bits(getattr(got, f), getattr(want, f))
 
@@ -430,7 +440,8 @@ class TestCurvatureMemory:
             assert not isinstance(obj, (Jet, MetricJet)), obj
             assert not isinstance(obj, np.ndarray) or obj.base is None
         assert (cs.d_ricci is None) == (order < 3)
-        assert (cs.laplacian_scalar is None) == (order < 4)
+        # Delta R is evaluate_grid's, from the Gauss equation, at every order
+        assert not hasattr(cs, "laplacian_scalar")
         if order >= 3:
             assert cs.d_ricci.shape == (len(SAMPLE_PTS), 3, 3, 3)
 

@@ -15,11 +15,13 @@ from weylcheck.bounds import c2bound_report, evaluate_family_grid
 from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
 from weylcheck.jets import Jet
+from weylcheck import surfaces
 from weylcheck.intrinsic import (
     CurvatureState,
     MetricJet,
     codazzi_residual,
     contracted_gauss_residual,
+    covariant_hessian,
     ricci_norm,
     sectional_extremes,
     transition_coords,
@@ -206,7 +208,7 @@ VALUE_FAMILIES = {
 @pytest.mark.parametrize("chart", [0, 1])
 @pytest.mark.parametrize("name", sorted(VALUE_FAMILIES))
 def test_surface_values_bytes_match_evaluate_grid(name, chart):
-    """Order-2 values: X, g and chi bit for bit as the order-5 pipeline."""
+    """Order-2 values: X, g and chi bit for bit as the order-4 pipeline."""
     fam = VALUE_FAMILIES[name]
     pts = np.concatenate([ball_grid(5), sample_points(20, seed=19)])
     sd = evaluate_grid(fam, chart, pts)
@@ -427,12 +429,14 @@ class TestEllipsoidLevelSet:
     @pytest.mark.parametrize("chart", [0, 1])
     def test_laplacian_of_scalar_curvature(self, chart):
         # Delta R = |g|^-1/2 d_i(|g|^1/2 g^ij d_j R), both partials by
-        # mpmath.diff at 30 digits on the level-set R, against curvature()'s
-        # order-4 jets; no coefficient of the jet chain enters the oracle
+        # mpmath.diff at 30 digits on the level-set R, against evaluate_grid's
+        # Delta R from the Gauss equation's R jet; no coefficient of the jet
+        # chain enters the oracle
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp
         pts = sample_points(4, seed=31 + chart)
-        cs = evaluate_grid(Ellipsoid(AXES), chart, pts).curvature
+        sd = evaluate_grid(Ellipsoid(AXES), chart, pts)
+        cs = sd.curvature
 
         def scalar(xi):
             return self.mp_scalar(mp, AXES, chart, xi)
@@ -453,8 +457,8 @@ class TestEllipsoidLevelSet:
                 want_lap.append(float(div / mp.sqrt(mp.det(self.mp_metric(mp, AXES, chart, xi)))))
         want_r, want_lap = np.array(want_r), np.array(want_lap)
         np.testing.assert_allclose(cs.scalar, want_r, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(cs.laplacian_scalar, want_lap, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(2.0 * cs.scalar - cs.laplacian_scalar / cs.scalar,
+        np.testing.assert_allclose(sd.laplacian_scalar, want_lap, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(2.0 * cs.scalar - sd.laplacian_scalar / cs.scalar,
                                    2.0 * want_r - want_lap / want_r, rtol=1e-12, atol=0)
 
     def test_c2bound_reads_the_grid_extremes(self):
@@ -492,6 +496,51 @@ class TestGaussNegativeControl:
         assert np.abs(full).max(axis=(-4, -3, -2, -1)).min() >= 1e-3
 
 
+def order5_fields(fam, chart, pts, christoffel):
+    """X, N, chi, d_chi and rho with its gradient and covariant Hessian, as
+    evaluate_grid formed them from order-5 ambient jets, chi to order 1."""
+    amb = fam.ambient_jets(chart, pts, order=5)
+    normal, chi = surfaces._normal_chi(amb, 1)
+    rho = None
+    for x in amb:
+        t = x.truncate(2)
+        t = t * t
+        rho = t if rho is None else rho + t
+    rho = 0.5 * rho
+    fields = {"X": np.stack([x.value for x in amb], axis=-1),
+              "N": np.stack([c.value for c in normal], axis=-1),
+              "chi": chi.value, "d_chi": chi.gradient(), "rho": rho.value}
+    fields["rho_grad"], fields["rho_hess"] = covariant_hessian(rho, christoffel)
+    fields["support"] = np.einsum("...a,...a->...", fields["X"], fields["N"])
+    return fields
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+@pytest.mark.parametrize("fam", [Ellipsoid((1.0, 1.2, 0.9, 1.05)), radial_graph_bump(0.1),
+                                 radial_graph_random(23, 0.05), RoundSphere(1.0, dim=2)],
+                         ids=["ellipsoid", "bump", "random-23", "sphere-2"])
+def test_laplacian_by_two_routes(fam, chart):
+    # Delta R from the Gauss equation's R jet (order-4 ambient jets) against
+    # the intrinsic route's, from order-4 metric jets; every other array
+    # keeps the bits of the order-4 oracle state and the order-5 ambient jets
+    pts = ball_grid(9, n=fam.dim)
+    sd = evaluate_grid(fam, chart, pts)
+    want_cs, _, want = full_riemann_curvature(metric_jets(fam, chart, pts, 4))
+    # Delta R vanishes on the round sphere, whose scale is then R^2
+    scale = (want_cs.scalar**2).max() if isinstance(fam, RoundSphere) else np.abs(want).max()
+    assert np.abs(sd.laplacian_scalar - want).max() <= 1e-11 * scale
+    assert sd.curvature.d_ricci is None
+    for name in ("metric", "metric_inv", "christoffel", "ricci", "scalar"):
+        got, ref = getattr(sd.curvature, name), getattr(want_cs, name)
+        assert got.tobytes() == ref.tobytes(), name
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), name
+    assert sd.g is sd.curvature.metric
+    for name, ref in order5_fields(fam, chart, pts, want_cs.christoffel).items():
+        got = getattr(sd, name)
+        assert got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
 @pytest.mark.parametrize("fam", [RoundSphere(1.0, dim=2), Ellipsoid(AXES), radial_graph_bump(0.1)],
                          ids=["sphere-2", "ellipsoid", "bump"])
 def test_surface_data_keeps_no_jet(fam):
@@ -506,7 +555,7 @@ def test_surface_data_keeps_no_jet(fam):
         if isinstance(obj, np.ndarray):
             assert obj.base is None
             arrays += 1
-    assert arrays == 16   # ten fields and the state's seven, g shared
+    assert arrays == 15   # eleven fields and the state's five, g shared
 
 
 def test_ball_grid_shape():
