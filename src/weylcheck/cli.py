@@ -81,19 +81,21 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # diameter, peaked at 61.8, 61.7 and 66.5 MiB, much of it the parent's pages
 # shared at the fork: about 1.3 KiB per point of both charts over 33 MiB of
 # scipy, so ~200 MiB of its own at 51 and ~340 MiB for the two.  reconstruct
-# at 51 stays under 1.1 GiB with MAX_SUBSTEPS substeps (see
-# embedsolve.MAX_SUBSTEPS), as each march level's stage data is written
-# once, in place; at 250 substeps a spacing it peaked
-# at 49.6, 66.5 and 94.9 MiB RSS at resolutions 9, 13 and 17, its child at
-# 39.4, 56.1 and 83.1 MiB.  solve forks chart 1 of the Codazzi calibration
-# and keeps its fields' values only (embedsolve.IntrinsicField, formed in
-# BLOCK_POINTS blocks).  On the ellipsoid at resolutions 9, 13 and 17 (257,
-# 925 and 2109 points a chart) it peaked at 34.9, 38.4 and 42.9 MiB RSS, its
-# child at 29.4, 32.5 and 37.2 MiB (max of 3 runs): 4.4 KiB per point each
-# from 9 to 17, so at 51 (65,267 points) the two stay near 80 MiB + 8.8 KiB x
-# 63,158 = 620 MiB.  The cap was set at 51 when verify evaluated a chart in
-# one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays there, and
-# every estimate at 51 is under 1.1 GiB, reconstruct's the largest.
+# streams its march's stage data one RK4 stage row at a time, so its memory
+# does not grow with the substep count (see embedsolve.MAX_SUBSTEPS): on that
+# ellipsoid, at 30 and at 250 substeps a spacing alike, it peaked at 34.8,
+# 36.7 and 38.7 MiB RSS at resolutions 9, 13 and 17, its child at 29.1, 30.6
+# and 32.7 MiB (max of 3 runs): 2.2 and 2.0 KiB per node of its chart from 9
+# to 17, so near 172 and 156 MiB at 51 (65,267 nodes), ~330 MiB for the two.
+# solve forks chart 1 of the Codazzi calibration and keeps its fields' values
+# only (embedsolve.IntrinsicField, formed in BLOCK_POINTS blocks).  On the
+# ellipsoid at resolutions 9, 13 and 17 (257, 925 and 2109 points a chart) it
+# peaked at 34.9, 38.4 and 42.9 MiB RSS, its child at 29.4, 32.5 and 37.2 MiB
+# (max of 3 runs): 4.4 KiB per point each from 9 to 17, so at 51 (65,267
+# points) the two stay near 80 MiB + 8.8 KiB x 63,158 = 620 MiB.  The cap was
+# set at 51 when verify evaluated a chart in one pass (~60 order-5 jets a
+# point, 2059 MiB at 53); it stays there, and every estimate at 51 is under
+# 0.65 GiB, solve's the largest.
 MAX_RESOLUTION = 51
 
 

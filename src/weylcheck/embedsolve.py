@@ -25,21 +25,24 @@ the lattice alone lists a fill's levels before anything marches.  A second
 fill in the reversed order measures holonomy, the path dependence that
 appears exactly when chi fails Codazzi; it reads nothing of the first, so
 on Linux it marches in a forked child beside it.  The RK4 stage data comes
-from one stream per fill: the stage points of consecutive levels, in fill
-order, go through _continuous_data in calls of exactly surfaces.BLOCK_POINTS
-chart points (only a fill's last call is shorter), each call's rows are
-written in place into its level's buffer, allocated once from the level
-sizes of the plan pass, and a level marches as soon as its last point is
-evaluated.  The
-stream holds one level's rows plus one call's: a whole fill evaluated ahead
-would take about 0.8 GB at resolution 21 with MAX_SUBSTEPS substeps, and
-putting a large level through curvature() at once raises the peak memory
-of a reconstruct by about a fifth.  Evaluation is point by point and jet
-products are batch-invariant, so the split into calls does not move a bit.
+from one stream per fill, one stage row at a time: a row is the points of
+one RK4 stage of one level (its sources, or one substep's midpoints or
+ends), and the rows of consecutive levels, in march order, go through
+_continuous_data in calls of exactly surfaces.BLOCK_POINTS chart points
+(only a fill's last call is shorter).  A row is handed out as a view of
+its call's output, or joined in place from its pieces when it spans calls,
+and the march reads it at once: the stage data held at any time is a call
+or two plus a substep's three rows, whatever the substep count.  A whole
+fill evaluated ahead would take about 0.8 GB at resolution 21 with
+MAX_SUBSTEPS substeps, and putting a large level through curvature() at
+once raises the peak memory of a reconstruct by about a fifth.  Evaluation
+is point by point and jet products are batch-invariant, so the split into
+calls does not move a bit.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import warnings
@@ -70,7 +73,9 @@ from .surfaces import (
 
 
 def metric_jets(family, chart, pts, order) -> MetricJet:
-    """Induced-metric jets of the family at chart points, any order >= 1."""
+    """Induced-metric jets of the family at chart points, any order >= 1;
+    ValueError unless the points have the family's dimension."""
+    pts = surfaces.check_points(family, pts)
     return MetricJet(induced_metric(family.ambient_jets(chart, pts, order=order + 1)))
 
 
@@ -115,7 +120,8 @@ class IntrinsicField:
     def from_family(cls, family, chart, pts):
         """The family's field from metric jets of order 3, formed one
         surfaces.BLOCK_POINTS block at a time, which does not move a bit;
-        a family of another dimension is rejected before the first block."""
+        points of a width other than 3 or the family's dimension are
+        rejected before any jet is formed."""
         pts = _three_dimensional(np.asarray(pts, dtype=float))
         parts = zip(*[_field_values(metric_jets(family, chart, block, order=3))
                       for block in surfaces.point_blocks(pts)])
@@ -346,20 +352,16 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 # ----------------------------------------------------- frame integration
 
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
-# A level's stage data holds 2 nsub + 1 rows of 48 floats per start node
-# (Christoffel 27, chi 9, chi g^-1 9, the point 3), 768 B per start and
-# substep.  A fill's stage-data stream writes each level's rows in place into
-# one buffer, so a fill peaks at its largest level plus one BLOCK_POINTS
-# call.  Measured on the ellipsoid (1, 1.2, 0.9, 1.05), a fill's tracemalloc
-# peak grows by 0.74 KiB per start and substep (nsub 8 -> 32) at resolutions
-# 13 and 17 (largest level 109 and 193 starts), the rows alone; at 9, 13 and
-# 17 a reconstruct's RSS grows by 0.85, 0.81 and 0.89 KiB in the parent and
-# 0.84, 0.82 and 0.86 KiB in its child (nsub 2 -> 250).  The two fills run
-# at once (the reversed one in a forked child), and the largest level has
-# 1941 starts at resolution 51 (cli.MAX_RESOLUTION): 250 substeps keep the
-# two fills near 2 x 1941 x 250 x 0.9 KiB = 853 MiB.  With the imports (~61 MiB), the field
-# the child shares with the parent (0.85 KiB per node, 55 MiB) and each
-# fill's frame arrays (~17 MiB), a reconstruct stays under 1.1 GiB.
+# The march's stage data comes one stage row at a time (_stage_stream): a row
+# holds 45 floats a start node (Christoffel 27, chi 9, chi g^-1 9), and a fill
+# holds a BLOCK_POINTS call or two plus a substep's three rows, so its memory
+# does not depend on the substep count.  Measured on the ellipsoid (1, 1.2,
+# 0.9, 1.05): one fill's tracemalloc peak at resolution 9 is 1.90, 1.97 and
+# 1.93 MiB at 6, 30 and 120 substeps, and a reconstruct's peak RSS at 30 and
+# at 250 substeps differs by at most 0.2 MiB at resolutions 9, 13 and 17, in
+# the parent and in its child (see cli.MAX_RESOLUTION).  So the cap bounds run
+# time, which grows linearly in it: at 250 substeps a reconstruct took 6.6 s
+# at resolution 9 and 43 s at 17 (2 vCPUs, both fills at once).
 MAX_SUBSTEPS = 250
 
 
@@ -416,88 +418,81 @@ def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
 
 
 def _stage_points(starts, axis, dt, nsub):
-    """A level's RK4 stage points, (2 nsub + 1) rows of len(starts): the
-    starts, then each substep's midpoints and ends along the axis; written
-    into one array, with no temporary of its size."""
-    unit = np.zeros(3)
-    unit[axis] = 1.0
-    offsets = np.array([t for s in range(nsub) for t in (s * dt + dt / 2.0, s * dt + dt)])
-    out = np.empty((2 * nsub + 1,) + starts.shape)
-    out[0] = starts
-    np.add(starts, offsets[:, None, None] * unit, out=out[1:])
-    return out.reshape(-1, 3)
+    """A level's RK4 stage points in march order, 2 nsub + 1 rows of
+    len(starts): the starts, then each substep's midpoints and ends along
+    the axis, one row at a time."""
+    unit = np.eye(3)[axis]
+    yield starts
+    for s in range(nsub):
+        for t in (s * dt + dt / 2.0, s * dt + dt):
+            yield starts + t * unit
 
 
-def _stage_stream(field, blocks, sizes):
-    """_continuous_data for each block of chart points, one block at a time;
-    sizes gives each block's point count before any block is read.
+def _stage_stream(field, rows):
+    """_continuous_data for each row of chart points, one row at a time.
 
-    The blocks' points are taken as one sequence and evaluated in calls of
+    The rows' points are taken as one sequence and evaluated in calls of
     exactly surfaces.BLOCK_POINTS points, only the last call shorter, so one
-    call may span several blocks.  Each block's rows are allocated once,
-    written in place from the calls, and yielded as soon as its last point
-    is evaluated; blocks are read only as the calls reach them, so the
-    stream holds one block's rows plus at most one call's.  Only the
-    leftover of a block (fewer than BLOCK_POINTS points) is copied, joined
-    with the head of the next, so a block's points are held once.
-    Evaluation is point by point, so the rows do not depend on how the calls
-    split them.
+    call may span several rows and one row several calls.  Rows are read
+    only as the calls reach them, and each is handed out as soon as its
+    last point is evaluated: as a view of its call's output, or, when it
+    spans calls, as the join of its pieces, written in place into one
+    array.  So the stream itself holds one call plus at most one row.
+    Evaluation is point by point, so the data does not depend on how the
+    calls split the rows.
     """
+    lengths = collections.deque()    # of the rows read and not yet handed out
+
     def calls():
         size = surfaces.BLOCK_POINTS
         rest = np.zeros((0, 3))      # points read but not yet evaluated
-        for block in blocks:
+        for row in rows:
+            lengths.append(len(row))
             head = size - len(rest)
-            if len(block) < head:
-                rest = np.concatenate([rest, block])
+            if len(row) < head:
+                rest = np.concatenate([rest, row])
                 continue
-            yield _continuous_data(field, np.concatenate([rest, block[:head]]))
-            end = head + (len(block) - head) // size * size
+            yield _continuous_data(field, np.concatenate([rest, row[:head]]))
+            end = head + (len(row) - head) // size * size
             for at in range(head, end, size):
-                yield _continuous_data(field, block[at:at + size])
-            rest = block[end:].copy()
-            del block                # before the next block is read
+                yield _continuous_data(field, row[at:at + size])
+            rest = row[end:].copy()
         if len(rest):
             yield _continuous_data(field, rest)
 
-    sizes = iter(sizes)
-    rows = None                      # the block being written, filled up to `at`
+    joined, at = None, 0             # a row that spans calls, filled up to `at`
     for data in calls():
         used = 0
         while used < len(data[0]):
-            if rows is None:
-                size, at = next(sizes), 0
-                rows = tuple(np.empty((size,) + a.shape[1:]) for a in data)
-            k = min(size - at, len(data[0]) - used)
-            for out, a in zip(rows, data):
-                out[at:at + k] = a[used:used + k]
+            k = min(lengths[0] - at, len(data[0]) - used)
+            piece = tuple(a[used:used + k] for a in data)
+            if k < lengths[0]:
+                joined = joined or tuple(np.empty((lengths[0],) + a.shape[1:]) for a in data)
+                for j in range(len(piece)):     # no name outlives the row
+                    joined[j][at:at + k] = piece[j]
             at, used = at + k, used + k
-            if at == size:
-                yield rows
-                rows = None          # before the next block is allocated
-        del data                     # before the next call is evaluated
+            if at == lengths[0]:
+                lengths.popleft()
+                yield joined or piece
+                joined, at = None, 0
+        del data, piece              # before the next call is evaluated
 
 
-def _integrate_batch(stages, axis, dt, x, e, nrm):
-    """March a batch of frame states one lattice segment along an axis.
+def _integrate_batch(rows, axis, dt, nsub, x, e, nrm):
+    """March a batch of frame states nsub RK4 substeps of dt along an axis.
 
-    stages is the batch's RK4 stage data, evaluated by the caller: one
-    level's rows from the fill's stage-data stream, which holds that level
-    plus at most one BLOCK_POINTS call.  It gives (Gamma, chi, chi g^-1) at
-    the starts, then at each substep's midpoints and ends, len(x) rows each
-    (_stage_points).
+    rows gives the batch's stage data, evaluated by the caller, one stage
+    row of len(x) points at a time (_stage_points): (Gamma, chi, chi g^-1)
+    at the starts, then at each substep's midpoints and ends, the ends of
+    one substep being the starts of the next.
     """
-    stages = [d.reshape((-1, len(x)) + d.shape[1:]) for d in stages]
-    nsub = len(stages[0]) // 2
-
-    def f(row, e, nrm):
-        return _rhs(axis, *(d[row] for d in stages), e, nrm)
-
-    for s in range(nsub):
-        k1 = f(2 * s, e, nrm)
-        k2 = f(2 * s + 1, e + dt / 2 * k1[1], nrm + dt / 2 * k1[2])
-        k3 = f(2 * s + 1, e + dt / 2 * k2[1], nrm + dt / 2 * k2[2])
-        k4 = f(2 * s + 2, e + dt * k3[1], nrm + dt * k3[2])
+    end = next(rows)
+    for _ in range(nsub):
+        start, mid, end = end, next(rows), next(rows)
+        k1 = _rhs(axis, *start, e, nrm)
+        k2 = _rhs(axis, *mid, e + dt / 2 * k1[1], nrm + dt / 2 * k1[2])
+        k3 = _rhs(axis, *mid, e + dt / 2 * k2[1], nrm + dt / 2 * k2[2])
+        k4 = _rhs(axis, *end, e + dt * k3[1], nrm + dt * k3[2])
         x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         e = e + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         nrm = nrm + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
@@ -547,20 +542,21 @@ def _sweep_fill(field, seed, plan, h, limit):
     the lattice in plan order.
 
     The levels come from _fill_levels, which fails before anything marches
-    when they miss a node.  Each level is one _integrate_batch call, fed by
-    one stage-data stream for the whole fill (_stage_stream) that holds one
-    level's rows plus one BLOCK_POINTS call.  Returns the positions and the
-    sup of the frame drift |E E^T - g| over the nodes; raises
-    IntegrationError at the first node whose drift exceeds limit.
+    when they miss a node.  Each level is one _integrate_batch call, which
+    pulls the level's 2 nsub + 1 stage rows (_stage_points) from one stream
+    for the whole fill (_stage_stream), so the fill's memory does not grow
+    with nsub.  Returns the positions and the sup of the frame drift
+    |E E^T - g| over the nodes; raises IntegrationError at the first node
+    whose drift exceeds limit.
     """
     coords = field.coords
     idx, spacing, center = _lattice(coords)
     levels = _fill_levels(idx, center, plan)
     nsub = int(round(spacing / h))
     step = spacing / nsub
-    stream = _stage_stream(field, (_stage_points(coords[sources], axis, sign * step, nsub)
-                                   for axis, sign, _, sources in levels),
-                           [(2 * nsub + 1) * len(sources) for *_, sources in levels])
+    stream = _stage_stream(field, itertools.chain.from_iterable(
+        _stage_points(coords[sources], axis, sign * step, nsub)
+        for axis, sign, _, sources in levels))
 
     total = coords.shape[0]
     xs = np.zeros((total, 4))
@@ -571,9 +567,7 @@ def _sweep_fill(field, seed, plan, h, limit):
     gvals = field.g()
     iso_sup = 0.0
     for axis, sign, targets, sources in levels:
-        # the stage data goes straight into the call, so nothing keeps a
-        # level's rows alive while the stream evaluates the next one
-        x, e, nrm = _integrate_batch(next(stream), axis, sign * step,
+        x, e, nrm = _integrate_batch(stream, axis, sign * step, nsub,
                                      xs[sources], es[sources], ns[sources])
         xs[targets], es[targets], ns[targets] = x, e, nrm
         drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))

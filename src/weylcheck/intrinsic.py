@@ -25,7 +25,8 @@ Orders.  A field is formed at the order its readers use: for a metric of
 order m, MetricJet.inverse() and the Christoffel symbols have order m - 1,
 Ricci and the scalar curvature order m - 2; their order-(m - 2) operands
 are views of the leading coefficients of the order-(m - 1) jets.
-curvature() forms the inverse once per call and keeps no jet.  A CurvatureState
+curvature() forms the inverse once per call, or truncates one its caller
+formed at a higher order (verify's grid), and keeps no jet.  A CurvatureState
 holds values of the metric, its inverse, Christoffel, Ricci and (for m >= 3)
 its first partials, last axis k for d/dx_k, and scalar curvature;
 sectional_extremes(cs) and ricci_norm(cs) are formed on request.
@@ -38,6 +39,7 @@ so positive curvature has positive sign.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -102,6 +104,13 @@ class MetricJet:
 
     def values(self):
         return np.ascontiguousarray(self.jet.value)
+
+    def truncate(self, order):
+        """The metric jet at a lower order, not checked again: a truncation
+        keeps the checked values and their exact symmetry."""
+        out = copy.copy(self)
+        out.jet, out.order = self.jet.truncate(order), order
+        return out
 
     def inverse(self):
         """Adjugate-over-determinant inverse, an (n, n)-slot Jet one order
@@ -211,18 +220,20 @@ def _ricci(gamma: Jet, order) -> Jet:
     return ricci
 
 
-def curvature(mj: MetricJet) -> CurvatureState:
+def curvature(mj: MetricJet, ginv=None) -> CurvatureState:
     """Run the full intrinsic pipeline on a metric jet field.
 
     The metric must carry order >= 2; Ricci's first partials need order 3,
-    None below that.  All outputs are plain arrays over the batch, copied
-    out of the jets, which die with this call.
+    None below that.  ginv, when given, is the metric's inverse jet
+    (MetricJet.inverse) at order m - 1 or above, read to order m - 1, which
+    gives the same bits as forming it here.  All outputs are plain arrays
+    over the batch, copied out of the jets, which die with this call.
     """
     n, m = mj.n, mj.order
     if m < 2:
         raise ValueError("curvature needs metric jets of order >= 2")
     ro = m - 2
-    ginv = mj.inverse()
+    ginv = mj.inverse() if ginv is None else ginv.truncate(m - 1)
     gamma = mj.christoffels(ginv)
     ricci = _ricci(gamma, ro)
 

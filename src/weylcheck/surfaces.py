@@ -370,7 +370,9 @@ def _normal_chi(amb, order):
     return normal, chi_jet
 
 
-def _check_points(family, pts):
+def check_points(family, pts):
+    """pts as floats, or ValueError unless its points have the family's
+    dimension: every evaluation of a family goes through here."""
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != family.dim:
         raise ValueError(f"points must have {family.dim} coordinates")
@@ -390,7 +392,7 @@ def _gauss_scalar(ginv, chi):
 def evaluate_grid(family, chart, pts) -> SurfaceData:
     """Evaluate every surface field of the family at chart points (.., n);
     each jet is dropped once it is last read, and none outlives this call."""
-    pts = _check_points(family, pts)
+    pts = check_points(family, pts)
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
     metric = MetricJet(induced_metric(amb))
     normal, chi_jet = _normal_chi(amb, 2)
@@ -401,7 +403,7 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     n_vals = np.stack([c.value for c in normal], axis=-1)
     del amb, normal
     ginv = metric.inverse()
-    cs = curvature(MetricJet(metric.jet.truncate(2)))
+    cs = curvature(metric.truncate(2), ginv)
     del metric
     scalar_jet = _gauss_scalar(ginv, chi_jet)
     del ginv
@@ -419,7 +421,7 @@ def surface_values(family, chart, pts):
     """Values (X, g, chi) at chart points (.., n): the embedding (.., n+1),
     the induced metric and the second fundamental form (.., n, n), from
     ambient jets of order 2; the same bits as evaluate_grid's X, g and chi."""
-    amb = family.ambient_jets(chart, _check_points(family, pts), order=2)
+    amb = family.ambient_jets(chart, check_points(family, pts), order=2)
     x_vals = np.stack([x.value for x in amb], axis=-1)
     return x_vals, _metric_values(amb), _normal_chi(amb, 0)[1].value
 
@@ -434,7 +436,7 @@ def _metric_values(amb):
 
 def metric_values(family, chart, pts):
     """Induced-metric values (.., n, n), from ambient jets of order 1 only."""
-    return _metric_values(family.ambient_jets(chart, pts, order=1))
+    return _metric_values(family.ambient_jets(chart, check_points(family, pts), order=1))
 
 
 def metric_fn(family):

@@ -7,9 +7,12 @@ Extracts REV with `git archive` into a temporary directory, then runs
 PYTHONPATH=<tree>/src, on a fixed list: each of the four commands on the
 sphere, the ellipsoid (1, 1.2, 0.9, 1.05), the bump and random-23 at
 resolution 9, and for each family verify with a grid dump at resolutions 9
-and 13, solve on chart 1 and reconstruct at h 0.05.  Prints every run whose
-report (less `timing`), grid dump, exit code or stderr differs, and exits 1
-if any does.  A change meant to move no bit must find no difference.
+and 13, solve on chart 1, reconstruct at h 0.05, and reconstruct at
+resolution 29 and h 0.085, whose largest march levels have 609 sources, so
+that stage rows span 512-point calls (27, with 517, is the first resolution
+where they do).  Prints every run
+whose report (less `timing`), grid dump, exit code or stderr differs, and
+exits 1 if any does.  A change meant to move no bit must find no difference.
 """
 
 import argparse
@@ -40,6 +43,8 @@ def runs():
                    {**base, "resolution": resolution, "grid_dump": "grid.tsv"})
         yield f"solve {name} chart 1", "solve", {**base, "chart": 1}
         yield f"reconstruct {name} h 0.05", "reconstruct", {**base, "h": 0.05}
+        yield (f"reconstruct {name} resolution 29 h 0.085", "reconstruct",
+               {**base, "resolution": 29, "h": 0.085})
 
 
 def outcome(tree, command, config, work):

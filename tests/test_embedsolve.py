@@ -182,6 +182,17 @@ class TestSolver:
             IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9)), 0, ball_grid(7, 1.2, 2))
         assert calls == []
 
+    @pytest.mark.parametrize("family", [Ellipsoid((1.0, 1.2, 0.9)), RoundSphere(1.0, dim=2),
+                                        radial_graph_bump(0.1, dim=2)],
+                             ids=["ellipsoid", "sphere", "bump"])
+    def test_rejects_points_of_another_width(self, family):
+        # unchecked, 3-D points of a 2-D family would give a 3-D field (the
+        # 2-sphere's that of the unit 3-sphere); the metric pass rejects them
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            IntrinsicField.from_family(family, 0, ball_grid(7, 1.2, 3))
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            metric_jets(family, 0, np.zeros((4, 3)), order=2)
+
     def test_flat_metric_is_obstructed(self):
         coords = np.zeros((3, 3))
         coords[1, 0] = 0.1
@@ -593,7 +604,7 @@ class TestReconstruct:
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
         chi = solve_contracted_gauss(field)
 
-        def nan_batch(stages, axis, dt, x, e, nrm):
+        def nan_batch(rows, axis, dt, nsub, x, e, nrm):
             return np.full_like(x, np.nan), np.full_like(e, np.nan), np.full_like(nrm, np.nan)
 
         monkeypatch.setattr(embedsolve, "_integrate_batch", nan_batch)
@@ -672,8 +683,9 @@ class TestReconstruct:
 
     def test_stream_holds_one_block(self, monkeypatch):
         # a fake _continuous_data with the real shapes (Gamma, chi, chi g^-1)
-        # fills each row with its point's number; the stream must hand every
-        # row to its block and peak near the largest block's rows, not twice
+        # fills each entry with its point's number; the stream must hand every
+        # row its own points' data, evaluated in calls of exactly BLOCK_POINTS
+        # points, and peak near one call plus the largest row
         sizes = [5, 30000, 17, 40000, 1, 700]
         calls = []
 
@@ -684,7 +696,7 @@ class TestReconstruct:
                 a.T[...] = pts[:, 0] + k / 4
             return data
 
-        def blocks():
+        def rows():
             start = 0
             for size in sizes:
                 pts = np.zeros((size, 3))
@@ -692,22 +704,22 @@ class TestReconstruct:
                 start += size
                 yield pts
 
-        def check(rows, first, size):
-            # a row's least and greatest entry, so that no block-sized
+        def check(row, first, size):
+            # a row's least and greatest entry, so that no row-sized
             # temporary adds to the peak
-            for k, a in enumerate(rows):
+            for k, a in enumerate(row):
                 a = a.reshape(size, -1)
                 want = np.arange(first, first + size) + k / 4
                 assert np.array_equal(a.min(axis=1), want)
                 assert np.array_equal(a.max(axis=1), want)
 
         monkeypatch.setattr(embedsolve, "_continuous_data", numbered)
-        stream = embedsolve._stage_stream(None, blocks(), sizes)
+        stream = embedsolve._stage_stream(None, rows())
         tracemalloc.start()
         try:
             first = 0
             for size in sizes:
-                # the rows go straight into check, as into _integrate_batch
+                # the row goes straight into check, as into _integrate_batch
                 check(next(stream), first, size)
                 first += size
             peak = tracemalloc.get_traced_memory()[1]
@@ -716,7 +728,23 @@ class TestReconstruct:
         assert next(stream, None) is None
         full, last = divmod(sum(sizes), surfaces.BLOCK_POINTS)
         assert calls == [surfaces.BLOCK_POINTS] * full + [last]
-        assert peak <= 1.25 * max(sizes) * 45 * 8
+        assert peak <= 1.25 * (max(sizes) + surfaces.BLOCK_POINTS) * 45 * 8
+
+    def test_fill_memory_flat_in_substeps(self):
+        # the stream holds one call plus one stage row, so a fill's peak
+        # does not grow with the substep count
+        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, ball_grid(9, 1.2, 3))
+        _, spacing, center = embedsolve._lattice(field.coords)
+        seed = embedsolve.seed_frame(field.g()[center])
+        peaks = []
+        for nsub in (30, 120):
+            tracemalloc.start()
+            try:
+                embedsolve._sweep_fill(field, seed, (0, 1, 2), spacing / nsub, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("plan", list(itertools.permutations(range(3))))
     def test_fill_levels_cover_lattice_once(self, grid7, plan):

@@ -415,6 +415,33 @@ class TestFullRiemannOracle:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestGivenInverse:
+    """curvature() reads an inverse its caller formed at a higher order."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_same_bits_as_its_own(self, name):
+        mj = metric_jets(ORACLE_FAMILIES[name](), 0, ball_grid(9), 3)
+        own = curvature(MetricJet(mj.jet.truncate(2)))
+        given = curvature(mj.truncate(2), mj.inverse())
+        for f in CURVATURE_FIELDS:
+            assert_same_bits(getattr(given, f), getattr(own, f))
+
+    def test_grid_forms_one_inverse_and_one_check_per_block(self, monkeypatch):
+        inverses, checks = [], []
+        real_inverse, real_init = MetricJet.inverse, MetricJet.__init__
+        monkeypatch.setattr(MetricJet, "inverse",
+                            lambda mj: inverses.append(mj.order) or real_inverse(mj))
+        monkeypatch.setattr(MetricJet, "__init__",
+                            lambda mj, jet: checks.append(jet.order) or real_init(mj, jet))
+        evaluate_grid(ORACLE_FAMILIES["ellipsoid"](), 0, ball_grid(5))
+        assert inverses == [3] and checks == [3]
+
+    def test_too_low_an_order_is_rejected(self):
+        mj = metric_jets(ORACLE_FAMILIES["bump"](), 0, SAMPLE_PTS, 3)
+        with pytest.raises(ValueError, match="cannot raise"):
+            curvature(mj, mj.truncate(2).inverse())
+
+
 class TestCurvatureMemory:
     def test_order4_peak_per_point(self):
         mj = metric_jets(ORACLE_FAMILIES["ellipsoid"](), 0, ball_grid(13), 4)

@@ -217,10 +217,13 @@ def test_surface_values_bytes_match_evaluate_grid(name, chart):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("evaluate", [evaluate_grid, surface_values])
+@pytest.mark.parametrize("evaluate", [evaluate_grid, surface_values, metric_values])
 def test_point_width_checked(evaluate):
     with pytest.raises(ValueError, match="3 coordinates"):
         evaluate(RoundSphere(1.0), 0, np.zeros((4, 2)))
+    # a 2-D family at 3-D points, which metric_values would turn into 3 x 3 metrics
+    with pytest.raises(ValueError, match="2 coordinates"):
+        evaluate(RoundSphere(1.0, dim=2), 0, np.zeros((4, 3)))
 
 
 class TestSphereSupportExact:
