@@ -473,8 +473,8 @@ def cmd_reconstruct(cfg: RunConfig):
     tol = float(_tolerance(cfg, "reconstruction"))
     sections = {"reconstruction": {
         "nodes": int(rec.X.shape[0]),
-        "h": rec.h,
-        "plan": list(rec.plan),
+        "h": cfg.h,
+        "plan": list(cfg.path_plan),
         "isometry_sup": rec.isometry_sup,
         "holonomy_sup": rec.holonomy_sup,
         "rms_vs_truth": rms,

@@ -18,22 +18,26 @@ dropped before the next; order 4 and any block size give the same bits.
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice.
-The fill follows the path plan's axes: the line through the center, then
-the plane, then the ball, each outward from the center by lattice levels,
-and each level is one array step over all of its nodes.  A plan pass over
-the lattice alone lists a fill's levels before anything marches.  A second
-fill in the reversed order measures holonomy, the path dependence that
-appears exactly when chi fails Codazzi; it reads nothing of the first, so
-on Linux it marches in a forked child beside it.  The RK4 stage data comes
-from one stream per fill, one stage row at a time: a row is the points of
-one RK4 stage of one level (its sources, or one substep's midpoints or
-ends), and the rows of consecutive levels, in march order, go through
-_continuous_data in calls of exactly surfaces.BLOCK_POINTS chart points
-(only a fill's last call is shorter).  A row is handed out as a view of
-its call's output, or joined in place from its pieces when it spans calls,
-and the march reads it at once: the stage data held at any time is a call
-or two plus a substep's three rows, whatever the substep count.  A whole
-fill evaluated ahead would take about 0.8 GB at resolution 21 with
+It marches two arrays: a node's frame state, (n + 2, n + 1) with rows X,
+E_1..E_n, N (seed_frame), and a stage point's data, (3, 5, 3), whose block
+i holds the coefficients of the march along axis i: [i, k, j] = Gamma^k_ij
+for k < 3, [i, 3, j] = chi_ij and [i, 4, j] = (chi g^{-1})_i^j
+(_continuous_data).  The fill follows the path plan's axes: the line
+through the center, then the plane, then the ball, each outward from the
+center by lattice levels, and each level is one array step over all of its
+nodes.  A plan pass over the lattice alone lists a fill's levels before
+anything marches.  A second fill in the reversed order measures holonomy,
+the path dependence that appears exactly when chi fails Codazzi; it reads
+nothing of the first, so on Linux it marches in a forked child beside it.
+The RK4 stage data comes from one stream per fill, one stage row at a time:
+a row is the points of one RK4 stage of one level (its sources, or one
+substep's midpoints or ends), and the rows of consecutive levels, in march
+order, go through _continuous_data in calls of exactly surfaces.BLOCK_POINTS
+chart points (only a fill's last call is shorter).  A row is handed out as a
+view of its call's output, or joined in place from its pieces when it spans
+calls, and the march reads it at once: the stage data held at any time is a
+call or two plus a substep's three rows, whatever the substep count.  A
+whole fill evaluated ahead would take about 0.8 GB at resolution 21 with
 MAX_SUBSTEPS substeps, and putting a large level through curvature() at
 once raises the peak memory of a reconstruct by about a fifth.  Evaluation
 is point by point and jet products are batch-invariant, so the split into
@@ -242,7 +246,12 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     if not ok:
         raise ConvergenceError("solver residual above the per-point limit",
                                residual=sup)
-    # contiguous copies with d/dx_k on the leading axis, which the algebra reads
+    # contiguous copies with d/dx_k on the leading axis, which the algebra
+    # reads: on a resolution-17 ellipsoid chart (2,109 points, 2 vCPUs, best
+    # of 7) the solve takes 9.0 ms and peaks at 3.24 MiB with them, 18.8 ms
+    # and 2.49 MiB with einsums on the last-axis layout (d chi moved by up to
+    # 1.3e-15 of its max), 23 ms and 2.80 MiB on moveaxis views (bits moved
+    # too): half the solve's time for 0.75 MiB, and the same bits
     dg, dric = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (field.dg, field.d_ricci))
     dr = np.einsum("...ab,k...ba->k...", ginv, dric) \
         - np.einsum("...ab,k...bc,...ca->k...", ginv, dg, ginv @ ric)
@@ -258,7 +267,9 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
 
 
 def _continuous_data(field, pts):
-    """(Gamma, chi, chi g^{-1}) at arbitrary chart points, for integration."""
+    """The march's stage data at arbitrary chart points, (len(pts), 3, 5, 3):
+    block i holds the coefficients of the march along axis i, [i, k, j] =
+    Gamma^k_ij for k < 3, [i, 3, j] = chi_ij and [i, 4, j] = (chi g^{-1})_i^j."""
     if field.family is None:
         raise ValueError("off-grid evaluation needs a family-backed field")
     pts = np.asarray(pts, dtype=float)
@@ -268,7 +279,11 @@ def _continuous_data(field, pts):
     if field.perturbation is not None:
         ric = ric + field.perturbation(pts)[0]
     chi = _chi_values(cs.metric, cs.metric_inv, ric, field.chart, pts)[0]
-    return cs.christoffel, chi, chi @ cs.metric_inv
+    data = np.empty((len(pts), 3, 5, 3))
+    data[:, :, :3] = np.swapaxes(cs.christoffel, 1, 2)
+    data[:, :, 3] = chi
+    data[:, :, 4] = chi @ cs.metric_inv
+    return data
 
 
 # ------------------------------------------------- Codazzi embeddability
@@ -353,15 +368,15 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # The march's stage data comes one stage row at a time (_stage_stream): a row
-# holds 45 floats a start node (Christoffel 27, chi 9, chi g^-1 9), and a fill
-# holds a BLOCK_POINTS call or two plus a substep's three rows, so its memory
-# does not depend on the substep count.  Measured on the ellipsoid (1, 1.2,
-# 0.9, 1.05): one fill's tracemalloc peak at resolution 9 is 1.90, 1.97 and
-# 1.93 MiB at 6, 30 and 120 substeps, and a reconstruct's peak RSS at 30 and
-# at 250 substeps differs by at most 0.2 MiB at resolutions 9, 13 and 17, in
-# the parent and in its child (see cli.MAX_RESOLUTION).  So the cap bounds run
-# time, which grows linearly in it: at 250 substeps a reconstruct took 6.6 s
-# at resolution 9 and 43 s at 17 (2 vCPUs, both fills at once).
+# holds 45 floats a start node (3 x 5 x 3: Christoffel 27, chi 9, chi g^-1 9),
+# and a fill holds a BLOCK_POINTS call or two plus a substep's three rows, so
+# its memory does not depend on the substep count.  Measured on the ellipsoid
+# (1, 1.2, 0.9, 1.05): one fill's tracemalloc peak at resolution 9 is 1.87,
+# 1.88 and 1.97 MiB at 6, 30 and 120 substeps, and a reconstruct's peak RSS
+# at 30 and at 250 substeps differs by at most 0.2 MiB at resolutions 9, 13
+# and 17, in the parent and in its child (see cli.MAX_RESOLUTION).  So the cap
+# bounds run time, which grows linearly in it: at 250 substeps a reconstruct
+# took 6.6 s at resolution 9 and 43 s at 17 (2 vCPUs, both fills at once).
 MAX_SUBSTEPS = 250
 
 
@@ -388,17 +403,19 @@ def _lattice(coords):
 
 
 def seed_frame(g):
-    """(X, E, N) at the chart center, from the metric g there: the origin,
-    the Gram rows of g, and the normal along the last ambient axis.
+    """The frame state at the chart center, from the metric g there: an
+    (n + 2, n + 1) array of rows X, E_1..E_n, N, holding the origin, the Gram
+    rows of g, and the normal along the last ambient axis.
 
     The rows of the Cholesky factor L satisfy L L^T = g, and padding them
     with a zero last component leaves e_{n+1} as the unique unit normal
     making [E_1..E_n, N] positively oriented (det L > 0).
     """
     n = g.shape[-1]
-    e = np.zeros((n, n + 1))
-    e[:, :n] = np.linalg.cholesky(g)
-    return np.zeros(n + 1), e, np.eye(n + 1)[n]
+    frame = np.zeros((n + 2, n + 1))
+    frame[1:n + 1, :n] = np.linalg.cholesky(g)
+    frame[n + 1, n] = 1.0
+    return frame
 
 
 @dataclasses.dataclass
@@ -406,15 +423,18 @@ class Reconstruction:
     X: np.ndarray
     isometry_sup: float
     holonomy_sup: Optional[float]
-    plan: tuple
-    h: float
 
 
-def _rhs(axis, gamma, chi, chi_ginv, e, nrm):
-    de = np.einsum("lkj,lkp->ljp", gamma[:, :, axis, :], e) \
-        - chi[:, axis, :, None] * nrm[:, None, :]
-    dn = np.einsum("lj,ljp->lp", chi_ginv[:, axis, :], e)
-    return e[:, axis], de, dn
+def _rhs(axis, data, s):
+    """d/dx_axis of frame states s (rows X, E_1..E_3, N) from stage data
+    (_continuous_data): X' = E_axis, E_j' = Gamma^k_{axis j} E_k - chi_{axis j} N
+    and N' = (chi g^{-1})_axis^j E_j."""
+    d, e = data[:, axis], s[:, 1:4]
+    ds = np.empty_like(s)
+    ds[:, 0] = e[:, axis]
+    ds[:, 1:4] = np.einsum("lkj,lkp->ljp", d[:, :3], e) - d[:, 3, :, None] * s[:, 4, None, :]
+    ds[:, 4] = np.einsum("lj,ljp->lp", d[:, 4], e)
+    return ds
 
 
 def _stage_points(starts, axis, dt, nsub):
@@ -429,7 +449,8 @@ def _stage_points(starts, axis, dt, nsub):
 
 
 def _stage_stream(field, rows):
-    """_continuous_data for each row of chart points, one row at a time.
+    """_continuous_data, one (len(row), 3, 5, 3) array, for each row of
+    chart points, one row at a time.
 
     The rows' points are taken as one sequence and evaluated in calls of
     exactly surfaces.BLOCK_POINTS points, only the last call shorter, so one
@@ -463,40 +484,39 @@ def _stage_stream(field, rows):
     joined, at = None, 0             # a row that spans calls, filled up to `at`
     for data in calls():
         used = 0
-        while used < len(data[0]):
-            k = min(lengths[0] - at, len(data[0]) - used)
-            piece = tuple(a[used:used + k] for a in data)
+        while used < len(data):
+            k = min(lengths[0] - at, len(data) - used)
+            piece = data[used:used + k]
             if k < lengths[0]:
-                joined = joined or tuple(np.empty((lengths[0],) + a.shape[1:]) for a in data)
-                for j in range(len(piece)):     # no name outlives the row
-                    joined[j][at:at + k] = piece[j]
+                if joined is None:
+                    joined = np.empty((lengths[0],) + data.shape[1:])
+                joined[at:at + k] = piece
             at, used = at + k, used + k
             if at == lengths[0]:
                 lengths.popleft()
-                yield joined or piece
+                yield piece if joined is None else joined
                 joined, at = None, 0
         del data, piece              # before the next call is evaluated
 
 
-def _integrate_batch(rows, axis, dt, nsub, x, e, nrm):
-    """March a batch of frame states nsub RK4 substeps of dt along an axis.
+def _integrate_batch(rows, axis, dt, nsub, s):
+    """March a batch of frame states s, (batch, 5, 4) with rows X, E_1..E_3,
+    N, nsub RK4 substeps of dt along an axis.
 
     rows gives the batch's stage data, evaluated by the caller, one stage
-    row of len(x) points at a time (_stage_points): (Gamma, chi, chi g^-1)
-    at the starts, then at each substep's midpoints and ends, the ends of
-    one substep being the starts of the next.
+    row of len(s) points at a time (_stage_points): the (3, 5, 3) blocks of
+    _continuous_data at the starts, then at each substep's midpoints and
+    ends, the ends of one substep being the starts of the next.
     """
     end = next(rows)
     for _ in range(nsub):
         start, mid, end = end, next(rows), next(rows)
-        k1 = _rhs(axis, *start, e, nrm)
-        k2 = _rhs(axis, *mid, e + dt / 2 * k1[1], nrm + dt / 2 * k1[2])
-        k3 = _rhs(axis, *mid, e + dt / 2 * k2[1], nrm + dt / 2 * k2[2])
-        k4 = _rhs(axis, *end, e + dt * k3[1], nrm + dt * k3[2])
-        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        e = e + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        nrm = nrm + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return x, e, nrm
+        k1 = _rhs(axis, start, s)
+        k2 = _rhs(axis, mid, s + dt / 2 * k1)
+        k3 = _rhs(axis, mid, s + dt / 2 * k2)
+        k4 = _rhs(axis, end, s + dt * k3)
+        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return s
 
 
 def _fill_levels(idx, center, plan):
@@ -538,16 +558,16 @@ def _fill_levels(idx, center, plan):
 
 
 def _sweep_fill(field, seed, plan, h, limit):
-    """Frame states marched from the seed (X, E, N) at the center node over
-    the lattice in plan order.
+    """Frame states marched from the seed (seed_frame) at the center node
+    over the lattice in plan order.
 
     The levels come from _fill_levels, which fails before anything marches
     when they miss a node.  Each level is one _integrate_batch call, which
     pulls the level's 2 nsub + 1 stage rows (_stage_points) from one stream
     for the whole fill (_stage_stream), so the fill's memory does not grow
-    with nsub.  Returns the positions and the sup of the frame drift
-    |E E^T - g| over the nodes; raises IntegrationError at the first node
-    whose drift exceeds limit.
+    with nsub.  Returns a copy of the states' X rows, so that the states die
+    with the fill, and the sup of the frame drift |E E^T - g| over the nodes;
+    raises IntegrationError at the first node whose drift exceeds limit.
     """
     coords = field.coords
     idx, spacing, center = _lattice(coords)
@@ -558,18 +578,14 @@ def _sweep_fill(field, seed, plan, h, limit):
         _stage_points(coords[sources], axis, sign * step, nsub)
         for axis, sign, _, sources in levels))
 
-    total = coords.shape[0]
-    xs = np.zeros((total, 4))
-    es = np.zeros((total, 3, 4))
-    ns = np.zeros((total, 4))
-    xs[center], es[center], ns[center] = seed
+    states = np.zeros((coords.shape[0],) + seed.shape)
+    states[center] = seed
 
     gvals = field.g()
     iso_sup = 0.0
     for axis, sign, targets, sources in levels:
-        x, e, nrm = _integrate_batch(stream, axis, sign * step, nsub,
-                                     xs[sources], es[sources], ns[sources])
-        xs[targets], es[targets], ns[targets] = x, e, nrm
+        states[targets] = _integrate_batch(stream, axis, sign * step, nsub, states[sources])
+        e = states[targets, 1:4]
         drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))
         k, sup, ok = worst(drift, limit)
         if not ok:
@@ -580,7 +596,7 @@ def _sweep_fill(field, seed, plan, h, limit):
                 f"{where['coords']}; chi is inconsistent with g"
             )
         iso_sup = max(iso_sup, sup)
-    return xs, iso_sup
+    return states[:, 0].copy(), iso_sup
 
 
 def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
@@ -624,8 +640,7 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
             xs2, iso2 = backward.result()
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())
-    return Reconstruction(X=xs, isometry_sup=iso,
-                          holonomy_sup=holo, plan=plan, h=h)
+    return Reconstruction(X=xs, isometry_sup=iso, holonomy_sup=holo)
 
 
 def align_rigid(recon, truth):

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, basis_monomials
+from .jets import Jet, _sum, basis_monomials
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -157,11 +157,8 @@ class MetricJet:
                 first = [g[..., j, l].derivative(i) + g[..., i, l].derivative(j)
                          - g[..., i, j].derivative(l) for l in range(n)]
                 for k in range(n):
-                    acc = None
-                    for l in range(n):
-                        term = ginv[..., k, l] * first[l]
-                        acc = term if acc is None else acc + term
-                    gamma[..., k, i, j] = gamma[..., k, j, i] = 0.5 * acc
+                    gamma[..., k, i, j] = gamma[..., k, j, i] = \
+                        0.5 * _sum(ginv[..., k, l] * first[l] for l in range(n))
         return gamma
 
 
@@ -212,10 +209,7 @@ def _ricci(gamma: Jet, order) -> Jet:
     ricci = Jet.zeros(gamma.batch_shape[:-3], (n, n), n, order)
     for s in range(n):
         for nu in range(s, n):
-            acc = entry(s, 0, nu)
-            for mu in range(1, n):
-                acc = acc + entry(s, mu, nu)
-            ricci[..., s, nu] = acc
+            ricci[..., s, nu] = _sum(entry(s, mu, nu) for mu in range(n))
     _mirror_upper(ricci.coeffs)
     return ricci
 
@@ -238,11 +232,7 @@ def curvature(mj: MetricJet, ginv=None) -> CurvatureState:
     ricci = _ricci(gamma, ro)
 
     ginv_t = Jet(n, ro, ginv.coeffs[..., :len(basis_monomials(n, ro))])
-    scalar = None
-    for s in range(n):
-        for nu in range(n):
-            term = ginv_t[..., s, nu] * ricci[..., s, nu]
-            scalar = term if scalar is None else scalar + term
+    scalar = _sum(ginv_t[..., s, nu] * ricci[..., s, nu] for s in range(n) for nu in range(n))
 
     gvals = mj.values()
     return CurvatureState(

@@ -182,6 +182,12 @@ def basis_monomials(nvars, order):
     return _basis(nvars, order).monos
 
 
+def _sum(terms):
+    """The terms (Jets or arrays) added in order, with no zero to start."""
+    terms = iter(terms)
+    return sum(terms, next(terms))
+
+
 class Jet:
     """Truncated Taylor expansion; see the module docstring."""
 

@@ -51,7 +51,7 @@ from .intrinsic import (
     curvature,
     principal_curvatures,
 )
-from .jets import Jet, basis_monomials
+from .jets import Jet, _sum, basis_monomials
 
 AMBIENT_ORDER = 4
 
@@ -69,12 +69,6 @@ def point_blocks(pts):
     """Consecutive slices of pts (.., n) of BLOCK_POINTS points, only the
     last one shorter."""
     return [pts[at:at + BLOCK_POINTS] for at in range(0, len(pts), BLOCK_POINTS)]
-
-
-def _sum(terms):
-    """The terms (Jets or arrays) added in order, with no zero to start."""
-    terms = iter(terms)
-    return sum(terms, next(terms))
 
 
 def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):

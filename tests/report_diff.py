@@ -11,12 +11,17 @@ and 13, solve on chart 1, reconstruct at h 0.05, and reconstruct at
 resolution 29 and h 0.085, whose largest march levels have 609 sources, so
 that stage rows span 512-point calls (27, with 517, is the first resolution
 where they do).  Prints every run
-whose report (less `timing`), grid dump, exit code or stderr differs, and
-exits 1 if any does.  A change meant to move no bit must find no difference.
+whose report (less `timing`), grid dump, exit code or stderr differs, with
+its drift: the count of differing leaves (report entries, grid-dump cells,
+the exit code, stderr), the largest |a - b| / |b| over float leaves, b the
+base's, with its path, and the paths of the other differing leaves.  A float
+leaf differs when its bits do, so -0.0 and 0.0 differ.  Exits 1 if any run
+differs.  A change meant to move no bit must find no difference.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +74,64 @@ def outcome(tree, command, config, work):
             "stderr": proc.stderr}
 
 
+ABSENT = object()                  # a leaf that one side does not have
+
+
+def _cell(text):
+    """A grid-dump cell as an int or a float where it reads as one."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def leaves(outcome):
+    """{path: leaf} of an outcome, its report parsed and its grid dump read
+    as a list of {column: cell} rows."""
+    found = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for k, item in enumerate(value):
+                walk(item, f"{path}[{k}]")
+        else:
+            found[path] = value
+
+    report, grid = outcome["report"], outcome["grid dump"]
+    if grid is not None:
+        header, *lines = grid.splitlines()
+        grid = [dict(zip(header.split("\t"), map(_cell, line.split("\t")))) for line in lines]
+    report = None if report is None else json.loads(report)
+    walk({**outcome, "report": report, "grid dump": grid}, "")
+    return found
+
+
+def drift(base, tree):
+    """(count of differing leaves, (largest |a - b| / |b|, path) over float
+    leaves or None, paths of the other differing leaves) of two outcomes;
+    a leaf only one side has is one of the others."""
+    a, b = leaves(tree), leaves(base)
+    count, largest, other = 0, None, []
+    for path in list(b) + [p for p in a if p not in b]:
+        x, y = a.get(path, ABSENT), b.get(path, ABSENT)
+        if type(x) is type(y) and repr(x) == repr(y):
+            continue
+        count += 1
+        if isinstance(x, float) and isinstance(y, float):
+            rel = abs(x - y) / abs(y) if y else (0.0 if x == 0 else math.inf)
+            rel = math.inf if math.isnan(rel) else rel
+            if largest is None or rel > largest[0]:
+                largest = (rel, path)
+        else:
+            other.append(path)
+    return count, largest, other
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -90,6 +153,12 @@ def main(argv=None):
             if keys:
                 differ += 1
                 print(f"DIFFERS  {label}: {', '.join(keys)}")
+                count, largest, other = drift(got["base"], got["tree"])
+                print(f"    {count} leaves differ" + (
+                    "" if largest is None else
+                    f"; largest relative drift {largest[0]:.3g} at {largest[1]}"))
+                if other:
+                    print(f"    other: {', '.join(other)}")
                 for key in keys:
                     if key in ("exit code", "stderr"):
                         print(f"    base {got['base'][key]!r}\n    tree {got['tree'][key]!r}")

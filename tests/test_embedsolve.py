@@ -169,8 +169,8 @@ class TestSolver:
         for k in range(3):
             off = np.zeros(3)
             off[k] = delta
-            fd = (embedsolve._continuous_data(field, sample + off)[1]
-                  - embedsolve._continuous_data(field, sample - off)[1]) / (2.0 * delta)
+            fd = (embedsolve._continuous_data(field, sample + off)[:, :, 3]
+                  - embedsolve._continuous_data(field, sample - off)[:, :, 3]) / (2.0 * delta)
             assert np.abs(fd - want[..., k]).max() < 1e-6
 
     def test_rejects_other_dimensions(self, monkeypatch):
@@ -311,9 +311,30 @@ class TestField:
         nan_partials = ellipsoid_field.perturbed(
             lambda pts: (ramp(pts)[0], np.full(np.shape(pts)[:-1] + (3, 3, 3), np.nan)))
         for f in (field, nan_partials):
-            _, got, chi_ginv = embedsolve._continuous_data(f, pts)
-            assert got.tobytes() == chi.tobytes()
-            assert chi_ginv.tobytes() == (chi @ cs.metric_inv).tobytes()
+            data = embedsolve._continuous_data(f, pts)
+            assert data[:, :, 3].tobytes() == chi.tobytes()
+            assert data[:, :, 4].tobytes() == (chi @ cs.metric_inv).tobytes()
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_stage_data_layout(self, ellipsoid_field, perturb):
+        # block i of a stage point's data is the march along axis i, bit for
+        # bit: [i, k, j] = Gamma^k_ij, [i, 3, j] = chi_ij, [i, 4, j] = (chi g^-1)_i^j
+        field = ellipsoid_field
+        pts = field.coords[::11] * 0.97
+        cs = curvature(metric_jets(Ellipsoid(AXES), 0, pts, order=2))
+        ric = cs.ricci
+        if perturb:
+            field = field.perturbed(diag_ramp_perturbation())
+            ric = ric + diag_ramp_perturbation()(pts)[0]
+        chi = embedsolve._chi_values(cs.metric, cs.metric_inv, ric, 0, pts)[0]
+        chi_ginv = chi @ cs.metric_inv
+        data = embedsolve._continuous_data(field, pts)
+        assert data.shape == (len(pts), 3, 5, 3)
+        for i in range(3):
+            for k in range(3):
+                assert data[:, i, k].tobytes() == cs.christoffel[:, k, i].tobytes(), (i, k)
+            assert data[:, i, 3].tobytes() == chi[:, i].tobytes(), i
+            assert data[:, i, 4].tobytes() == chi_ginv[:, i].tobytes(), i
 
 
 FIELD_ARRAYS = ("coords", "dg", "ricci", "d_ricci", "christoffel")
@@ -454,7 +475,9 @@ class TestSeedFrame:
     def test_invariants_exact(self, ellipsoid_field):
         k0 = int(np.argmin(np.linalg.norm(ellipsoid_field.coords, axis=-1)))
         g = ellipsoid_field.g()[k0]
-        x, e, nrm = seed_frame(g)
+        frame = seed_frame(g)
+        assert frame.shape == (5, 4)
+        x, e, nrm = frame[0], frame[1:4], frame[4]
         assert np.array_equal(x, np.zeros(4))
         assert np.abs(e @ e.T - g).max() < 1e-14
         assert np.abs(e @ nrm).max() < 1e-14
@@ -604,8 +627,8 @@ class TestReconstruct:
         field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
         chi = solve_contracted_gauss(field)
 
-        def nan_batch(rows, axis, dt, nsub, x, e, nrm):
-            return np.full_like(x, np.nan), np.full_like(e, np.nan), np.full_like(nrm, np.nan)
+        def nan_batch(rows, axis, dt, nsub, s):
+            return np.full_like(s, np.nan)
 
         monkeypatch.setattr(embedsolve, "_integrate_batch", nan_batch)
         with pytest.raises(IntegrationError, match="frame drift nan exceeds"):
@@ -652,8 +675,7 @@ class TestReconstruct:
         whole = embedsolve._continuous_data(field, pts)
         cuts = np.cumsum([1, 7, 512])
         parts = [embedsolve._continuous_data(field, p) for p in np.split(pts, cuts)]
-        for one, split in zip(whole, zip(*parts)):
-            assert np.array_equal(one, np.concatenate(split))
+        assert np.array_equal(whole, np.concatenate(parts))
 
     @pytest.mark.parametrize("chunk", [512, 100, 7])
     def test_stream_calls_are_full_chunks(self, ellipsoid5, monkeypatch, chunk):
@@ -682,18 +704,19 @@ class TestReconstruct:
         assert np.array_equal(streamed.X, rec.X)
 
     def test_stream_holds_one_block(self, monkeypatch):
-        # a fake _continuous_data with the real shapes (Gamma, chi, chi g^-1)
-        # fills each entry with its point's number; the stream must hand every
-        # row its own points' data, evaluated in calls of exactly BLOCK_POINTS
-        # points, and peak near one call plus the largest row
+        # a fake _continuous_data with the real shape (3, 5, 3) a point fills
+        # each entry with its point's number plus its axis block over 4; the
+        # stream must hand every row its own points' data, evaluated in calls
+        # of exactly BLOCK_POINTS points, and peak near one call plus the
+        # largest row
         sizes = [5, 30000, 17, 40000, 1, 700]
         calls = []
 
         def numbered(field, pts):
             calls.append(len(pts))
-            data = tuple(np.empty((len(pts),) + shape) for shape in ((3, 3, 3), (3, 3), (3, 3)))
-            for k, a in enumerate(data):
-                a.T[...] = pts[:, 0] + k / 4
+            data = np.empty((len(pts), 3, 5, 3))
+            for k in range(3):
+                data[:, k].T[...] = pts[:, 0] + k / 4
             return data
 
         def rows():
@@ -707,8 +730,9 @@ class TestReconstruct:
         def check(row, first, size):
             # a row's least and greatest entry, so that no row-sized
             # temporary adds to the peak
-            for k, a in enumerate(row):
-                a = a.reshape(size, -1)
+            assert row.shape == (size, 3, 5, 3)
+            for k in range(3):
+                a = row[:, k].reshape(size, -1)
                 want = np.arange(first, first + size) + k / 4
                 assert np.array_equal(a.min(axis=1), want)
                 assert np.array_equal(a.max(axis=1), want)
