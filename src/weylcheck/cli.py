@@ -88,14 +88,14 @@ VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
 # and 32.7 MiB (max of 3 runs): 2.2 and 2.0 KiB per node of its chart from 9
 # to 17, so near 172 and 156 MiB at 51 (65,267 nodes), ~330 MiB for the two.
 # solve forks chart 1 of the Codazzi calibration and keeps its fields' values
-# only (embedsolve.IntrinsicField, formed in BLOCK_POINTS blocks).  On the
-# ellipsoid at resolutions 9, 13 and 17 (257, 925 and 2109 points a chart) it
-# peaked at 34.9, 38.4 and 42.9 MiB RSS, its child at 29.4, 32.5 and 37.2 MiB
-# (max of 3 runs): 4.4 KiB per point each from 9 to 17, so at 51 (65,267
-# points) the two stay near 80 MiB + 8.8 KiB x 63,158 = 620 MiB.  The cap was
-# set at 51 when verify evaluated a chart in one pass (~60 order-5 jets a
-# point, 2059 MiB at 53); it stays there, and every estimate at 51 is under
-# 0.65 GiB, solve's the largest.
+# only (embedsolve.IntrinsicField, formed in BLOCK_POINTS blocks), one
+# reference family's at a time.  On the ellipsoid at resolutions 9, 13 and 17
+# (257, 925 and 2109 points a chart) it peaked at 34.3, 37.0 and 40.2 MiB RSS,
+# its child at 28.8, 31.2 and 34.3 MiB (max of 3 runs): 3.3 and 3.0 KiB per
+# point from 9 to 17, so at 51 (65,267 points) the two stay near 80 MiB +
+# 6.3 KiB x 63,158 = 470 MiB.  The cap was set at 51 when verify evaluated a
+# chart in one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays
+# there, and every estimate at 51 is under 0.5 GiB, solve's the largest.
 MAX_RESOLUTION = 51
 
 

@@ -299,12 +299,14 @@ def reference_families():
 
 def _chart_residuals(pts, chart):
     """{family name: sup Codazzi residual of the solved chi} over one chart
-    of the reference families."""
+    of the reference families; each family's field is dropped before the
+    next one is built."""
     observed = {}
     for name, fam in reference_families().items():
         f = IntrinsicField.from_family(fam, chart, pts)
         chi = solve_contracted_gauss(f)
         observed[name] = float(codazzi_residual(f.christoffel, chi.values, chi.d_values).max())
+        del f, chi
     return observed
 
 

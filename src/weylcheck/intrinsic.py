@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, _sum, basis_monomials
+from .jets import Jet, _sum, basis_monomials, det
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -114,29 +114,21 @@ class MetricJet:
 
     def inverse(self):
         """Adjugate-over-determinant inverse, an (n, n)-slot Jet one order
-        below the metric.  Not cached: curvature() forms it once per call."""
-        e = self.jet.truncate(self.order - 1)
-        if self.n == 2:
-            det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
-            r = det.reciprocal()
-            upper = {(0, 0): e[..., 1, 1] * r, (0, 1): -1.0 * (e[..., 0, 1] * r),
-                     (1, 1): e[..., 0, 0] * r}
-        elif self.n == 3:
-            c00 = e[..., 1, 1] * e[..., 2, 2] - e[..., 1, 2] * e[..., 1, 2]
-            c01 = e[..., 0, 2] * e[..., 1, 2] - e[..., 0, 1] * e[..., 2, 2]
-            c02 = e[..., 0, 1] * e[..., 1, 2] - e[..., 0, 2] * e[..., 1, 1]
-            c11 = e[..., 0, 0] * e[..., 2, 2] - e[..., 0, 2] * e[..., 0, 2]
-            c12 = e[..., 0, 1] * e[..., 0, 2] - e[..., 0, 0] * e[..., 1, 2]
-            c22 = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 0, 1]
-            det = e[..., 0, 0] * c00 + e[..., 0, 1] * c01 + e[..., 0, 2] * c02
-            r = det.reciprocal()
-            upper = {(0, 0): c00 * r, (0, 1): c01 * r, (0, 2): c02 * r,
-                     (1, 1): c11 * r, (1, 2): c12 * r, (2, 2): c22 * r}
-        else:
-            raise ValueError(f"unsupported dimension {self.n}")
-        inv = Jet(self.n, e.order, np.empty_like(e.coeffs))
-        for (i, j), ent in upper.items():
-            inv[..., i, j] = inv[..., j, i] = ent
+        below the metric: the upper triangle's cofactors (g is symmetric)
+        by jets.det, and the determinant from row 0's, one reciprocal.  Not
+        cached: evaluate_grid forms it once per block and hands it to
+        curvature(), which otherwise forms it once per call."""
+        n, e = self.n, self.jet.truncate(self.order - 1)
+        rows = [[e[..., i, j] for j in range(n)] for i in range(n)]
+        cof = {}
+        for i in range(n):
+            for j in range(i, n):
+                minor = det([row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:]])
+                cof[i, j] = -1.0 * minor if (i + j) % 2 else minor
+        r = _sum(rows[0][j] * cof[0, j] for j in range(n)).reciprocal()
+        inv = Jet(n, e.order, np.empty_like(e.coeffs))
+        for (i, j), c in cof.items():
+            inv[..., i, j] = inv[..., j, i] = c * r
         return inv
 
     def christoffels(self, ginv=None):

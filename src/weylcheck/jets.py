@@ -42,6 +42,10 @@ by one gather, multiply and layered sum over its pairs, as in a product: one
 product's worth of pairs in all, where a series summed by Horner's rule
 costs `order` products.
 
+det(rows), by Laplace expansion along the first row, is the one determinant
+of a small matrix of jets: of the tangent rows' maximal minors for the unit
+normal, and of the metric's cofactors for its inverse.
+
 A coefficient of degree d has the same bits at every order >= d: a product
 sums the same pairs in the same order, and the recurrences form c_k and s_k
 from the same pairs, summed in the same generation order, of coefficients
@@ -186,6 +190,19 @@ def _sum(terms):
     """The terms (Jets or arrays) added in order, with no zero to start."""
     terms = iter(terms)
     return sum(terms, next(terms))
+
+
+def det(rows):
+    """Determinant of a square list of rows of Jets (or arrays), expanded
+    along the first row down to 1 x 1: the terms rows[0][j] * minor are
+    added in order of j, with alternating signs."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * det([row[:j] + row[j + 1:] for row in rows[1:]])
+        out = term if out is None else out - term if j % 2 else out + term
+    return out
 
 
 class Jet:

@@ -5,6 +5,9 @@ ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
 field at a chart point is produced by exact jet arithmetic, with the chart
 map at the order the field's readers need; evaluate_grid, surface_values
 and metric_values return plain values, and their jets die inside them.
+The unit normal is the tangent rows' signed maximal minors over their norm,
+each minor by weylcheck.jets.det, the determinant MetricJet.inverse also
+reads.
 Only evaluate_grid runs it at order 4: the induced metric then carries
 order 3 and its inverse order 2, and the normal and the second fundamental
 form order 2, so the Gauss equation R = (tr A)^2 - tr(A^2), A = g^-1 chi,
@@ -51,7 +54,7 @@ from .intrinsic import (
     curvature,
     principal_curvatures,
 )
-from .jets import Jet, _sum, basis_monomials
+from .jets import Jet, _sum, basis_monomials, det
 
 AMBIENT_ORDER = 4
 
@@ -218,18 +221,6 @@ def radial_graph_random(seed, amp=0.05, dim=3):
 # --------------------------------------------------------------- evaluation
 
 
-def _det_jets(rows):
-    """Determinant of a small square matrix of jets (size 2 or 3)."""
-    k = len(rows)
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if k == 3:
-        return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    raise ValueError("determinant supported for sizes 2 and 3")
-
-
 @dataclass(eq=False)
 class SurfaceData:
     """Fields of a family over a batch of chart points, as plain arrays.
@@ -342,13 +333,10 @@ def _normal_chi(amb, order):
     form as an (n, n)-slot Jet, both of the given order; the ambient jets X^a
     have order >= order + 2."""
     n = amb[0].nvars
-    # normal: generalized cross product of the tangent rows
+    # normal: generalized cross product, the tangent rows' signed maximal minors
     rows = [[x.derivative(i).truncate(order) for x in amb] for i in range(n)]
-    raw = []
-    for a in range(n + 1):
-        minor = [[rows[i][b] for b in range(n + 1) if b != a] for i in range(n)]
-        d = _det_jets(minor)
-        raw.append(d if a % 2 == 0 else -1.0 * d)
+    raw = [det([row[:a] + row[a + 1:] for row in rows]) for a in range(n + 1)]
+    raw = [-1.0 * d if a % 2 else d for a, d in enumerate(raw)]
     scale = _sum(c * c for c in raw).sqrt().reciprocal()
     normal = [c * scale for c in raw]
     xdotn = sum((amb[a].value * normal[a].value for a in range(n + 1)))

@@ -20,6 +20,8 @@
 - sphere_chain: the unit sphere's chart jets by plain Jet arithmetic, as
   unit_sphere_jets formed them before it wrote them in closed form.
 - coefficient: a Jet's Taylor coefficient of one monomial.
+- det_unrolled: the 2 x 2 and 3 x 3 determinants written out by hand, as
+  the unit normal's minors were formed before jets.det expanded them.
 - reachable: every object reachable from one, but through code and modules.
 """
 
@@ -206,6 +208,15 @@ def jet_exp(f):
 def coefficient(f, gamma):
     """f's Taylor coefficient of the monomial x^gamma."""
     return f.coeffs[..., basis_monomials(f.nvars, f.order).index(tuple(gamma))]
+
+
+def det_unrolled(rows):
+    """Determinant of a 2 x 2 or 3 x 3 list of rows of Jets, written out."""
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
 
 
 def sphere_chain(chart, pts, order):

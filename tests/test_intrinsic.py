@@ -25,7 +25,7 @@ from weylcheck.intrinsic import (
     ricci_norm,
     sectional_extremes,
 )
-from weylcheck.jets import Jet
+from weylcheck.jets import Jet, _sum
 from weylcheck.surfaces import (
     Ellipsoid,
     RoundSphere,
@@ -185,20 +185,28 @@ class TestTensorSymmetries:
         tr = np.einsum("...ij,...ij->...", cs.metric_inv, cs.ricci)
         np.testing.assert_allclose(tr, cs.scalar, rtol=1e-12)
 
-    def test_inverse_jets(self):
-        mj = bumpy_metric(SAMPLE_PTS)
+    @staticmethod
+    def assert_inverse_jets(mj):
         inv = mj.inverse()
         g = mj.jet.truncate(mj.order - 1)
-        for i in range(3):
-            for j in range(3):
-                acc = None
-                for k in range(3):
-                    t = g[..., i, k] * inv[..., k, j]
-                    acc = t if acc is None else acc + t
+        n = range(mj.n)
+        for i in n:
+            for j in n:
+                acc = _sum(g[..., i, k] * inv[..., k, j] for k in n)
                 want = 1.0 if i == j else 0.0
                 np.testing.assert_allclose(acc.value, want, atol=1e-12)
                 # all higher coefficients of the identity vanish
                 np.testing.assert_allclose(acc.coeffs[..., 1:], 0.0, atol=1e-10)
+
+    def test_inverse_jets(self):
+        self.assert_inverse_jets(bumpy_metric(SAMPLE_PTS))
+
+    @pytest.mark.parametrize("fam", [RoundSphere(1.0, dim=2), radial_graph_bump(0.1, dim=2)],
+                             ids=["sphere-2", "bump-2"])
+    def test_inverse_jets_in_two_dimensions(self, fam):
+        mj = metric_jets(fam, 0, SAMPLE_PTS[:, :2], 3)
+        assert mj.n == 2
+        self.assert_inverse_jets(mj)
 
 
 class TestScaling:

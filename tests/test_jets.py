@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import coefficient, jet_exp, series_reciprocal, series_sqrt
 from weylcheck.errors import DomainError
-from weylcheck.jets import MAX_ORDER, Jet, basis_monomials
+from weylcheck.jets import MAX_ORDER, Jet, basis_monomials, det
 
 
 def make_xyz(point, order=4):
@@ -223,6 +223,19 @@ def test_product_matches_pair_loop(nvars, order):
     # each coefficient sums its pairs in generation order, as this loop does
     np.testing.assert_array_equal(prod.coeffs, expected)
     assert prod.coeffs[:, -1].flags["C_CONTIGUOUS"]  # monomial-major
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_det_matches_numpy_on_values(size):
+    rng = np.random.default_rng(size)
+    # diagonally dominant, so that no determinant is near a cancellation
+    rows = [[_random_jet(rng, (7,), 3, 2) + (4.0 if i == j else 0.0) for j in range(size)]
+            for i in range(size)]
+    values = np.stack([np.stack([e.value for e in row], -1) for row in rows], -2)
+    want = np.linalg.det(values)
+    got = det(rows)
+    assert got.order == 2
+    np.testing.assert_allclose(got.value, want, rtol=1e-13, atol=0)
 
 
 def _recurrence_loop(f, square):

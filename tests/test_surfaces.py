@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    det_unrolled,
     full_riemann_curvature,
     radial_graph_forms,
     reachable,
@@ -14,7 +15,7 @@ from oracles import (
 from weylcheck.bounds import c2bound_report, evaluate_family_grid
 from weylcheck.embedsolve import metric_jets
 from weylcheck.errors import DomainError
-from weylcheck.jets import Jet
+from weylcheck.jets import Jet, det
 from weylcheck import surfaces
 from weylcheck.intrinsic import (
     CurvatureState,
@@ -542,6 +543,18 @@ def test_laplacian_by_two_routes(fam, chart):
         got = getattr(sd, name)
         assert got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+@pytest.mark.parametrize("fam", [Ellipsoid((1.0, 1.2, 0.9, 1.05)), radial_graph_bump(0.1),
+                                 RoundSphere(1.0, dim=2)], ids=["ellipsoid", "bump", "sphere-2"])
+def test_normal_minors_keep_the_unrolled_bits(fam, chart):
+    # the maximal minors of the tangent rows, as the unit normal reads them
+    amb = fam.ambient_jets(chart, ball_grid(9, n=fam.dim))
+    rows = [[x.derivative(i).truncate(2) for x in amb] for i in range(fam.dim)]
+    for a in range(fam.dim + 1):
+        minor = [row[:a] + row[a + 1:] for row in rows]
+        assert det(minor).coeffs.tobytes() == det_unrolled(minor).coeffs.tobytes()
 
 
 @pytest.mark.parametrize("fam", [RoundSphere(1.0, dim=2), Ellipsoid(AXES), radial_graph_bump(0.1)],
