@@ -69,6 +69,7 @@ from .intrinsic import (
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
+    _tangent_rows,
     ball_grid,
     induced_metric,
     radial_graph_bump,
@@ -80,7 +81,8 @@ def metric_jets(family, chart, pts, order) -> MetricJet:
     """Induced-metric jets of the family at chart points, any order >= 1;
     ValueError unless the points have the family's dimension."""
     pts = surfaces.check_points(family, pts)
-    return MetricJet(induced_metric(family.ambient_jets(chart, pts, order=order + 1)))
+    amb = family.ambient_jets(chart, pts, order=order + 1)
+    return MetricJet(induced_metric(_tangent_rows(amb)))
 
 
 @dataclasses.dataclass(eq=False)

@@ -12,11 +12,15 @@ imported inside the two functions that need it, so the other commands
 never load it.
 
 Storage.  Every tensor field is one Jet whose trailing batch axes are its
-slots, coeffs[..., *slots, monomial] (see weylcheck.jets): the metric is an
-(n, n)-slot Jet, the Christoffel symbols an (n, n, n)-slot Jet and Ricci an
-(n, n)-slot Jet.  Products are formed one slot entry at a time, once per
-independent entry, on views of those arrays.  These jets live only inside
-curvature(), which returns plain values.  No Riemann tensor is formed:
+slots, coeffs[..., *slots, monomial], in the one layout of weylcheck.jets,
+the monomial axis outermost: the metric is an (n, n)-slot Jet, the
+Christoffel symbols an (n, n, n)-slot Jet and Ricci an (n, n)-slot Jet.
+Products are formed one slot entry at a time, once per independent entry,
+on views of those arrays.  Each metric entry is differentiated once per
+pass: the Christoffel symbols read one table of the partials d_k g_ab,
+a <= b (18 for n = 3), each dropped after its last reader.  These jets
+live only inside curvature(), which returns plain values, C-contiguous as
+every value a pass hands out.  No Riemann tensor is formed:
 the Ricci jet is summed from the entries R^mu_{s mu nu} its trace reads,
 and in the supported dimensions (n = 2, 3) the Weyl tensor vanishes, so
 Ricci and the metric fix every other curvature quantity.
@@ -46,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, _sum, basis_monomials, det
+from .jets import Jet, _sum, det
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -139,15 +143,30 @@ class MetricJet:
         n, m = self.n, self.order
         if m < 1:
             raise ValueError("metric jets must carry at least first derivatives")
-        g = self.jet
         if ginv is None:
             ginv = self.inverse()
+        # one table of the partials dg[a, b, k] = d_k g_ab, a <= b, each formed
+        # at its first read.  The pair (i, j) reads d_i g_jl, d_j g_il and
+        # d_l g_ij, so the last to read d_k g_ab is the latest of the pairs
+        # (a, b), (a, k) and (b, k), sorted; it is dropped after that pair,
+        # which keeps at most 7 of the 18 alive (n = 3).
+        dg = {}
+
+        def partial(a, b, k):
+            key = (min(a, b), max(a, b), k)
+            if key not in dg:
+                dg[key] = self.jet[..., a, b].derivative(k)
+            return dg[key]
+
         gamma = Jet.zeros(self.batch_shape, (n, n, n), n, m - 1)
         for i in range(n):
             for j in range(i, n):
                 # first[l] = d_i g_jl + d_j g_il - d_l g_ij
-                first = [g[..., j, l].derivative(i) + g[..., i, l].derivative(j)
-                         - g[..., i, j].derivative(l) for l in range(n)]
+                first = [partial(j, l, i) + partial(i, l, j) - partial(i, j, l)
+                         for l in range(n)]
+                for a, b, k in list(dg):
+                    if max((a, b), tuple(sorted((a, k))), tuple(sorted((b, k)))) == (i, j):
+                        del dg[a, b, k]
                 for k in range(n):
                     gamma[..., k, i, j] = gamma[..., k, j, i] = \
                         0.5 * _sum(ginv[..., k, l] * first[l] for l in range(n))
@@ -187,8 +206,7 @@ def _ricci(gamma: Jet, order) -> Jet:
     added in order, with an exact zero at mu = nu.  The upper triangle is
     formed and mirrored."""
     n = gamma.nvars
-    # an order-`order` view: a lower order's basis is a prefix of a higher one's
-    gamma_t = Jet(n, order, gamma.coeffs[..., :len(basis_monomials(n, order))])
+    gamma_t = gamma.truncate(order)
 
     def entry(s, mu, nu):
         """R^mu_{s mu nu}: zero on mu = nu, antisymmetric in (mu, nu)."""
@@ -223,7 +241,7 @@ def curvature(mj: MetricJet, ginv=None) -> CurvatureState:
     gamma = mj.christoffels(ginv)
     ricci = _ricci(gamma, ro)
 
-    ginv_t = Jet(n, ro, ginv.coeffs[..., :len(basis_monomials(n, ro))])
+    ginv_t = ginv.truncate(ro)
     scalar = _sum(ginv_t[..., s, nu] * ricci[..., s, nu] for s in range(n) for nu in range(n))
 
     gvals = mj.values()
@@ -233,7 +251,7 @@ def curvature(mj: MetricJet, ginv=None) -> CurvatureState:
         metric_inv=np.linalg.inv(gvals),
         # a copy: a view would keep the whole Christoffel jet alive in the state
         christoffel=np.ascontiguousarray(gamma.value),
-        ricci=np.array(ricci.value),
+        ricci=np.ascontiguousarray(ricci.value),
         d_ricci=ricci.gradient() if ro >= 1 else None,
         scalar=np.array(scalar.value),
     )

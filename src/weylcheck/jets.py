@@ -11,10 +11,20 @@ slots: coeffs[..., *slots, monomial], so a metric field is coeffs[..., i, j, :]
 and the Christoffel symbols are christoffel[..., k, i, j] = Gamma^k_ij.
 Indexing a Jet (jet[..., i, j], for reading or assignment) selects batch and
 slot axes and always keeps the monomial axis whole; Jet.gradient() gives the
-first partials, last axis k for d/dx_k.  Slot Jets that feed many products are
-stored slot-major (Jet.zeros), slot axes outermost in memory, so that each
-entry is one contiguous block, which products gather much faster than a
-strided view; truncation keeps that layout.
+first partials, last axis k for d/dx_k.
+
+One layout.  Every Jet the package forms keeps its monomial axis outermost
+in memory: coeffs.T is C-contiguous, so each coefficient of each slot entry
+is one contiguous block over the batch, which is what a product gathers.
+The builders (Jet.zeros, Jet.constant) allocate it; products, the
+recurrences, mul_variable and derivative form their outputs through the
+transpose; ops with an array operand allocate it (numpy's order "F", which
+a broadcast operand cannot upset), and sums and negation keep their
+operands' (order "K").  Index views and truncations, a view of the leading
+coefficients, keep it too.  Values a pass hands out (Jet.gradient, and the
+value arrays of weylcheck.intrinsic and weylcheck.surfaces) are
+C-contiguous: numpy's matmul and einsum may sum in an order that follows
+the memory layout, so their readers' bits depend on it.
 
 A product is a Cauchy product formed with elementwise numpy alone: both
 operands are gathered monomial-first (through their transposes) at every
@@ -23,13 +33,11 @@ summed in layers.  Layer t holds the t-th pair, in generation order, of every
 output monomial with more than t pairs; ranking the outputs by pair count
 makes each later layer an in-place add into a suffix of layer 0.  So each
 coefficient is the sum of its pairs in generation order, the same bits for a
-point whatever batch it is in.  Product outputs are monomial-major: the
-monomial axis is outermost in memory, so each coefficient is one contiguous
-block, which is what the next product gathers.
+point whatever batch it is in.
 
 Coefficients are stored against a graded lexicographic monomial basis; the
 basis of a lower order is always a prefix of the basis of a higher order, so
-truncation and differentiation are cheap slices.  The coefficient of the
+truncation is a view and differentiation a gather.  The coefficient of the
 monomial x^gamma is (d^gamma f) / gamma!, so derivatives are exact reads.
 
 The reciprocal and the square root are degree recurrences, not Taylor
@@ -44,7 +52,13 @@ costs `order` products.
 
 det(rows), by Laplace expansion along the first row, is the one determinant
 of a small matrix of jets: of the tangent rows' maximal minors for the unit
-normal, and of the metric's cofactors for its inverse.
+normal, and of the metric's cofactors for its inverse.  The empty matrix
+has determinant 1, so a one-variable metric's inverse is its reciprocal.
+
+A pass differentiates each jet it reads once: the ambient jets' tangent
+rows d_i X^a (weylcheck.surfaces) feed the metric, the normal's minors and
+chi's second partials, and the metric's partials d_k g_ab form one table
+that every Christoffel symbol reads (weylcheck.intrinsic).
 
 A coefficient of degree d has the same bits at every order >= d: a product
 sums the same pairs in the same order, and the recurrences form c_k and s_k
@@ -195,7 +209,9 @@ def _sum(terms):
 def det(rows):
     """Determinant of a square list of rows of Jets (or arrays), expanded
     along the first row down to 1 x 1: the terms rows[0][j] * minor are
-    added in order of j, with alternating signs."""
+    added in order of j, with alternating signs; 1 for no rows."""
+    if not rows:
+        return 1.0
     if len(rows) == 1:
         return rows[0][0]
     out = None
@@ -227,16 +243,16 @@ class Jet:
     def constant(cls, value, nvars, order):
         value = np.asarray(value, dtype=float)
         b = _basis(nvars, order)
-        coeffs = np.zeros(value.shape + (b.count,))
+        coeffs = np.zeros(value.shape + (b.count,), order="F")
         coeffs[..., 0] = value
         return cls(nvars, order, coeffs)
 
     @classmethod
     def zeros(cls, batch_shape, slots, nvars, order):
-        """Zero jet with batch axes batch_shape + slots, stored slot-major."""
-        k = len(slots)
-        coeffs = np.zeros(tuple(slots) + tuple(batch_shape) + (_basis(nvars, order).count,))
-        return cls(nvars, order, np.moveaxis(coeffs, tuple(range(k)), tuple(range(-k - 1, -1))))
+        """Zero jet with batch axes batch_shape + slots, its monomial axis
+        outermost in memory, as every Jet's (module docstring)."""
+        shape = tuple(batch_shape) + tuple(slots) + (_basis(nvars, order).count,)
+        return cls(nvars, order, np.zeros(shape, order="F"))
 
     @classmethod
     def variable(cls, value, index, nvars, order):
@@ -270,16 +286,17 @@ class Jet:
         return self.coeffs[..., b.index[gamma]] * fac
 
     def gradient(self):
-        """The first partials, batch_shape + (nvars,), last axis k for d/dx_k."""
-        return np.stack([self.partial(u) for u in np.eye(self.nvars, dtype=int)], -1)
+        """The first partials, batch_shape + (nvars,), last axis k for d/dx_k,
+        a C-contiguous array as every value a pass hands out."""
+        unit = np.eye(self.nvars, dtype=int)
+        return np.ascontiguousarray(np.stack([self.partial(u) for u in unit], -1))
 
     def truncate(self, order):
+        """The jet at a lower order: a view of the leading coefficients, as
+        a lower order's basis is a prefix of a higher one's."""
         if order > self.order:
             raise ValueError("cannot raise a jet's order by truncation")
-        if order == self.order:
-            return Jet(self.nvars, self.order, self.coeffs.copy(order="K"))
-        b = _basis(self.nvars, order)
-        return Jet(self.nvars, order, self.coeffs[..., : b.count].copy(order="K"))
+        return Jet(self.nvars, order, self.coeffs[..., : _basis(self.nvars, order).count])
 
     def derivative(self, var):
         """Jet of the partial derivative with respect to variable var."""
@@ -287,7 +304,9 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         b = _basis(self.nvars, self.order)
         src, fac = b.derivs[var]
-        return Jet(self.nvars, self.order - 1, self.coeffs[..., src] * fac)
+        out = self.coeffs.T.take(src, axis=0)
+        out *= fac.reshape(fac.shape + (1,) * (out.ndim - 1))
+        return Jet(self.nvars, self.order - 1, out.T)
 
     def __getitem__(self, key):
         if not isinstance(key, tuple):
@@ -314,9 +333,8 @@ class Jet:
             self._check_compatible(other)
             return Jet(self.nvars, self.order, self.coeffs + other.coeffs)
         other = np.asarray(other, dtype=float)
-        out = self.coeffs.copy()
-        if other.ndim > 0:
-            out = np.broadcast_to(out, np.broadcast_shapes(out.shape, other.shape + (1,))).copy()
+        shape = np.broadcast_shapes(self.coeffs.shape, other.shape + (1,))
+        out = np.array(np.broadcast_to(self.coeffs, shape), order="F")
         out[..., 0] = out[..., 0] + other
         return Jet(self.nvars, self.order, out)
 
@@ -349,7 +367,7 @@ class Jet:
                 out[first:] += prod[start:stop]
             return Jet(self.nvars, self.order, out.take(b.rank, axis=0).T)
         other = np.asarray(other, dtype=float)
-        return Jet(self.nvars, self.order, self.coeffs * other[..., None])
+        return Jet(self.nvars, self.order, np.multiply(self.coeffs, other[..., None], order="F"))
 
     def mul_variable(self, value, index):
         """self * Jet.variable(value, index, ...), formed without a product:

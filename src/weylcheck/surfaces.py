@@ -5,20 +5,20 @@ ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
 field at a chart point is produced by exact jet arithmetic, with the chart
 map at the order the field's readers need; evaluate_grid, surface_values
 and metric_values return plain values, and their jets die inside them.
-The unit normal is the tangent rows' signed maximal minors over their norm,
-each minor by weylcheck.jets.det, the determinant MetricJet.inverse also
-reads.
-Only evaluate_grid runs it at order 4: the induced metric then carries
+A pass differentiates each ambient jet once, for its tangent rows d_i X^a
+(_tangent_rows), which feed the induced metric, the unit normal (their
+signed maximal minors over their norm, each minor by weylcheck.jets.det, the
+determinant MetricJet.inverse also reads) and chi (their partials).  Only
+evaluate_grid runs the chart map at order 4: the induced metric then carries
 order 3 and its inverse order 2, and the normal and the second fundamental
 form order 2, so the Gauss equation R = (tr A)^2 - tr(A^2), A = g^-1 chi,
 gives R's jet to order 2, whose covariant Hessian traced with g^-1 is the
 scalar-curvature Laplacian (curvature() runs on the metric's order-2 part);
 chi's first derivatives are what Codazzi reads, and rho = |X|^2/2 carries
-order 2 for its Hessian in the support identities.
-surface_values runs it at order 2 for the values of X, g and chi, and
-metric_values at order 1 for the values of g.  A coefficient has the same
-bits at every order that holds it (see weylcheck.jets), so the three agree
-bit for bit.
+order 2 for its Hessian in the support identities.  surface_values runs the
+chart map at order 2 for the values of X, g and chi, and metric_values at
+order 1 for the values of g.  A coefficient has the same bits at every order
+that holds it (see weylcheck.jets), so the three agree bit for bit.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
@@ -320,34 +320,40 @@ def _gram(tangent, out):
     return out
 
 
-def induced_metric(amb):
-    """Induced metric of the ambient jets X^a, as an (n, n)-slot Jet one
-    order below them."""
-    n = amb[0].nvars
-    tangent = [[x.derivative(i) for x in amb] for i in range(n)]
-    return _gram(tangent, Jet.zeros(amb[0].batch_shape, (n, n), n, amb[0].order - 1))
+def _tangent_rows(amb):
+    """The tangent rows [i][a] = d_i X^a of the ambient jets X^a, one order
+    below them: a pass differentiates each ambient jet once, here."""
+    return [[x.derivative(i) for x in amb] for i in range(amb[0].nvars)]
 
 
-def _normal_chi(amb, order):
-    """Unit normal jets, oriented so that X.N >= 0, and the second fundamental
-    form as an (n, n)-slot Jet, both of the given order; the ambient jets X^a
-    have order >= order + 2."""
-    n = amb[0].nvars
+def induced_metric(tangent):
+    """Induced metric of the tangent rows (_tangent_rows), as an (n, n)-slot
+    Jet of their order."""
+    n, t = len(tangent), tangent[0][0]
+    return _gram(tangent, Jet.zeros(t.batch_shape, (n, n), n, t.order))
+
+
+def _normal_chi(x_vals, tangent, order):
+    """Unit normal jets, oriented so that X.N >= 0 at the values x_vals
+    (.., n+1), and the second fundamental form as an (n, n)-slot Jet, both
+    of the given order, from the tangent rows (_tangent_rows) of order >=
+    order + 1: their minors give the normal, their partials chi."""
+    n = len(tangent)
     # normal: generalized cross product, the tangent rows' signed maximal minors
-    rows = [[x.derivative(i).truncate(order) for x in amb] for i in range(n)]
+    rows = [[t.truncate(order) for t in row] for row in tangent]
     raw = [det([row[:a] + row[a + 1:] for row in rows]) for a in range(n + 1)]
     raw = [-1.0 * d if a % 2 else d for a, d in enumerate(raw)]
     scale = _sum(c * c for c in raw).sqrt().reciprocal()
     normal = [c * scale for c in raw]
-    xdotn = sum((amb[a].value * normal[a].value for a in range(n + 1)))
+    xdotn = sum((x_vals[..., a] * normal[a].value for a in range(n + 1)))
     sign = np.where(xdotn >= 0, 1.0, -1.0)
     normal = [c * sign for c in normal]
 
-    chi_jet = Jet.constant(np.zeros(amb[0].batch_shape + (n, n)), n, order)
+    chi_jet = Jet.zeros(x_vals.shape[:-1], (n, n), n, order)
     for i in range(n):
         for j in range(i, n):
             chi_jet[..., i, j] = chi_jet[..., j, i] = -_sum(
-                amb[a].derivative(i).derivative(j).truncate(order) * normal[a]
+                tangent[i][a].derivative(j).truncate(order) * normal[a]
                 for a in range(n + 1))
     return normal, chi_jet
 
@@ -376,20 +382,20 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     each jet is dropped once it is last read, and none outlives this call."""
     pts = check_points(family, pts)
     amb = family.ambient_jets(chart, pts, order=AMBIENT_ORDER)
-    metric = MetricJet(induced_metric(amb))
-    normal, chi_jet = _normal_chi(amb, 2)
-
-    rho_jet = 0.5 * _sum(t * t for t in (x.truncate(2) for x in amb))
-
     x_vals = np.stack([x.value for x in amb], axis=-1)
+    rho_jet = 0.5 * _sum(t * t for t in (x.truncate(2) for x in amb))
+    tangent = _tangent_rows(amb)
+    del amb
+    metric = MetricJet(induced_metric(tangent))
+    normal, chi_jet = _normal_chi(x_vals, tangent, 2)
     n_vals = np.stack([c.value for c in normal], axis=-1)
-    del amb, normal
+    del tangent, normal
     ginv = metric.inverse()
     cs = curvature(metric.truncate(2), ginv)
     del metric
     scalar_jet = _gauss_scalar(ginv, chi_jet)
     del ginv
-    chi, d_chi = np.array(chi_jet.value), chi_jet.gradient()
+    chi, d_chi = np.ascontiguousarray(chi_jet.value), chi_jet.gradient()
     del chi_jet
     _, scalar_hess = covariant_hessian(scalar_jet, cs.christoffel)
     laplacian = np.einsum("...ij,...ij->...", cs.metric_inv, scalar_hess)
@@ -405,20 +411,23 @@ def surface_values(family, chart, pts):
     ambient jets of order 2; the same bits as evaluate_grid's X, g and chi."""
     amb = family.ambient_jets(chart, check_points(family, pts), order=2)
     x_vals = np.stack([x.value for x in amb], axis=-1)
-    return x_vals, _metric_values(amb), _normal_chi(amb, 0)[1].value
+    tangent = _tangent_rows(amb)
+    del amb
+    chi = _normal_chi(x_vals, tangent, 0)[1].value
+    return x_vals, _metric_values(tangent), np.ascontiguousarray(chi)
 
 
-def _metric_values(amb):
-    """Induced-metric values (.., n, n) of ambient jets of order >= 1, from
-    products of plain values, with no jet products."""
-    n = amb[0].nvars
-    tangent = [[x.derivative(i).value for x in amb] for i in range(n)]
-    return _gram(tangent, np.empty(amb[0].batch_shape + (n, n)))
+def _metric_values(tangent):
+    """Induced-metric values (.., n, n) of tangent rows (_tangent_rows), from
+    products of their values, with no jet products."""
+    values = [[t.value for t in row] for row in tangent]
+    return _gram(values, np.empty(values[0][0].shape + (len(values),) * 2))
 
 
 def metric_values(family, chart, pts):
     """Induced-metric values (.., n, n), from ambient jets of order 1 only."""
-    return _metric_values(family.ambient_jets(chart, check_points(family, pts), order=1))
+    amb = family.ambient_jets(chart, check_points(family, pts), order=1)
+    return _metric_values(_tangent_rows(amb))
 
 
 def metric_fn(family):

@@ -208,6 +208,18 @@ class TestTensorSymmetries:
         assert mj.n == 2
         self.assert_inverse_jets(mj)
 
+    def test_inverse_in_one_variable_is_the_reciprocal(self):
+        # det([]) is 1, so the one cofactor is 1 and the inverse of a 1 x 1
+        # metric is its entry's reciprocal, bit for bit
+        rng = np.random.default_rng(1)
+        coeffs = rng.uniform(0.1, 0.5, (5, 1, 1, 4))
+        coeffs[..., 0] = rng.uniform(1.0, 2.0, (5, 1, 1))
+        mj = MetricJet(Jet(1, 3, coeffs))
+        inv = mj.inverse()
+        want = mj.jet[..., 0, 0].truncate(2).reciprocal()
+        assert inv.batch_shape == (5, 1, 1) and inv.order == 2
+        assert inv[..., 0, 0].coeffs.tobytes() == want.coeffs.tobytes()
+
 
 class TestScaling:
     def test_constant_rescaling_laws(self):

@@ -178,11 +178,53 @@ def test_domain_rejections():
         (x - 1.0).sqrt()
 
 
-def test_zeros_are_slot_major_through_truncation():
-    z = Jet.zeros((5,), (3, 3), 3, 4)
-    assert z.batch_shape == (5, 3, 3) and not z.coeffs.any()
-    for jet in (z, z.truncate(2)):
-        assert jet[..., 1, 2].coeffs.flags["C_CONTIGUOUS"]
+def _slot_operands():
+    """Two entries of a filled (2, 3)-slot Jet and that Jet, as index views
+    of what Jet.zeros allocates: the operands the package's passes read."""
+    rng = np.random.default_rng(7)
+    slots = Jet.zeros((5,), (2, 3), 3, 4)
+    assert slots.batch_shape == (5, 2, 3) and not slots.coeffs.any()
+    slots.coeffs[...] = rng.uniform(0.5, 2.0, slots.coeffs.shape)
+    return slots[..., 0, 1], slots[..., 1, 2], slots
+
+
+LAYOUT_OPS = {
+    "zeros": lambda a, b, s: Jet.zeros((5,), (2, 3), 3, 4),
+    "constant": lambda a, b, s: Jet.constant(np.ones((5, 2)), 3, 4),
+    "variable": lambda a, b, s: Jet.variable(np.ones(5), 1, 3, 4),
+    "truncate": lambda a, b, s: a.truncate(2),
+    "truncate slots": lambda a, b, s: s.truncate(4),
+    "derivative": lambda a, b, s: a.derivative(1),
+    "derivative slots": lambda a, b, s: s.derivative(2),
+    "jet + jet": lambda a, b, s: a + b,
+    "jet - jet": lambda a, b, s: a - b,
+    "-jet": lambda a, b, s: -a,
+    "jet + scalar": lambda a, b, s: 1.0 + a,
+    "jet - array": lambda a, b, s: a - np.arange(5.0),
+    "jet + broadcast array": lambda a, b, s: a + np.ones((4, 5)),
+    "jet * jet": lambda a, b, s: a * b,
+    "jet * slots": lambda a, b, s: a[..., None, None] * s,
+    "scalar * jet": lambda a, b, s: 2.0 * a,
+    "jet * array": lambda a, b, s: a * np.arange(5.0),
+    "jet * broadcast array": lambda a, b, s: a * np.ones((4, 5)),
+    "mul_variable": lambda a, b, s: a.mul_variable(np.ones(5), 2),
+    "reciprocal": lambda a, b, s: a.reciprocal(),
+    "sqrt": lambda a, b, s: a.sqrt(),
+    "det": lambda a, b, s: det([[a, b], [b, a]]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+def test_every_jet_keeps_its_monomial_axis_outermost(op):
+    # one layout (module docstring): the monomial axis has the largest stride
+    # in every Jet an op forms and in its index views, and an op that
+    # allocates (all but truncation, a view of the coefficient prefix) gives
+    # coeffs.T C-contiguous
+    jet = LAYOUT_OPS[op](*_slot_operands())
+    for coeffs in (jet.coeffs, jet[..., 1:3].coeffs):
+        assert coeffs.strides[-1] == max(coeffs.strides)
+    if not op.startswith("truncate"):
+        assert jet.coeffs.T.flags["C_CONTIGUOUS"]
 
 
 def test_mismatched_jets_rejected():

@@ -81,7 +81,7 @@ def test_sphere_against_constant_radial_graph(tmp_path, command, resolution):
                     "resolution": resolution})
 
 
-@pytest.mark.parametrize("resolution", [5, 7])
+@pytest.mark.parametrize("resolution", [5, 7, 9])
 def test_ellipsoid_solve_chart_0_against_chart_1(tmp_path, resolution):
     # the ellipsoid is symmetric under the reflection that swaps the charts
     family = {"variant": "ellipsoid", "semi_axes": ELLIPSOID}

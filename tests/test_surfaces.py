@@ -13,7 +13,7 @@ from oracles import (
     sphere_chain,
 )
 from weylcheck.bounds import c2bound_report, evaluate_family_grid
-from weylcheck.embedsolve import metric_jets
+from weylcheck.embedsolve import IntrinsicField, metric_jets, reference_families
 from weylcheck.errors import DomainError
 from weylcheck.jets import Jet, det
 from weylcheck import surfaces
@@ -23,6 +23,7 @@ from weylcheck.intrinsic import (
     codazzi_residual,
     contracted_gauss_residual,
     covariant_hessian,
+    curvature,
     ricci_norm,
     sectional_extremes,
     transition_coords,
@@ -504,14 +505,15 @@ def order5_fields(fam, chart, pts, christoffel):
     """X, N, chi, d_chi and rho with its gradient and covariant Hessian, as
     evaluate_grid formed them from order-5 ambient jets, chi to order 1."""
     amb = fam.ambient_jets(chart, pts, order=5)
-    normal, chi = surfaces._normal_chi(amb, 1)
+    x_vals = np.stack([x.value for x in amb], axis=-1)
+    normal, chi = surfaces._normal_chi(x_vals, surfaces._tangent_rows(amb), 1)
     rho = None
     for x in amb:
         t = x.truncate(2)
         t = t * t
         rho = t if rho is None else rho + t
     rho = 0.5 * rho
-    fields = {"X": np.stack([x.value for x in amb], axis=-1),
+    fields = {"X": x_vals,
               "N": np.stack([c.value for c in normal], axis=-1),
               "chi": chi.value, "d_chi": chi.gradient(), "rho": rho.value}
     fields["rho_grad"], fields["rho_hess"] = covariant_hessian(rho, christoffel)
@@ -580,3 +582,43 @@ def test_ball_grid_shape():
     assert np.linalg.norm(pts, axis=1).max() <= 1.2 + 1e-9
     with pytest.raises(ValueError):
         ball_grid(6)
+
+
+@pytest.fixture
+def jet_op_counts(monkeypatch):
+    """Counts of Jet.derivative calls and of Jet x Jet products, from here on."""
+    counts = {"derivative": 0, "product": 0}
+    derivative, mul = Jet.derivative, Jet.__mul__
+
+    def counted_derivative(self, var):
+        counts["derivative"] += 1
+        return derivative(self, var)
+
+    def counted_mul(self, other):
+        counts["product"] += isinstance(other, Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "derivative", counted_derivative)
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    return counts
+
+
+def test_each_pass_differentiates_each_jet_once(jet_op_counts):
+    # a pass takes the ambient jets' tangent rows once (for the metric, the
+    # normal's minors and chi's second partials) and the metric's 18 partials
+    # d_k g_ab once (for every Christoffel symbol), and forms the products it
+    # formed before; all four passes below take one block (257 points)
+    family, pts = reference_families()["graph-random"], ball_grid(9)
+    assert len(pts) <= surfaces.BLOCK_POINTS
+
+    def counted(run):
+        jet_op_counts.update(derivative=0, product=0)
+        run()
+        return jet_op_counts["derivative"], jet_op_counts["product"]
+
+    for order in (2, 3):
+        metric = metric_jets(family, 0, pts, order)
+        assert counted(lambda: curvature(metric)) == (42, 156), order
+    assert counted(lambda: evaluate_grid(family, 0, pts)) == (78, 297)
+    assert counted(lambda: surface_values(family, 0, pts)) == (36, 76)
+    assert counted(lambda: IntrinsicField.from_family(family, 0, pts)) == (54, 188)
