@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .jets import Jet, _sum, det
+from .jets import Jet, _sum, det, symmetric
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -63,21 +63,13 @@ GRID_EXTENT = 1.2
 LANDMARKS = 64
 
 
-def _mirror_upper(coeffs):
-    """Copy the upper triangle of the last two slot axes of a coefficient
-    array (..., n, n, monomial) onto the lower triangle, in place."""
-    lo = np.tril_indices(coeffs.shape[-2], -1)
-    coeffs[..., lo[0], lo[1], :] = coeffs[..., lo[1], lo[0], :]
-    return coeffs
-
-
 class MetricJet:
     """Symmetric positive-definite metric with Taylor data at grid points.
 
     jet is one Jet in n variables whose trailing batch axes are the (n, n)
     metric slots.  The constructor validates symmetry and positive
-    definiteness of the value matrices, and mirrors the upper triangle onto
-    the lower one so symmetry is exact downstream.
+    definiteness of the value matrices, and fills both triangles of its own
+    jet from the upper one, so symmetry is exact downstream.
     """
 
     def __init__(self, jet):
@@ -92,9 +84,8 @@ class MetricJet:
         if not np.allclose(coeffs[..., lo[1], lo[0], :], coeffs[..., lo[0], lo[1], :],
                            rtol=1e-8, atol=1e-10):
             raise ValueError("metric jets are not symmetric")
-        self.jet = Jet.zeros(jet.batch_shape[:-2], (n, n), n, jet.order)
-        self.jet.coeffs[...] = coeffs
-        _mirror_upper(self.jet.coeffs)
+        self.jet = symmetric(n, lambda i, j: jet[..., i, j],
+                             Jet.zeros(jet.batch_shape[:-2], (n, n), n, jet.order))
         self.n = n
         self.order = jet.order
         try:
@@ -124,16 +115,15 @@ class MetricJet:
         curvature(), which otherwise forms it once per call."""
         n, e = self.n, self.jet.truncate(self.order - 1)
         rows = [[e[..., i, j] for j in range(n)] for i in range(n)]
-        cof = {}
-        for i in range(n):
-            for j in range(i, n):
-                minor = det([row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:]])
-                cof[i, j] = -1.0 * minor if (i + j) % 2 else minor
+
+        def cofactor(i, j):
+            minor = det([row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:]])
+            return -1.0 * minor if (i + j) % 2 else minor
+
+        cof = {(i, j): cofactor(i, j) for i in range(n) for j in range(i, n)}
         r = _sum(rows[0][j] * cof[0, j] for j in range(n)).reciprocal()
-        inv = Jet(n, e.order, np.empty_like(e.coeffs))
-        for (i, j), c in cof.items():
-            inv[..., i, j] = inv[..., j, i] = c * r
-        return inv
+        return symmetric(n, lambda i, j: cof[i, j] * r,
+                         Jet(n, e.order, np.empty_like(e.coeffs)))
 
     def christoffels(self, ginv=None):
         """Gamma^k_{ij} one order below the metric, an (n, n, n)-slot Jet
@@ -204,7 +194,7 @@ def _ricci(gamma: Jet, order) -> Jet:
     """Ricci[..., s, nu] = R^mu_{s mu nu} at the given order, an (n, n)-slot
     Jet, formed from the Riemann entries its trace reads: the mu terms are
     added in order, with an exact zero at mu = nu.  The upper triangle is
-    formed and mirrored."""
+    formed, and jets.symmetric fills both."""
     n = gamma.nvars
     gamma_t = gamma.truncate(order)
 
@@ -216,12 +206,8 @@ def _ricci(gamma: Jet, order) -> Jet:
             return _riemann_up(gamma, gamma_t, mu, s, mu, nu)
         return -_riemann_up(gamma, gamma_t, mu, s, nu, mu)
 
-    ricci = Jet.zeros(gamma.batch_shape[:-3], (n, n), n, order)
-    for s in range(n):
-        for nu in range(s, n):
-            ricci[..., s, nu] = _sum(entry(s, mu, nu) for mu in range(n))
-    _mirror_upper(ricci.coeffs)
-    return ricci
+    return symmetric(n, lambda s, nu: _sum(entry(s, mu, nu) for mu in range(n)),
+                     Jet.zeros(gamma.batch_shape[:-3], (n, n), n, order))
 
 
 def curvature(mj: MetricJet, ginv=None) -> CurvatureState:

@@ -54,6 +54,8 @@ det(rows), by Laplace expansion along the first row, is the one determinant
 of a small matrix of jets: of the tangent rows' maximal minors for the unit
 normal, and of the metric's cofactors for its inverse.  The empty matrix
 has determinant 1, so a one-variable metric's inverse is its reciprocal.
+Likewise symmetric(n, entry, out) is the one fill of a symmetric (n, n)-slot
+field, jets or values: the metric, chi, the inverse metric and Ricci.
 
 A pass differentiates each jet it reads once: the ambient jets' tangent
 rows d_i X^a (weylcheck.surfaces) feed the metric, the normal's minors and
@@ -218,6 +220,16 @@ def det(rows):
     for j, entry in enumerate(rows[0]):
         term = entry * det([row[:j] + row[j + 1:] for row in rows[1:]])
         out = term if out is None else out - term if j % 2 else out + term
+    return out
+
+
+def symmetric(n, entry, out):
+    """Fill out[..., i, j] and out[..., j, i] with entry(i, j) for i <= j,
+    calling entry once a pair in row order; out is a slot Jet and entry
+    gives Jets, or out is an array and entry gives values.  Returns out."""
+    for i in range(n):
+        for j in range(i, n):
+            out[..., i, j] = out[..., j, i] = entry(i, j)
     return out
 
 

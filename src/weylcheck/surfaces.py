@@ -54,7 +54,7 @@ from .intrinsic import (
     curvature,
     principal_curvatures,
 )
-from .jets import Jet, _sum, basis_monomials, det
+from .jets import Jet, _sum, basis_monomials, det, symmetric
 
 AMBIENT_ORDER = 4
 
@@ -312,12 +312,8 @@ def _gram(tangent, out):
     """Fill out[..., i, j] = sum_a tangent[i][a] tangent[j][a], the induced
     metric of tangent rows tangent[i][a] = d_i X^a; the entries and out are
     jets and a slot Jet, or value arrays and an array."""
-    n = len(tangent)
-    for i in range(n):
-        for j in range(i, n):
-            out[..., i, j] = out[..., j, i] = _sum(
-                ti * tj for ti, tj in zip(tangent[i], tangent[j]))
-    return out
+    return symmetric(len(tangent), lambda i, j: _sum(
+        ti * tj for ti, tj in zip(tangent[i], tangent[j])), out)
 
 
 def _tangent_rows(amb):
@@ -349,12 +345,9 @@ def _normal_chi(x_vals, tangent, order):
     sign = np.where(xdotn >= 0, 1.0, -1.0)
     normal = [c * sign for c in normal]
 
-    chi_jet = Jet.zeros(x_vals.shape[:-1], (n, n), n, order)
-    for i in range(n):
-        for j in range(i, n):
-            chi_jet[..., i, j] = chi_jet[..., j, i] = -_sum(
-                tangent[i][a].derivative(j).truncate(order) * normal[a]
-                for a in range(n + 1))
+    chi_jet = symmetric(n, lambda i, j: -_sum(
+        tangent[i][a].derivative(j).truncate(order) * normal[a] for a in range(n + 1)),
+        Jet.zeros(x_vals.shape[:-1], (n, n), n, order))
     return normal, chi_jet
 
 

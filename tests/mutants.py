@@ -97,6 +97,31 @@ MUTANTS = {
         "            for first, start, stop in b.layers:",
         "            for first, start, stop in b.layers[:-1]:",
         "tests/test_jets.py"),
+    "symmetric fills the upper triangle only": (
+        "jets.py",
+        "            out[..., i, j] = out[..., j, i] = entry(i, j)",
+        "            out[..., i, j] = entry(i, j)",
+        "tests/test_jets.py"),
+    "c2bound's C_n reads n for n - 1": (
+        "bounds.py",
+        "    c_n = n / (2.0 * math.sqrt((n - 1) * (n - 2)))",
+        "    c_n = n / (2.0 * math.sqrt(n * (n - 2)))",
+        "tests/test_bounds.py"),
+    "diam-weyl's C exponent doubled": (
+        "bounds.py",
+        "    big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 4.0)",
+        "    big_c = 4.0 * (n - 1) ** (-2) * math.exp((n - 1) / 2.0)",
+        "tests/test_bounds.py"),
+    "a bound's lhs at its argmin": (
+        "bounds.py",
+        "    lhs_idx = int(np.argmax(lhs_field))",
+        "    lhs_idx = int(np.argmin(lhs_field))",
+        "tests/test_bounds.py"),
+    "chart 1 without its sign flip": (
+        "surfaces.py",
+        "        last = -1.0 * last",
+        "        pass",
+        "tests/test_surfaces.py"),
 }
 
 

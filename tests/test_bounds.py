@@ -88,6 +88,14 @@ class TestWeyl:
         for loc in (rep.lhs_at, rep.rhs_at):
             assert loc["chart"] in (0, 1)
             assert len(loc["coords"]) == 3
+        # each side is its field's sup, recorded where it is attained; H^2
+        # varies over the ellipsoid, so its least value would differ
+        lhs = ell_grid.H**2
+        rhs = 2.0 * ell_grid.scalar - ell_grid.laplacian / ell_grid.scalar
+        assert lhs.min() < lhs.max()
+        assert rep.lhs == lhs.max() and rep.rhs == rhs.max()
+        assert rep.lhs_at == ell_grid.location(int(np.argmax(lhs)))
+        assert rep.rhs_at == ell_grid.location(int(np.argmax(rhs)))
 
     def test_nonpositive_scalar_names_point(self, s3_grid):
         eg = evaluate_family_grid(RoundSphere(1.0), resolution=5)

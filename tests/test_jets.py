@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import coefficient, jet_exp, series_reciprocal, series_sqrt
 from weylcheck.errors import DomainError
-from weylcheck.jets import MAX_ORDER, Jet, basis_monomials, det
+from weylcheck.jets import MAX_ORDER, Jet, basis_monomials, det, symmetric
 
 
 def make_xyz(point, order=4):
@@ -278,6 +278,30 @@ def test_det_matches_numpy_on_values(size):
     got = det(rows)
     assert got.order == 2
     np.testing.assert_allclose(got.value, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["slot jet", "array"])
+def test_symmetric_fills_both_triangles_from_one_call_a_pair(kind):
+    n, rng = 3, np.random.default_rng(7)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if kind == "slot jet":
+        out = Jet.zeros((5,), (n, n), 3, 2)
+        made = {p: _random_jet(rng, (5,), 3, 2) for p in pairs}
+    else:
+        out = np.zeros((5, n, n))
+        made = {p: rng.standard_normal(5) for p in pairs}
+    calls = []
+
+    def entry(i, j):
+        calls.append((i, j))
+        return made[i, j]
+
+    assert symmetric(n, entry, out) is out
+    assert calls == pairs
+    coeffs = out.coeffs if kind == "slot jet" else out
+    for i, j in pairs:
+        want = made[i, j].coeffs if kind == "slot jet" else made[i, j]
+        assert coeffs[:, i, j].tobytes() == coeffs[:, j, i].tobytes() == want.tobytes()
 
 
 def _recurrence_loop(f, square):
