@@ -170,7 +170,7 @@ class BoundReport:
 
 def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
     """sup lhs_field against sup rhs_field (at rhs_idx when given); passes
-    when slack >= -tol, tol by default PASS_RULES[name].tol |rhs|."""
+    when worst(lhs - rhs, tol) does, tol by default PASS_RULES[name].tol |rhs|."""
     lhs_idx = int(np.argmax(lhs_field))
     if rhs_idx is None:
         rhs_idx = int(np.argmax(rhs_field))
@@ -185,7 +185,7 @@ def _report(name, eg, lhs_field, rhs_field, constants, tol, rhs_idx=None):
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        passed=bool(rhs - lhs >= -tol),
+        passed=worst(lhs - rhs, tol)[2],
         lhs_at=eg.location(lhs_idx),
         rhs_at=eg.location(rhs_idx),
         constants=constants,

@@ -66,37 +66,13 @@ from .surfaces import (
 VALID_CHECKS = ("weyl", "diam-weyl", "c2bound", "second-deriv",
                 "gauss-residual", "codazzi-residual", "support-identities")
 
-# Largest grid resolution a run may ask for, from a memory estimate of both
-# processes a command runs at once (the parent and its forked child).  verify
-# evaluates its grid in blocks of surfaces.BLOCK_POINTS points and reduces
-# each block to per-point columns before the next, so only the columns grow
-# with the grid: by tracemalloc, the grid of the ellipsoid (1, 1.2, 0.9, 1.05)
-# with every residual peaks at 3.7 MiB and keeps 0.76 MiB (192 B a point) at
-# resolution 17.  By RSS (ru_maxrss of the process and of its children), in a
-# fresh process per job with every check, verify on that ellipsoid peaked at
-# 33.6, 36.0 and 36.5 MiB at resolutions 9, 13 and 17 (514, 1850 and 4218
-# points of both charts), 0.8 KiB per point from 9 to 17 (0.2 KiB, the
-# columns, from 13 to 17, once the blocks are full).  That is 34 MiB +
-# 0.8 KiB x 130,534 points = 136 MiB at resolution 51.  Its child, the graph
-# diameter, peaked at 61.8, 61.7 and 66.5 MiB, much of it the parent's pages
-# shared at the fork: about 1.3 KiB per point of both charts over 33 MiB of
-# scipy, so ~200 MiB of its own at 51 and ~340 MiB for the two.  reconstruct
-# streams its march's stage data one RK4 stage row at a time, so its memory
-# does not grow with the substep count (see embedsolve.MAX_SUBSTEPS): on that
-# ellipsoid, at 30 and at 250 substeps a spacing alike, it peaked at 34.8,
-# 36.7 and 38.7 MiB RSS at resolutions 9, 13 and 17, its child at 29.1, 30.6
-# and 32.7 MiB (max of 3 runs): 2.2 and 2.0 KiB per node of its chart from 9
-# to 17, so near 172 and 156 MiB at 51 (65,267 nodes), ~330 MiB for the two.
-# solve forks chart 1 of the Codazzi calibration and keeps its fields' values
-# only (embedsolve.IntrinsicField, formed in BLOCK_POINTS blocks), one
-# reference family's at a time.  On the ellipsoid at resolutions 9, 13 and 17
-# (257, 925 and 2109 points a chart) it peaked at 34.3, 37.0 and 40.2 MiB RSS,
-# its child at 28.8, 31.2 and 34.3 MiB (max of 3 runs): 3.3 and 3.0 KiB per
-# point from 9 to 17, so at 51 (65,267 points) the two stay near 80 MiB +
-# 6.3 KiB x 63,158 = 470 MiB.  The cap was set at 51 when verify evaluated a
-# chart in one pass (~60 order-5 jets a point, 2059 MiB at 53); it stays
-# there, and every estimate at 51 is under 0.5 GiB, solve's the largest.
+# Largest grid resolution a run may ask for.  It holds only while every
+# command, its forked child included, stays under MEMORY_BUDGET_MIB at it
+# (well under 2 GiB) by tests/memory_estimate.py, which extrapolates peak RSS
+# at resolutions 9, 13 and 17; a change that raises the peak memory per grid
+# point reruns it.
 MAX_RESOLUTION = 51
+MEMORY_BUDGET_MIB = 1024
 
 
 class ConfigError(ValueError):
@@ -455,7 +431,7 @@ def cmd_solve(cfg: RunConfig):
         t0 = time.perf_counter()
         _, _, truth = surface_values(family, cfg.chart, pts)
         rel = float(np.abs(chi.values - truth).max() / np.abs(truth).max())
-        sections["truth"] = {"chi_rel_error": rel, "passed": bool(rel <= _tolerance(cfg, "truth"))}
+        sections["truth"] = {"chi_rel_error": rel, "passed": worst(rel, _tolerance(cfg, "truth"))[2]}
         timing["truth"] = time.perf_counter() - t0
     return sections, timing
 
@@ -479,7 +455,7 @@ def cmd_reconstruct(cfg: RunConfig):
         "holonomy_sup": rec.holonomy_sup,
         "rms_vs_truth": rms,
         "tol": tol,
-        "passed": bool(rms <= tol),
+        "passed": worst(rms, tol)[2],
     }}
     return sections, timing
 

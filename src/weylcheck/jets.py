@@ -26,14 +26,16 @@ value arrays of weylcheck.intrinsic and weylcheck.surfaces) are
 C-contiguous: numpy's matmul and einsum may sum in an order that follows
 the memory layout, so their readers' bits depend on it.
 
-A product is a Cauchy product formed with elementwise numpy alone: both
-operands are gathered monomial-first (through their transposes) at every
-(i, j) monomial pair of total degree <= order, multiplied, and the pairs are
-summed in layers.  Layer t holds the t-th pair, in generation order, of every
-output monomial with more than t pairs; ranking the outputs by pair count
-makes each later layer an in-place add into a suffix of layer 0.  So each
-coefficient is the sum of its pairs in generation order, the same bits for a
-point whatever batch it is in.
+A product is a Cauchy product formed with elementwise numpy alone.  The
+product and both recurrences below are pair sums, planned by one builder
+(_plan) and summed by one kernel (_pair_sums): both operands are gathered
+monomial-first (through their transposes) at every (i, j) pair, multiplied,
+and the pairs summed in layers.  Layer t holds the t-th pair, in generation
+order, of every output with more than t pairs; ranking the outputs by pair
+count makes each later layer an in-place add into a suffix of layer 0.  So
+each coefficient is the sum of its pairs in generation order, the same bits
+for a point whatever batch it is in.  A product is one such step over every
+output monomial.
 
 Coefficients are stored against a graded lexicographic monomial basis; the
 basis of a lower order is always a prefix of the basis of a higher order, so
@@ -45,10 +47,8 @@ series of products.  With a = self, c = 1/a has c_0 = 1/a_0 and, for k of
 degree >= 1, c_k = -(sum of a_i c_j over the pairs i + j = k with i != 0)
 / a_0; s = sqrt(a) has s_0 = sqrt(a_0) and s_k = (a_k - sum of s_i s_j over
 the pairs with i, j != 0) / (2 s_0).  Every c_j and s_j read has a lower
-degree than k, so the outputs are formed one degree at a time, each degree
-by one gather, multiply and layered sum over its pairs, as in a product: one
-product's worth of pairs in all, where a series summed by Horner's rule
-costs `order` products.
+degree than k, so the plan has one step a degree: one product's worth of
+pairs in all, where a series summed by Horner's rule costs `order` products.
 
 det(rows), by Laplace expansion along the first row, is the one determinant
 of a small matrix of jets: of the tangent rows' maximal minors for the unit
@@ -115,9 +115,6 @@ def _basis(nvars, order):
         for j, gj in enumerate(monos):
             if degrees[i] + degrees[j] <= order:
                 pairs[index[tuple(a + b for a, b in zip(gi, gj))]].append((i, j))
-    ranked, mul_i, mul_j, layers = _layers(pairs)
-    rank = np.empty(count, dtype=np.int64)
-    rank[ranked] = np.arange(count)
 
     derivs = []
     if order >= 1:
@@ -136,65 +133,66 @@ def _basis(nvars, order):
         monos=tuple(monos),
         index=index,
         count=count,
-        mul_i=mul_i,
-        mul_j=mul_j,
-        layers=layers[1:],
-        rank=rank,
         derivs=tuple(derivs),
+        product=_plan([dict(enumerate(pairs))]),
         recip=_recurrence(pairs, degrees, square=False),
         sqrt=_recurrence(pairs, degrees, square=True),
     )
 
 
-def _layers(pairs):
-    """(ranked, mul_i, mul_j, layers) summing pairs[k] for every output k.
+def _plan(groups, head=()):
+    """(perm, pos, steps) summing the pairs of each output, a step a group.
 
-    The outputs are ranked by pair count, fewest first; layer t is (first,
-    start, stop), the t-th pair of every output ranked first on, gathered at
-    mul_i[start:stop] and mul_j[start:stop].  Layer 0 starts at output 0
-    whenever every output has a pair.
+    groups is a sequence of {output k: its (i, j) pairs}.  A work buffer,
+    monomial axis first, holds head, then each group's outputs ranked by
+    pair count, fewest first: perm[p] is the output at position p, and pos
+    its inverse.  A step is (lo, hi, mul_i, mul_j, layers) for rows lo:hi;
+    layer t is (first, start, stop), the t-th pair of every output ranked
+    first on, gathered at mul_i[start:stop] and mul_j[start:stop].
     """
-    ranked = sorted(range(len(pairs)), key=lambda k: len(pairs[k]))
-    mul_i, mul_j, layers = [], [], []
-    for t in range(len(pairs[ranked[-1]])):
-        first = next(r for r, k in enumerate(ranked) if len(pairs[k]) > t)
-        layers.append((first, len(mul_i), len(mul_i) + len(pairs) - first))
-        for k in ranked[first:]:
-            mul_i.append(pairs[k][t][0])
-            mul_j.append(pairs[k][t][1])
-    return (ranked, np.array(mul_i, dtype=np.int64), np.array(mul_j, dtype=np.int64),
-            tuple(layers))
+    perm, steps = list(head), []
+    for group in groups:
+        ranked = sorted(group, key=lambda k: len(group[k]))
+        mul_i, mul_j, layers = [], [], []
+        for t in range(len(group[ranked[-1]])):
+            first = next(r for r, k in enumerate(ranked) if len(group[k]) > t)
+            layers.append((first, len(mul_i), len(mul_i) + len(ranked) - first))
+            for k in ranked[first:]:
+                mul_i.append(group[k][t][0])
+                mul_j.append(group[k][t][1])
+        steps.append((len(perm), len(perm) + len(ranked), np.array(mul_i, dtype=np.int64),
+                      np.array(mul_j, dtype=np.int64), tuple(layers)))
+        perm.extend(ranked)
+    perm = np.array(perm, dtype=np.int64)
+    pos = np.empty(perm.size, dtype=np.int64)
+    pos[perm] = np.arange(perm.size)
+    return perm, pos, tuple(steps)
 
 
 def _recurrence(pairs, degrees, square):
-    """Per-degree tables of the reciprocal's (square False) or the sqrt's
-    (square True) degree recurrence; see Jet._recurrence.
-
-    The reciprocal keeps the pairs (i, j) with i != 0, i reading the input
-    and j the output; sqrt keeps those with i, j != 0, both reading the
-    output.  The output is formed one degree at a time in a work buffer in
-    which each degree's monomials are ranked by kept-pair count (as _layers
-    ranks them), so that degree's layers add in place into one slice.
-    perm[p] is the monomial at buffer position p, and pos its inverse.  Each
-    step is (lo, hi, mul_i, mul_j, layers) for buffer rows lo:hi; what reads
-    the output indexes buffer positions, all of lower degree.
+    """The plan of the reciprocal's (square False) or the sqrt's (square
+    True) recurrence: row 0, then a step a degree.  The reciprocal keeps the
+    pairs (i, j) with i != 0, i reading the input and j the output; sqrt
+    keeps those with i, j != 0.  Reads of the output index buffer positions.
     """
-    count = len(pairs)
-    perm = [0]
-    steps = []
-    for d in range(1, int(degrees.max()) + 1):
-        outs = [k for k in range(count) if degrees[k] == d]
-        kept = [[(i, j) for i, j in pairs[k] if i != 0 and (j != 0 or not square)]
-                for k in outs]
-        ranked, mul_i, mul_j, layers = _layers(kept)
-        steps.append((len(perm), len(perm) + len(outs), mul_i, mul_j, layers))
-        perm.extend(outs[r] for r in ranked)
-    perm = np.array(perm, dtype=np.int64)
-    pos = np.empty(count, dtype=np.int64)
-    pos[perm] = np.arange(count)
-    steps = tuple((lo, hi, pos[mul_i] if square else mul_i, pos[mul_j], layers)
-                  for lo, hi, mul_i, mul_j, layers in steps)
-    return SimpleNamespace(perm=perm, pos=pos, steps=steps)
+    groups = [{k: [(i, j) for i, j in pairs[k] if i != 0 and (j != 0 or not square)]
+               for k in range(len(pairs)) if degrees[k] == d}
+              for d in range(1, int(degrees.max()) + 1)]
+    perm, pos, steps = _plan(groups, head=(0,))
+    return perm, pos, tuple((lo, hi, pos[mul_i] if square else mul_i, pos[mul_j], layers)
+                            for lo, hi, mul_i, mul_j, layers in steps)
+
+
+def _pair_sums(left, right, step):
+    """The rows of step summed from left and right (monomial axis first):
+    both gathered at its pairs and multiplied, each later layer added in
+    place into a suffix of layer 0, the view returned."""
+    lo, hi, mul_i, mul_j, layers = step
+    prod = left.take(mul_i, axis=0) * right.take(mul_j, axis=0)
+    out = prod[: hi - lo]
+    for first, start, stop in layers[1:]:
+        out[first:] += prod[start:stop]
+    return out
 
 
 def basis_monomials(nvars, order):
@@ -373,11 +371,9 @@ class Jet:
                 x = x.reshape((1,) * (y.ndim - x.ndim) + x.shape)
             elif y.ndim < x.ndim:
                 y = y.reshape((1,) * (x.ndim - y.ndim) + y.shape)
-            prod = x.T.take(b.mul_i, axis=0) * y.T.take(b.mul_j, axis=0)
-            out = prod[: b.count]
-            for first, start, stop in b.layers:
-                out[first:] += prod[start:stop]
-            return Jet(self.nvars, self.order, out.take(b.rank, axis=0).T)
+            _, pos, (step,) = b.product
+            out = _pair_sums(x.T, y.T, step)
+            return Jet(self.nvars, self.order, out.take(pos, axis=0).T)
         other = np.asarray(other, dtype=float)
         return Jet(self.nvars, self.order, np.multiply(self.coeffs, other[..., None], order="F"))
 
@@ -398,33 +394,24 @@ class Jet:
     # ------------------------------------------------------------- analytic
 
     def _recurrence(self, square):
-        """1/self (square False) or sqrt(self) (square True), degree by degree.
-
-        Row 0 of a monomial-first work buffer is c_0 or s_0; then each
-        degree's kept pairs (see _recurrence beside _basis) are gathered,
-        multiplied and summed in layers into its rows, which become
-        coefficients by the recurrence's last step.
-        """
+        """1/self (square False) or sqrt(self) (square True): row 0 of a
+        monomial-first buffer is c_0 or s_0, then each degree's rows are its
+        pair sums, made coefficients by the recurrence's last step."""
         b = _basis(self.nvars, self.order)
-        tables = b.sqrt if square else b.recip
+        perm, pos, steps = b.sqrt if square else b.recip
         a = self.coeffs.T
         out = np.empty(a.shape)
         out[0] = np.sqrt(a[0]) if square else 1.0 / a[0]
         den = 2.0 * out[0] if square else -a[0]
         left = out if square else a
-        for lo, hi, mul_i, mul_j, layers in tables.steps:
+        for step in steps:
+            lo, hi, _, _, layers = step
             rows = out[lo:hi]
-            if layers:
-                prod = left.take(mul_i, axis=0) * out.take(mul_j, axis=0)
-                rows[...] = prod[: hi - lo]
-                for first, start, stop in layers[1:]:
-                    rows[first:] += prod[start:stop]
-            else:
-                rows[...] = 0.0
+            rows[...] = _pair_sums(left, out, step) if layers else 0.0
             if square:
-                np.subtract(a.take(tables.perm[lo:hi], axis=0), rows, out=rows)
+                np.subtract(a.take(perm[lo:hi], axis=0), rows, out=rows)
             rows /= den
-        return Jet(self.nvars, self.order, out.take(tables.pos, axis=0).T)
+        return Jet(self.nvars, self.order, out.take(pos, axis=0).T)
 
     def reciprocal(self):
         """1/self: c_0 = 1/a_0, then c_k = -(sum of a_i c_j over the pairs

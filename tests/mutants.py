@@ -32,8 +32,8 @@ TIMEOUT_S = 900
 MUTANTS = {
     "bound slack sign": (
         "bounds.py",
-        "        passed=bool(rhs - lhs >= -tol),",
-        "        passed=bool(rhs - lhs >= tol),",
+        "        passed=worst(lhs - rhs, tol)[2],",
+        "        passed=worst(lhs - rhs, -tol)[2],",
         "tests/test_bounds.py"),
     "weyl default tolerance": (
         "errors.py",
@@ -58,14 +58,14 @@ MUTANTS = {
     "truth verdict": (
         "cli.py",
         '        sections["truth"] = {"chi_rel_error": rel, '
-        '"passed": bool(rel <= _tolerance(cfg, "truth"))}',
+        '"passed": worst(rel, _tolerance(cfg, "truth"))[2]}',
         '        sections["truth"] = {"chi_rel_error": rel, '
-        '"passed": bool(rel >= _tolerance(cfg, "truth"))}',
+        '"passed": not worst(rel, _tolerance(cfg, "truth"))[2]}',
         "tests/test_cli.py"),
     "reconstruction verdict": (
         "cli.py",
-        '        "passed": bool(rms <= tol),',
-        '        "passed": bool(rms >= tol),',
+        '        "passed": worst(rms, tol)[2],',
+        '        "passed": not worst(rms, tol)[2],',
         "tests/test_cli.py"),
     "exit 1 on a failed check": (
         "cli.py",
@@ -94,8 +94,8 @@ MUTANTS = {
         "tests/test_jets.py"),
     "product skips its last layer": (
         "jets.py",
-        "            for first, start, stop in b.layers:",
-        "            for first, start, stop in b.layers[:-1]:",
+        "    for first, start, stop in layers[1:]:",
+        "    for first, start, stop in layers[1:-1]:",
         "tests/test_jets.py"),
     "symmetric fills the upper triangle only": (
         "jets.py",
@@ -117,6 +117,26 @@ MUTANTS = {
         "    lhs_idx = int(np.argmax(lhs_field))",
         "    lhs_idx = int(np.argmin(lhs_field))",
         "tests/test_bounds.py"),
+    "a bound's rhs at its argmin": (
+        "bounds.py",
+        "        rhs_idx = int(np.argmax(rhs_field))",
+        "        rhs_idx = int(np.argmin(rhs_field))",
+        "tests/test_bounds.py"),
+    "c2bound's rhs where Lambda is least": (
+        "bounds.py",
+        "                   rhs_idx=int(np.argmax(eg.ricci_norm)))",
+        "                   rhs_idx=int(np.argmin(eg.ricci_norm)))",
+        "tests/test_bounds.py"),
+    "second-deriv without its weyl comparison": (
+        "bounds.py",
+        "        extra_ok = worst(lhs, wr.rhs + wr.tol)[2]",
+        "        extra_ok = True",
+        "tests/test_bounds.py"),
+    "_plain spells +inf as -Infinity": (
+        "cli.py",
+        '        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")',
+        '        return "NaN" if math.isnan(x) else ("Infinity" if x < 0 else "-Infinity")',
+        "tests/test_cli.py"),
     "chart 1 without its sign flip": (
         "surfaces.py",
         "        last = -1.0 * last",

@@ -155,6 +155,15 @@ class TestC2Bound:
         assert rep.constants["kappa"] > 0
         assert rep.passed
 
+    def test_rhs_recorded_where_lambda_is(self, ell_grid):
+        # the rhs is one number, attained where |Ric| is largest; |Ric|
+        # varies over the ellipsoid, so its least value is elsewhere
+        rep = c2bound_report(ell_grid)
+        ric = ell_grid.ricci_norm
+        assert ric.min() < ric.max() == rep.constants["Lambda"]
+        assert rep.rhs_at == ell_grid.location(int(np.argmax(ric)))
+        assert rep.rhs_at != ell_grid.location(int(np.argmin(ric)))
+
     def test_dimension_two_rejected(self, s2_grid):
         with pytest.raises(ValueError, match="dimension"):
             c2bound_report(s2_grid)
