@@ -399,17 +399,12 @@ def _chart_ball(cfg: RunConfig):
     return family, ball_grid(cfg.resolution, cfg.extent, 3)
 
 
-def _solved_field(cfg: RunConfig):
-    """(family, pts, field, chi, timing): the timed solve on the chart ball."""
+def cmd_solve(cfg: RunConfig):
     family, pts = _chart_ball(cfg)
     t0 = time.perf_counter()
     field = IntrinsicField.from_family(family, cfg.chart, pts)
     chi = solve_contracted_gauss(field)
-    return family, pts, field, chi, {"solve": time.perf_counter() - t0}
-
-
-def cmd_solve(cfg: RunConfig):
-    family, pts, field, chi, timing = _solved_field(cfg)
+    timing = {"solve": time.perf_counter() - t0}
     # solve_contracted_gauss raises ConvergenceError (exit 3) when a residual
     # is above PASS_RULES["solve"]'s limit, so a solve that gets here has
     # passed; `passed` stays, as in every section of the report
@@ -437,10 +432,11 @@ def cmd_solve(cfg: RunConfig):
 
 
 def cmd_reconstruct(cfg: RunConfig):
-    family, pts, field, chi, timing = _solved_field(cfg)
+    # the march forms chi at its own stage points: nothing is solved first
+    family, pts = _chart_ball(cfg)
     t0 = time.perf_counter()
-    rec = reconstruct(field, chi, path_plan=cfg.path_plan, h=cfg.h)
-    timing["reconstruct"] = time.perf_counter() - t0
+    rec = reconstruct(family, cfg.chart, pts, path_plan=cfg.path_plan, h=cfg.h)
+    timing = {"reconstruct": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     truth, _, _ = surface_values(family, cfg.chart, pts)

@@ -17,7 +17,11 @@ first partials) one surfaces.BLOCK_POINTS block at a time, each block's jets
 dropped before the next; order 4 and any block size give the same bits.
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
-along coordinate lines with classical RK4 on the grid's integer lattice.
+along coordinate lines with classical RK4 on the grid's integer lattice,
+from the family alone, with no field and no solve: g at the nodes seeds the
+frame and bounds its drift, and each RK4 stage point forms chi from the
+family's Ricci, plus an optional perturbation, in _chi_values, the one
+place that forms, cone-checks and residual-checks chi, for the solver too.
 It marches two arrays: a node's frame state, (n + 2, n + 1) with rows X,
 E_1..E_n, N (seed_frame), and a stage point's data, (3, 5, 3), whose block
 i holds the coefficients of the march along axis i: [i, k, j] = Gamma^k_ij
@@ -51,7 +55,7 @@ import dataclasses
 import itertools
 import warnings
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,6 +76,7 @@ from .surfaces import (
     _tangent_rows,
     ball_grid,
     induced_metric,
+    metric_values,
     radial_graph_bump,
     radial_graph_random,
 )
@@ -93,8 +98,7 @@ class IntrinsicField:
 
     Ricci comes from the metric's own curvature; perturbed() adds to it a
     perturbation p(pts) -> (value, first partials), two arrays laid out as
-    ricci and d_ricci, to model data that no embedding produced.  family,
-    when known, makes the field evaluable between grid nodes for reconstruction.
+    ricci and d_ricci, to model data that no embedding produced.
     """
 
     chart: int
@@ -105,8 +109,6 @@ class IntrinsicField:
     ricci: np.ndarray
     d_ricci: np.ndarray
     christoffel: np.ndarray
-    family: object = None
-    perturbation: Optional[Callable] = None
 
     def __post_init__(self):
         _three_dimensional(self.coords)
@@ -115,12 +117,12 @@ class IntrinsicField:
         return self._g
 
     @classmethod
-    def from_metric(cls, metric, chart, coords, family=None):
+    def from_metric(cls, metric, chart, coords):
         """The field of metric jets a caller already has (order >= 3)."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1] != metric.n:
             raise ValueError("coordinate width does not match the metric")
-        return cls(chart, coords, *_field_values(metric), family=family)
+        return cls(chart, coords, *_field_values(metric))
 
     @classmethod
     def from_family(cls, family, chart, pts):
@@ -131,16 +133,13 @@ class IntrinsicField:
         pts = _three_dimensional(np.asarray(pts, dtype=float))
         parts = zip(*[_field_values(metric_jets(family, chart, block, order=3))
                       for block in surfaces.point_blocks(pts)])
-        return cls(chart, pts, *map(np.concatenate, parts), family=family)
+        return cls(chart, pts, *map(np.concatenate, parts))
 
     def perturbed(self, perturbation):
         """The field with the two arrays of perturbation(coords) added to
-        ricci and d_ricci; once only, as _continuous_data reads one."""
-        if self.perturbation is not None:
-            raise ValueError("the field is already perturbed")
+        ricci and d_ricci."""
         value, partials = perturbation(self.coords)
-        return dataclasses.replace(self, ricci=self.ricci + value,
-                                   d_ricci=self.d_ricci + partials, perturbation=perturbation)
+        return dataclasses.replace(self, ricci=self.ricci + value, d_ricci=self.d_ricci + partials)
 
     def grid_resolution(self):
         """Node count per axis, inferred from the first coordinate column."""
@@ -165,7 +164,7 @@ def _field_values(metric):
 
 def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
     """Ric_ii + scale (1 + slope_i x_i), a perturbation p(pts) -> (value,
-    first partials) as IntrinsicField.perturbed takes it.
+    first partials) as IntrinsicField.perturbed and reconstruct take it.
 
     Small scales keep the input inside the solvable cone while breaking the
     Codazzi relation, which is what the negative-control tests need.
@@ -187,7 +186,9 @@ def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
 def _chi_values(g, ginv, ric, chart, coords):
     """chi = s g E^{-1} g with E = R g - 2 Ric and s = sqrt(t_1 t_2 t_3 / 2),
     or ObstructionError at the first of the chart points coords whose Ricci
-    leaves the solvable cone; returns (chi, R, E^{-1}, s, gaps).
+    leaves the solvable cone, or ConvergenceError if a contracted-Gauss
+    residual is above PASS_RULES["solve"]'s limit; returns (chi, R, E^{-1},
+    s, gaps, residuals).  The solver and the march's stage points use it.
 
     Cayley-Hamilton turns tr(A) A - A^2 = Ric, chi's equation in a
     g-orthonormal frame, into sigma_2(A) I - sigma_3(A) A^{-1} = Ric; the
@@ -214,7 +215,12 @@ def _chi_values(g, ginv, ric, chart, coords):
         )
     einv = np.linalg.inv(e)
     s = np.sqrt(gaps * t[..., 1] * t[..., 2] / 2.0)
-    return s[..., None, None] * (g @ einv @ g), r, einv, s, gaps
+    chi = s[..., None, None] * (g @ einv @ g)
+    residuals = contracted_gauss_residual(ginv, chi, ric)
+    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
+    if not ok:
+        raise ConvergenceError("solver residual above the per-point limit", residual=sup)
+    return chi, r, einv, s, gaps, residuals
 
 
 @dataclasses.dataclass(eq=False)
@@ -238,16 +244,11 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     d chi / dx_k is the product rule on it, fed by exact jet partials of g
     and Ricci: dR = tr(g^{-1} dRic) - tr(g^{-1} dg g^{-1} Ric),
     dE = dR g + R dg - 2 dRic, ds / s = (tr(E^{-1} dE) - tr(g^{-1} dg)) / 2.
-    Raises ObstructionError at the first point where E is not positive
-    definite relative to g, reporting its eps-gap (E's least eigenvalue).
+    Raises _chi_values' ObstructionError at the first point where E is not
+    positive definite relative to g and its ConvergenceError.
     """
     g, ginv, ric = field.g(), field.metric_inv, field.ricci
-    chi, r, einv, s, gaps = _chi_values(g, ginv, ric, field.chart, field.coords)
-    residuals = contracted_gauss_residual(ginv, chi, ric)
-    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
-    if not ok:
-        raise ConvergenceError("solver residual above the per-point limit",
-                               residual=sup)
+    chi, r, einv, s, gaps, residuals = _chi_values(g, ginv, ric, field.chart, field.coords)
     # contiguous copies with d/dx_k on the leading axis, which the algebra
     # reads: on a resolution-17 ellipsoid chart (2,109 points, 2 vCPUs, best
     # of 7) the solve takes 9.0 ms and peaks at 3.24 MiB with them, 18.8 ms
@@ -268,19 +269,15 @@ def solve_contracted_gauss(field: IntrinsicField) -> ChiField:
     return ChiField(field, chi, np.moveaxis(d_chi, 0, -1), residuals, gaps)
 
 
-def _continuous_data(field, pts):
-    """The march's stage data at arbitrary chart points, (len(pts), 3, 5, 3):
-    block i holds the coefficients of the march along axis i, [i, k, j] =
-    Gamma^k_ij for k < 3, [i, 3, j] = chi_ij and [i, 4, j] = (chi g^{-1})_i^j."""
-    if field.family is None:
-        raise ValueError("off-grid evaluation needs a family-backed field")
+def _continuous_data(family, chart, perturbation, pts):
+    """The march's stage data at the family's chart points, (len(pts), 3, 5,
+    3): block i holds the coefficients of the march along axis i, [i, k, j] =
+    Gamma^k_ij for k < 3, [i, 3, j] = chi_ij and [i, 4, j] = (chi g^{-1})_i^j,
+    with chi formed from Ricci plus the value of perturbation(pts), if any."""
     pts = np.asarray(pts, dtype=float)
-    mj = metric_jets(field.family, field.chart, pts, order=2)
-    cs = curvature(mj)
-    ric = cs.ricci
-    if field.perturbation is not None:
-        ric = ric + field.perturbation(pts)[0]
-    chi = _chi_values(cs.metric, cs.metric_inv, ric, field.chart, pts)[0]
+    cs = curvature(metric_jets(family, chart, pts, order=2))
+    ric = cs.ricci if perturbation is None else cs.ricci + perturbation(pts)[0]
+    chi = _chi_values(cs.metric, cs.metric_inv, ric, chart, pts)[0]
     data = np.empty((len(pts), 3, 5, 3))
     data[:, :, :3] = np.swapaxes(cs.christoffel, 1, 2)
     data[:, :, 3] = chi
@@ -452,9 +449,10 @@ def _stage_points(starts, axis, dt, nsub):
             yield starts + t * unit
 
 
-def _stage_stream(field, rows):
-    """_continuous_data, one (len(row), 3, 5, 3) array, for each row of
-    chart points, one row at a time.
+def _stage_stream(source, rows):
+    """_continuous_data(*source, row), one (len(row), 3, 5, 3) array, for
+    each row of chart points, one row at a time; source is (family, chart,
+    perturbation).
 
     The rows' points are taken as one sequence and evaluated in calls of
     exactly surfaces.BLOCK_POINTS points, only the last call shorter, so one
@@ -477,13 +475,13 @@ def _stage_stream(field, rows):
             if len(row) < head:
                 rest = np.concatenate([rest, row])
                 continue
-            yield _continuous_data(field, np.concatenate([rest, row[:head]]))
+            yield _continuous_data(*source, np.concatenate([rest, row[:head]]))
             end = head + (len(row) - head) // size * size
             for at in range(head, end, size):
-                yield _continuous_data(field, row[at:at + size])
+                yield _continuous_data(*source, row[at:at + size])
             rest = row[end:].copy()
         if len(rest):
-            yield _continuous_data(field, rest)
+            yield _continuous_data(*source, rest)
 
     joined, at = None, 0             # a row that spans calls, filled up to `at`
     for data in calls():
@@ -561,9 +559,10 @@ def _fill_levels(idx, center, plan):
     return levels
 
 
-def _sweep_fill(field, seed, plan, h, limit):
+def _sweep_fill(source, coords, g, seed, plan, h, limit):
     """Frame states marched from the seed (seed_frame) at the center node
-    over the lattice in plan order.
+    over the lattice of coords in plan order, with the stage data of source,
+    (family, chart, perturbation), and g at the nodes for the drift.
 
     The levels come from _fill_levels, which fails before anything marches
     when they miss a node.  Each level is one _integrate_batch call, which
@@ -573,27 +572,25 @@ def _sweep_fill(field, seed, plan, h, limit):
     with the fill, and the sup of the frame drift |E E^T - g| over the nodes;
     raises IntegrationError at the first node whose drift exceeds limit.
     """
-    coords = field.coords
     idx, spacing, center = _lattice(coords)
     levels = _fill_levels(idx, center, plan)
     nsub = int(round(spacing / h))
     step = spacing / nsub
-    stream = _stage_stream(field, itertools.chain.from_iterable(
+    stream = _stage_stream(source, itertools.chain.from_iterable(
         _stage_points(coords[sources], axis, sign * step, nsub)
         for axis, sign, _, sources in levels))
 
     states = np.zeros((coords.shape[0],) + seed.shape)
     states[center] = seed
 
-    gvals = field.g()
     iso_sup = 0.0
     for axis, sign, targets, sources in levels:
         states[targets] = _integrate_batch(stream, axis, sign * step, nsub, states[sources])
         e = states[targets, 1:4]
-        drift = np.abs(e @ np.swapaxes(e, -1, -2) - gvals[targets]).max(axis=(-2, -1))
+        drift = np.abs(e @ np.swapaxes(e, -1, -2) - g[targets]).max(axis=(-2, -1))
         k, sup, ok = worst(drift, limit)
         if not ok:
-            where = location(field.chart, coords[targets[k]])
+            where = location(source[1], coords[targets[k]])
             raise IntegrationError(
                 f"frame drift {sup:.3g} exceeds "
                 f"{limit:.3g} at chart {where['chart']}, coords "
@@ -603,15 +600,18 @@ def _sweep_fill(field, seed, plan, h, limit):
     return states[:, 0].copy(), iso_sup
 
 
-def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
+def reconstruct(family, chart, coords, perturbation=None, path_plan=(0, 1, 2),
                 h=1e-2, drift_limit=PASS_RULES["frame drift"].tol,
                 with_holonomy=True) -> Reconstruction:
-    """Integrate the frame system over the chart ball.
+    """Integrate the frame system of the family over the chart grid coords.
 
-    The lattice fills in the path_plan's axis order (a line, then a plane,
-    then the ball); holonomy is the sup of |X - X'| between this fill and
-    one in the reversed order, and vanishes to integrator accuracy exactly
-    when chi satisfies the Codazzi relation.  Each lattice segment takes
+    Nothing is solved first: g at the nodes comes from metric_values, and
+    each RK4 stage point forms chi (_chi_values, with its errors) from the
+    family's Ricci plus the value of perturbation(pts), if given.  The
+    lattice fills in the path_plan's axis order (a line, then a plane, then
+    the ball); holonomy is the sup of |X - X'| between this fill and one in
+    the reversed order, and vanishes to integrator accuracy exactly when chi
+    satisfies the Codazzi relation.  Each lattice segment takes
     round(spacing / h) RK4 substeps, so h may not exceed the spacing.
 
     A node fails when its frame drift |E E^T - g| exceeds drift_limit times
@@ -622,25 +622,25 @@ def reconstruct(field: IntrinsicField, chi: ChiField, path_plan=(0, 1, 2),
     """
     if sorted(path_plan) != [0, 1, 2]:
         raise ValueError("path_plan must be a permutation of (0, 1, 2)")
-    if chi.field is not field:
-        raise ValueError("chi was solved on a different field")
-    _, spacing, center = _lattice(field.coords)
+    coords = _three_dimensional(np.asarray(coords, dtype=float))
+    _, spacing, center = _lattice(coords)
     # the spacing is read from coordinates rounded to 12 decimals, so a step
     # equal to the nominal spacing 2 extent / (resolution - 1) must pass
     if not 0.0 < h <= spacing * (1.0 + 1e-9):
         raise ValueError(f"step h {h:g} must be positive and at most the "
                          f"lattice spacing {spacing:g}")
-    g = field.g()
+    g = metric_values(family, chart, coords)
     seed = seed_frame(g[center])
     limit = drift_limit * float(np.linalg.eigvalsh(g)[..., 0].min())
+    args = ((family, chart, perturbation), coords, g, seed)
     plan = tuple(path_plan)
     holo = None
     if not with_holonomy:
-        xs, iso = _sweep_fill(field, seed, plan, h, limit)
+        xs, iso = _sweep_fill(*args, plan, h, limit)
     else:
         # an error of the forward fill, raised here, wins over the child's
-        with Forked(_sweep_fill, field, seed, plan[::-1], h, limit) as backward:
-            xs, iso = _sweep_fill(field, seed, plan, h, limit)
+        with Forked(_sweep_fill, *args, plan[::-1], h, limit) as backward:
+            xs, iso = _sweep_fill(*args, plan, h, limit)
             xs2, iso2 = backward.result()
         iso = max(iso, iso2)
         holo = float(np.linalg.norm(xs - xs2, axis=-1).max())

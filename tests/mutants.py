@@ -87,6 +87,16 @@ MUTANTS = {
         "    limit = drift_limit * float(np.linalg.eigvalsh(g)[..., 0].min())",
         "    limit = drift_limit",
         "tests/test_embedsolve.py"),
+    "march ignores the perturbation": (
+        "embedsolve.py",
+        "    ric = cs.ricci if perturbation is None else cs.ricci + perturbation(pts)[0]",
+        "    ric = cs.ricci",
+        "tests/test_embedsolve.py"),
+    "chi gate always passes": (
+        "embedsolve.py",
+        '    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)',
+        "    sup, ok = 0.0, True",
+        "tests/test_embedsolve.py"),
     "derivative without its factor": (
         "jets.py",
         "        out *= fac.reshape(fac.shape + (1,) * (out.ndim - 1))",

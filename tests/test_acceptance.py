@@ -287,24 +287,19 @@ def test_08_frame_reconstruction():
     t0 = time.perf_counter()
     fam = Ellipsoid(ELLIPSOIDS[0])
     pts = ball_grid(7, 1.2, 3)
-    field = IntrinsicField.from_family(fam, 0, pts)
-    chi = solve_contracted_gauss(field)
     truth = evaluate_grid(fam, 0, pts).X
 
-    fine = reconstruct(field, chi, h=1e-2)
+    fine = reconstruct(fam, 0, pts, h=1e-2)
     _, _, rms_fine = align_rigid(fine.X, truth)
     assert rms_fine <= 1e-4
     assert fine.holonomy_sup <= 1e-6
 
-    coarse = reconstruct(field, chi, h=2e-2, with_holonomy=False)
+    coarse = reconstruct(fam, 0, pts, h=2e-2, with_holonomy=False)
     _, _, rms_coarse = align_rigid(coarse.X, truth)
     assert rms_coarse / rms_fine >= 12.0  # near the fourth-order factor 16
 
     small = ball_grid(5, 1.2, 3)
-    pert = IntrinsicField.from_family(fam, 0, small).perturbed(
-        diag_ramp_perturbation(0.05))
-    chi_p = solve_contracted_gauss(pert)
-    rec_p = reconstruct(pert, chi_p, h=2e-2)
+    rec_p = reconstruct(fam, 0, small, diag_ramp_perturbation(0.05), h=2e-2)
     assert rec_p.holonomy_sup >= 1e-3
     _finish("08 frame reconstruction", t0, budget=120.0)
 

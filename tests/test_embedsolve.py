@@ -22,7 +22,7 @@ from weylcheck.embedsolve import (
     seed_frame,
     solve_contracted_gauss,
 )
-from weylcheck.errors import ConvergenceError, IntegrationError, ObstructionError
+from weylcheck.errors import PASS_RULES, ConvergenceError, IntegrationError, ObstructionError
 from weylcheck.intrinsic import (
     CurvatureState,
     MetricJet,
@@ -169,8 +169,9 @@ class TestSolver:
         for k in range(3):
             off = np.zeros(3)
             off[k] = delta
-            fd = (embedsolve._continuous_data(field, sample + off)[:, :, 3]
-                  - embedsolve._continuous_data(field, sample - off)[:, :, 3]) / (2.0 * delta)
+            ahead, behind = (embedsolve._continuous_data(family, 0, perturbation, sample + o)
+                             for o in (off, -off))
+            fd = (ahead[:, :, 3] - behind[:, :, 3]) / (2.0 * delta)
             assert np.abs(fd - want[..., k]).max() < 1e-6
 
     def test_rejects_other_dimensions(self, monkeypatch):
@@ -241,7 +242,7 @@ class TestField:
     def test_solve_does_not_depend_on_metric_order(self, grid7, family, chart):
         field = IntrinsicField.from_family(family, chart, grid7)
         full = IntrinsicField.from_metric(metric_jets(family, chart, grid7, order=4),
-                                          chart, grid7, family=family)
+                                          chart, grid7)
         chi, chi_full = solve_contracted_gauss(field), solve_contracted_gauss(full)
         for name in ("values", "d_values", "residuals", "gaps"):
             assert getattr(chi, name).tobytes() == getattr(chi_full, name).tobytes(), name
@@ -301,17 +302,17 @@ class TestField:
         assert field.d_ricci.tobytes() == (ellipsoid_field.d_ricci + partials).tobytes()
         for name in ("coords", "metric_inv", "dg", "christoffel"):
             assert getattr(field, name) is getattr(ellipsoid_field, name), name
-        with pytest.raises(ValueError, match="already perturbed"):
-            field.perturbed(ramp)
 
         pts = ellipsoid_field.coords[::11] * 0.97
         cs = curvature(metric_jets(Ellipsoid(AXES), 0, pts, order=2))
         chi = embedsolve._chi_values(cs.metric, cs.metric_inv, cs.ricci + ramp(pts)[0],
                                      0, pts)[0]
-        nan_partials = ellipsoid_field.perturbed(
-            lambda pts: (ramp(pts)[0], np.full(np.shape(pts)[:-1] + (3, 3, 3), np.nan)))
-        for f in (field, nan_partials):
-            data = embedsolve._continuous_data(f, pts)
+
+        def nan_partials(pts):
+            return ramp(pts)[0], np.full(np.shape(pts)[:-1] + (3, 3, 3), np.nan)
+
+        for perturbation in (ramp, nan_partials):
+            data = embedsolve._continuous_data(Ellipsoid(AXES), 0, perturbation, pts)
             assert data[:, :, 3].tobytes() == chi.tobytes()
             assert data[:, :, 4].tobytes() == (chi @ cs.metric_inv).tobytes()
 
@@ -319,16 +320,15 @@ class TestField:
     def test_stage_data_layout(self, ellipsoid_field, perturb):
         # block i of a stage point's data is the march along axis i, bit for
         # bit: [i, k, j] = Gamma^k_ij, [i, 3, j] = chi_ij, [i, 4, j] = (chi g^-1)_i^j
-        field = ellipsoid_field
-        pts = field.coords[::11] * 0.97
+        perturbation = diag_ramp_perturbation() if perturb else None
+        pts = ellipsoid_field.coords[::11] * 0.97
         cs = curvature(metric_jets(Ellipsoid(AXES), 0, pts, order=2))
         ric = cs.ricci
         if perturb:
-            field = field.perturbed(diag_ramp_perturbation())
-            ric = ric + diag_ramp_perturbation()(pts)[0]
+            ric = ric + perturbation(pts)[0]
         chi = embedsolve._chi_values(cs.metric, cs.metric_inv, ric, 0, pts)[0]
         chi_ginv = chi @ cs.metric_inv
-        data = embedsolve._continuous_data(field, pts)
+        data = embedsolve._continuous_data(Ellipsoid(AXES), 0, perturbation, pts)
         assert data.shape == (len(pts), 3, 5, 3)
         for i in range(3):
             for k in range(3):
@@ -402,11 +402,6 @@ class TestFieldBlocks:
         for obj in _reachable(ellipsoid_field, ellipsoid_chi, perturbed,
                               solve_contracted_gauss(perturbed), given):
             assert not isinstance(obj, (Jet, MetricJet, CurvatureState)), obj
-
-    def test_perturbs_once(self, ellipsoid_field):
-        field = ellipsoid_field.perturbed(diag_ramp_perturbation())
-        with pytest.raises(ValueError, match="already perturbed"):
-            field.perturbed(diag_ramp_perturbation())
 
     def test_from_metric_validation(self, grid7):
         with pytest.raises(ValueError, match="order >= 3, got 2"):
@@ -575,16 +570,28 @@ RANDOM5_HOLONOMY = 1.103945772417539e-05
 
 @pytest.fixture(scope="module")
 def ellipsoid5(grid5):
-    field = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5)
-    chi = solve_contracted_gauss(field)
-    return field, chi, reconstruct(field, chi, h=0.1)
+    return reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
+
+
+def _march_errors(monkeypatch):
+    """The errors that leave _continuous_data, the march's stage data, in
+    this process, with the points of the call each left."""
+    raised, data = [], embedsolve._continuous_data
+
+    def recorded(family, chart, perturbation, pts):
+        try:
+            return data(family, chart, perturbation, pts)
+        except Exception as exc:
+            raised.append((exc, pts))
+            raise
+
+    monkeypatch.setattr(embedsolve, "_continuous_data", recorded)
+    return raised
 
 
 class TestReconstruct:
     def test_round_sphere(self, grid5):
-        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
-        chi = solve_contracted_gauss(field)
-        rec = reconstruct(field, chi, h=2e-2)
+        rec = reconstruct(RoundSphere(1.0), 0, grid5, h=2e-2)
         assert rec.isometry_sup < 5e-7
         assert rec.holonomy_sup < 1e-7
         truth = evaluate_grid(RoundSphere(1.0), 0, grid5).X
@@ -592,98 +599,84 @@ class TestReconstruct:
         assert rms < 1e-6
 
     def test_non_codazzi_holonomy(self, grid5):
-        base = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5)
-        chi0 = solve_contracted_gauss(base)
-        rec0 = reconstruct(base, chi0, h=4e-2)
-        field = base.perturbed(diag_ramp_perturbation(0.05))
-        chi = solve_contracted_gauss(field)
-        rec = reconstruct(field, chi, h=4e-2)
+        rec0 = reconstruct(Ellipsoid(AXES), 0, grid5, h=4e-2)
+        rec = reconstruct(Ellipsoid(AXES), 0, grid5, diag_ramp_perturbation(0.05), h=4e-2)
         assert rec.holonomy_sup > 1e-3
         assert rec.holonomy_sup > 1e3 * rec0.holonomy_sup
         # the isometry residual stays small: drift only reflects chi vs g
         assert rec.isometry_sup < 1e-6
 
     def test_drift_rejection(self, grid5):
-        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
-        chi = solve_contracted_gauss(field)
         with pytest.raises(IntegrationError, match="drift"):
-            reconstruct(field, chi, h=2e-2, drift_limit=1e-18)
+            reconstruct(RoundSphere(1.0), 0, grid5, h=2e-2, drift_limit=1e-18)
 
     def test_drift_limit_scales_with_the_body(self, grid5):
         # X -> lambda X takes g and E E^T - g to lambda^2 times themselves;
         # the limit follows g's least eigenvalue, so no scale fails the march
         ratios = []
         for lam in (1e-3, 1.0, 10.0, 1e3):
-            field = IntrinsicField.from_family(Ellipsoid(tuple(lam * a for a in AXES)),
-                                               0, grid5)
-            chi = solve_contracted_gauss(field)
-            rec = reconstruct(field, chi, h=0.1)
-            ratios.append(rec.isometry_sup / np.linalg.eigvalsh(field.g())[:, 0].min())
+            family = Ellipsoid(tuple(lam * a for a in AXES))
+            rec = reconstruct(family, 0, grid5, h=0.1)
+            g = surfaces.metric_values(family, 0, grid5)
+            ratios.append(rec.isometry_sup / np.linalg.eigvalsh(g)[:, 0].min())
         assert ratios == pytest.approx([ratios[1]] * 4, rel=1e-9)
         assert ratios[1] < 1e-3
 
     def test_nan_frame_rejected(self, grid5, monkeypatch):
         # a NaN drift fails the drift check; it must not read as zero drift
-        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
-        chi = solve_contracted_gauss(field)
 
         def nan_batch(rows, axis, dt, nsub, s):
             return np.full_like(s, np.nan)
 
         monkeypatch.setattr(embedsolve, "_integrate_batch", nan_batch)
         with pytest.raises(IntegrationError, match="frame drift nan exceeds"):
-            reconstruct(field, chi, h=0.1)
+            reconstruct(RoundSphere(1.0), 0, grid5, h=0.1)
 
     def test_pinned_ellipsoid(self, ellipsoid5):
-        rec = ellipsoid5[2]
+        rec = ellipsoid5
         assert np.abs(rec.X - ELLIPSOID5_X).max() <= 1e-12
         assert rec.isometry_sup == pytest.approx(ELLIPSOID5_ISOMETRY, rel=1e-9)
         assert rec.holonomy_sup == pytest.approx(ELLIPSOID5_HOLONOMY, rel=1e-9)
 
     def test_pinned_random_graph(self, grid5):
-        field = IntrinsicField.from_family(radial_graph_random(23), 0, grid5)
-        rec = reconstruct(field, solve_contracted_gauss(field), h=0.1)
+        rec = reconstruct(radial_graph_random(23), 0, grid5, h=0.1)
         assert np.abs(rec.X - RANDOM5_X).max() <= 1e-12
         assert rec.isometry_sup == pytest.approx(RANDOM5_ISOMETRY, rel=1e-9)
         assert rec.holonomy_sup == pytest.approx(RANDOM5_HOLONOMY, rel=1e-9)
 
-    def test_stage_points_cap(self, ellipsoid5, monkeypatch):
-        field, chi, rec = ellipsoid5
+    def test_stage_points_cap(self, grid5, ellipsoid5, monkeypatch):
         calls = []
         data = embedsolve._continuous_data
 
-        def counted(f, pts):
-            calls.append(len(pts))
-            return data(f, pts)
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return data(*args)
 
         monkeypatch.setattr(embedsolve, "_continuous_data", counted)
-        reconstruct(field, chi, h=0.1)
+        reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
         default_calls = len(calls)
         calls.clear()
         monkeypatch.setattr(surfaces, "BLOCK_POINTS", 7)
-        capped = reconstruct(field, chi, h=0.1)
+        capped = reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
         assert max(calls) <= 7
         assert len(calls) > default_calls
-        assert np.abs(capped.X - rec.X).max() <= 1e-12
+        assert np.abs(capped.X - ellipsoid5.X).max() <= 1e-12
 
     @pytest.mark.parametrize("perturb", [False, True])
-    def test_continuous_data_same_bits_in_any_batch(self, grid5, perturb):
-        field = IntrinsicField.from_family(radial_graph_random(23), 0, grid5)
-        if perturb:
-            field = field.perturbed(diag_ramp_perturbation())
+    def test_continuous_data_same_bits_in_any_batch(self, perturb):
+        source = (radial_graph_random(23), 0, diag_ramp_perturbation() if perturb else None)
         pts = np.random.default_rng(5).uniform(-0.69, 0.69, (600, 3))
-        whole = embedsolve._continuous_data(field, pts)
+        whole = embedsolve._continuous_data(*source, pts)
         cuts = np.cumsum([1, 7, 512])
-        parts = [embedsolve._continuous_data(field, p) for p in np.split(pts, cuts)]
+        parts = [embedsolve._continuous_data(*source, p) for p in np.split(pts, cuts)]
         assert np.array_equal(whole, np.concatenate(parts))
 
     @pytest.mark.parametrize("chunk", [512, 100, 7])
-    def test_stream_calls_are_full_chunks(self, ellipsoid5, monkeypatch, chunk):
-        field, chi, rec = ellipsoid5
+    def test_stream_calls_are_full_chunks(self, grid5, ellipsoid5, monkeypatch, chunk):
         monkeypatch.setattr(surfaces, "BLOCK_POINTS", chunk)
         # both fills in this process, so that every call is counted
         monkeypatch.setattr(_forkjoin, "FORK", False)
-        idx, spacing, center = embedsolve._lattice(field.coords)
+        idx, spacing, center = embedsolve._lattice(grid5)
         nsub = int(round(spacing / 0.1))
         expected = []
         for plan in ((0, 1, 2), (2, 1, 0)):
@@ -694,14 +687,14 @@ class TestReconstruct:
         calls = []
         data = embedsolve._continuous_data
 
-        def counted(f, pts):
-            calls.append(len(pts))
-            return data(f, pts)
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return data(*args)
 
         monkeypatch.setattr(embedsolve, "_continuous_data", counted)
-        streamed = reconstruct(field, chi, h=0.1)
+        streamed = reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
         assert calls == expected
-        assert np.array_equal(streamed.X, rec.X)
+        assert np.array_equal(streamed.X, ellipsoid5.X)
 
     def test_stream_holds_one_block(self, monkeypatch):
         # a fake _continuous_data with the real shape (3, 5, 3) a point fills
@@ -712,7 +705,7 @@ class TestReconstruct:
         sizes = [5, 30000, 17, 40000, 1, 700]
         calls = []
 
-        def numbered(field, pts):
+        def numbered(family, chart, perturbation, pts):
             calls.append(len(pts))
             data = np.empty((len(pts), 3, 5, 3))
             for k in range(3):
@@ -738,7 +731,7 @@ class TestReconstruct:
                 assert np.array_equal(a.max(axis=1), want)
 
         monkeypatch.setattr(embedsolve, "_continuous_data", numbered)
-        stream = embedsolve._stage_stream(None, rows())
+        stream = embedsolve._stage_stream((None, None, None), rows())
         tracemalloc.start()
         try:
             first = 0
@@ -757,14 +750,16 @@ class TestReconstruct:
     def test_fill_memory_flat_in_substeps(self):
         # the stream holds one call plus one stage row, so a fill's peak
         # does not grow with the substep count
-        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, ball_grid(9, 1.2, 3))
-        _, spacing, center = embedsolve._lattice(field.coords)
-        seed = embedsolve.seed_frame(field.g()[center])
+        pts = ball_grid(9, 1.2, 3)
+        g = surfaces.metric_values(Ellipsoid(AXES), 0, pts)
+        _, spacing, center = embedsolve._lattice(pts)
+        seed = embedsolve.seed_frame(g[center])
         peaks = []
         for nsub in (30, 120):
             tracemalloc.start()
             try:
-                embedsolve._sweep_fill(field, seed, (0, 1, 2), spacing / nsub, 1.0)
+                embedsolve._sweep_fill((Ellipsoid(AXES), 0, None), pts, g, seed, (0, 1, 2),
+                                       spacing / nsub, 1.0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -781,41 +776,62 @@ class TestReconstruct:
             filled.extend(targets)
         assert sorted(filled) == list(range(len(grid7)))
 
-    def test_step_bounded_by_lattice_spacing(self, sphere_field, sphere_chi):
+    def test_step_bounded_by_lattice_spacing(self, grid7):
         # 0.4 lies a few ulps above the spacing read from the grid7 lattice,
         # 0.3999999999999999, and must pass
-        rec = reconstruct(sphere_field, sphere_chi, h=0.4, drift_limit=1.0,
+        rec = reconstruct(RoundSphere(1.0), 0, grid7, h=0.4, drift_limit=1.0,
                           with_holonomy=False)
-        assert rec.X.shape == (sphere_field.coords.shape[0], 4)
+        assert rec.X.shape == (grid7.shape[0], 4)
         for h in (0.41, 1e300, 0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="lattice spacing 0.4"):
-                reconstruct(sphere_field, sphere_chi, h=h)
+                reconstruct(RoundSphere(1.0), 0, grid7, h=h)
 
     def test_no_center_node(self, grid5):
         pts = grid5[np.linalg.norm(grid5, axis=-1) > 0]
-        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, pts)
         with pytest.raises(ValueError, match="no center node"):
-            reconstruct(field, solve_contracted_gauss(field), h=0.1)
+            reconstruct(Ellipsoid(AXES), 0, pts, h=0.1)
 
     def test_unreachable_node(self, grid5):
         hole = np.all(np.isclose(grid5, [0.6, 0.0, 0.0]), axis=-1)
         assert hole.sum() == 1
-        field = IntrinsicField.from_family(Ellipsoid(AXES), 0, grid5[~hole])
         with pytest.raises(IntegrationError, match="sweep failed to reach every grid node"):
-            reconstruct(field, solve_contracted_gauss(field), h=0.1)
+            reconstruct(Ellipsoid(AXES), 0, grid5[~hole], h=0.1)
 
-    def test_input_validation(self, grid5, sphere_field, sphere_chi):
-        field = IntrinsicField.from_family(RoundSphere(1.0), 0, grid5)
-        chi = solve_contracted_gauss(field)
+    def test_input_validation(self, grid5):
         with pytest.raises(ValueError, match="permutation"):
-            reconstruct(field, chi, path_plan=(0, 1, 1))
-        with pytest.raises(ValueError, match="different field"):
-            reconstruct(field, sphere_chi)
-        with pytest.raises(ValueError, match="family-backed"):
-            f2 = IntrinsicField.from_metric(metric_jets(RoundSphere(1.0), 0, grid5, order=3),
-                                            0, field.coords)
-            c2 = solve_contracted_gauss(f2)
-            reconstruct(f2, c2)
+            reconstruct(RoundSphere(1.0), 0, grid5, path_plan=(0, 1, 1))
+        with pytest.raises(ValueError, match="three-dimensional"):
+            reconstruct(RoundSphere(1.0, dim=2), 0, ball_grid(5, 1.2, 2), h=0.1)
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            reconstruct(RoundSphere(1.0, dim=2), 0, grid5, h=0.1)
+
+    def test_cone_exit_in_the_march(self, grid5, monkeypatch):
+        # nothing is solved on the grid first: the march's own stage data
+        # leaves the cone, at a stage point between the nodes
+        def pert(pts):
+            val = np.zeros(np.shape(pts)[:-1] + (3, 3))
+            val[..., 2, 2] = 3.0
+            return val, np.zeros(val.shape + (3,))
+
+        monkeypatch.setattr(embedsolve, "solve_contracted_gauss", None)
+        raised = _march_errors(monkeypatch)
+        with pytest.raises(ObstructionError) as exc:
+            reconstruct(RoundSphere(1.0), 0, grid5, pert, h=0.1)
+        assert raised[0][0] is exc.value
+        point = exc.value.point
+        assert point["chart"] == 0 and point["coords"] in raised[0][1].tolist()
+        assert not np.isclose(grid5, point["coords"]).all(axis=-1).any()
+        assert exc.value.margin < 0
+        assert f"eps-gap {exc.value.margin:.6g}" in str(exc.value)
+
+    def test_residual_limit_in_the_march(self, grid5, monkeypatch):
+        # the solver's per-point residual limit holds at every stage point
+        monkeypatch.setitem(PASS_RULES, "solve", PASS_RULES["solve"]._replace(tol=0.0))
+        raised = _march_errors(monkeypatch)
+        with pytest.raises(ConvergenceError, match="above the per-point limit") as exc:
+            reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
+        assert raised[0][0] is exc.value
+        assert exc.value.residual > 0
 
 
 class TestAlignRigid:

@@ -131,9 +131,9 @@ def test_reconstruct_forks_the_reversed_fill(tmp_path, capsys, monkeypatch):
     plans = []
     fill = embedsolve._sweep_fill
 
-    def recorded(field, seed, plan, h, limit):
+    def recorded(source, coords, g, seed, plan, h, limit):
         plans.append(plan)
-        return fill(field, seed, plan, h, limit)
+        return fill(source, coords, g, seed, plan, h, limit)
 
     monkeypatch.setattr(embedsolve, "_sweep_fill", recorded)
     code, report, _ = run(tmp_path, capsys, "reconstruct", {"resolution": 5, "h": 0.1})
@@ -183,10 +183,10 @@ def both_paths(tmp_path, capsys, monkeypatch, command, config):
 def test_reversed_fill_error_exits_3(tmp_path, capsys, monkeypatch, error):
     fill = embedsolve._sweep_fill
 
-    def failing(field, seed, plan, h, limit):
+    def failing(source, coords, g, seed, plan, h, limit):
         if plan == (2, 1, 0):
             raise error
-        return fill(field, seed, plan, h, limit)
+        return fill(source, coords, g, seed, plan, h, limit)
 
     monkeypatch.setattr(embedsolve, "_sweep_fill", failing)
     code, report, err = both_paths(tmp_path, capsys, monkeypatch, "reconstruct",
@@ -200,17 +200,15 @@ def test_reversed_fill_obstruction_keeps_point_and_margin(monkeypatch):
                              margin=-0.25)
     fill = embedsolve._sweep_fill
 
-    def failing(field, seed, plan, h, limit):
+    def failing(source, coords, g, seed, plan, h, limit):
         if plan == (2, 1, 0):
             raise error
-        return fill(field, seed, plan, h, limit)
+        return fill(source, coords, g, seed, plan, h, limit)
 
-    field = embedsolve.IntrinsicField.from_family(Ellipsoid((1.0, 1.2, 0.9, 1.05)), 0,
-                                                  ball_grid(5, GRID_EXTENT, 3))
-    chi = embedsolve.solve_contracted_gauss(field)
     monkeypatch.setattr(embedsolve, "_sweep_fill", failing)
     with pytest.raises(ObstructionError, match="cone exit") as info:
-        embedsolve.reconstruct(field, chi, h=0.1)
+        embedsolve.reconstruct(Ellipsoid((1.0, 1.2, 0.9, 1.05)), 0,
+                               ball_grid(5, GRID_EXTENT, 3), h=0.1)
     assert_no_child()
     assert info.value is not error      # it crossed the pipe
     assert (info.value.point, info.value.margin) == (error.point, error.margin)
@@ -219,10 +217,10 @@ def test_reversed_fill_obstruction_keeps_point_and_margin(monkeypatch):
 def test_forward_fill_error_wins(tmp_path, capsys, monkeypatch):
     fill = embedsolve._sweep_fill
 
-    def failing(field, seed, plan, h, limit):
+    def failing(source, coords, g, seed, plan, h, limit):
         if plan == (2, 1, 0):
             raise IntegrationError("reversed")
-        fill(field, seed, plan, h, limit)
+        fill(source, coords, g, seed, plan, h, limit)
         raise IntegrationError("forward")
 
     monkeypatch.setattr(embedsolve, "_sweep_fill", failing)
