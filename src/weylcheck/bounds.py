@@ -39,7 +39,6 @@ class EvaluatedGrid:
     RESIDUALS) to its column.
     """
 
-    family: object
     resolution: int
     extent: float
     chart_ids: np.ndarray
@@ -128,7 +127,7 @@ def evaluate_family_grid(family, resolution, extent=GRID_EXTENT, residuals=()) -
               for chart in (0, 1) for block in point_blocks(pts)]
     columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     found = {name: columns.pop(name) for name in wanted}
-    return EvaluatedGrid(family, resolution, extent, residuals=found, **columns)
+    return EvaluatedGrid(resolution, extent, residuals=found, **columns)
 
 
 @dataclass

@@ -12,9 +12,10 @@ charts; on Linux chart 1's solves run in a forked child beside chart 0's.
 
 An IntrinsicField holds values, not jets: g and its inverse, Ricci, their
 first partials, last axis k for d/dx_k, and the Christoffel symbols, formed
-by from_family from metric jets of order 3 (Ricci, order m - 2, is read to
-first partials) one surfaces.BLOCK_POINTS block at a time, each block's jets
-dropped before the next; order 4 and any block size give the same bits.
+by from_family from surfaces.metric_jets of order 3 (Ricci, order m - 2, is
+read to first partials), the one source of metric jets here, one
+surfaces.BLOCK_POINTS block at a time, each block's jets dropped before the
+next; order 4 and any block size give the same bits.
 
 Reconstruction integrates X_{;ij} = -chi_ij N and N_i = chi_i^j X_{;j}
 along coordinate lines with classical RK4 on the grid's integer lattice,
@@ -64,7 +65,6 @@ from ._forkjoin import Forked
 from .errors import (PASS_RULES, ConvergenceError, IntegrationError, ObstructionError,
                      location, worst)
 from .intrinsic import (
-    MetricJet,
     codazzi_residual,
     contracted_gauss_residual,
     curvature,
@@ -73,21 +73,12 @@ from .intrinsic import (
 from .surfaces import (
     GRID_EXTENT,
     Ellipsoid,
-    _tangent_rows,
     ball_grid,
-    induced_metric,
+    metric_jets,
     metric_values,
     radial_graph_bump,
     radial_graph_random,
 )
-
-
-def metric_jets(family, chart, pts, order) -> MetricJet:
-    """Induced-metric jets of the family at chart points, any order >= 1;
-    ValueError unless the points have the family's dimension."""
-    pts = surfaces.check_points(family, pts)
-    amb = family.ambient_jets(chart, pts, order=order + 1)
-    return MetricJet(induced_metric(_tangent_rows(amb)))
 
 
 @dataclasses.dataclass(eq=False)
@@ -186,9 +177,10 @@ def diag_ramp_perturbation(scale=0.05, slopes=(0.5, -0.3, 0.4)):
 def _chi_values(g, ginv, ric, chart, coords):
     """chi = s g E^{-1} g with E = R g - 2 Ric and s = sqrt(t_1 t_2 t_3 / 2),
     or ObstructionError at the first of the chart points coords whose Ricci
-    leaves the solvable cone, or ConvergenceError if a contracted-Gauss
-    residual is above PASS_RULES["solve"]'s limit; returns (chi, R, E^{-1},
-    s, gaps, residuals).  The solver and the march's stage points use it.
+    leaves the solvable cone, or ConvergenceError at the point of the largest
+    contracted-Gauss residual if it is above PASS_RULES["solve"]'s limit;
+    returns (chi, R, E^{-1}, s, gaps, residuals).  The solver and the march's
+    stage points use it.
 
     Cayley-Hamilton turns tr(A) A - A^2 = Ric, chi's equation in a
     g-orthonormal frame, into sigma_2(A) I - sigma_3(A) A^{-1} = Ric; the
@@ -217,9 +209,12 @@ def _chi_values(g, ginv, ric, chart, coords):
     s = np.sqrt(gaps * t[..., 1] * t[..., 2] / 2.0)
     chi = s[..., None, None] * (g @ einv @ g)
     residuals = contracted_gauss_residual(ginv, chi, ric)
-    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
+    idx, sup, ok = worst(residuals, PASS_RULES["solve"].tol)
     if not ok:
-        raise ConvergenceError("solver residual above the per-point limit", residual=sup)
+        where = location(chart, coords[idx])
+        raise ConvergenceError(
+            f"solver residual above the per-point limit at chart {where['chart']}, "
+            f"coords {where['coords']}: residual {sup:.6g}", residual=sup, point=where)
     return chi, r, einv, s, gaps, residuals
 
 

@@ -41,12 +41,14 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its tolerance.
 
-    Carries the last residual norm in .residual.
+    Carries the last residual norm in .residual and, for a per-point
+    residual, the point where it is largest in .point.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, point=None):
         super().__init__(message)
         self.residual = residual
+        self.point = point
 
 
 class ObstructionError(DomainError):

@@ -65,9 +65,6 @@ class SymMatrix:
     def is_spd(self):
         return bool(self.eigenvalues[-1] > 0)
 
-    def trace(self):
-        return float(np.trace(self.mat))
-
     def __repr__(self):
         return f"SymMatrix({self.mat!r})"
 

@@ -1,14 +1,16 @@
 """Convex hypersurfaces in R^{n+1} over two stereographic charts (n = 2, 3).
 
-Families are maps from the unit n-sphere into R^{n+1}: round spheres,
-ellipsoids, and radial graphs X = rho(xhat) * xhat with rho = 1/u.  Every
-field at a chart point is produced by exact jet arithmetic, with the chart
-map at the order the field's readers need; evaluate_grid, surface_values
-and metric_values return plain values, and their jets die inside them.
+Families are maps from the unit n-sphere into R^{n+1}: ellipsoids (the
+round sphere, RoundSphere, has equal semi-axes) and radial graphs
+X = rho(xhat) * xhat with rho = 1/u.  Every field at a chart point is
+produced by exact jet arithmetic, with the chart map at the order the
+field's readers need, in one of four chart passes: evaluate_grid,
+surface_values and metric_values return plain values, and their jets die
+inside them, and metric_jets the induced metric's jets, for curvature().
 A pass differentiates each ambient jet once, for its tangent rows d_i X^a
 (_tangent_rows), which feed the induced metric, the unit normal (their
 signed maximal minors over their norm, each minor by weylcheck.jets.det, the
-determinant MetricJet.inverse also reads) and chi (their partials).  Only
+determinant MetricJet.inverse also reads) and chi (their partials).
 evaluate_grid runs the chart map at order 4: the induced metric then carries
 order 3 and its inverse order 2, and the normal and the second fundamental
 form order 2, so the Gauss equation R = (tr A)^2 - tr(A^2), A = g^-1 chi,
@@ -16,9 +18,10 @@ gives R's jet to order 2, whose covariant Hessian traced with g^-1 is the
 scalar-curvature Laplacian (curvature() runs on the metric's order-2 part);
 chi's first derivatives are what Codazzi reads, and rho = |X|^2/2 carries
 order 2 for its Hessian in the support identities.  surface_values runs the
-chart map at order 2 for the values of X, g and chi, and metric_values at
-order 1 for the values of g.  A coefficient has the same bits at every order
-that holds it (see weylcheck.jets), so the three agree bit for bit.
+chart map at order 2 for the values of X, g and chi, metric_values at order
+1 for the values of g, and metric_jets at order m + 1 for metric jets of
+order m.  A coefficient has the same bits at every order that holds it (see
+weylcheck.jets), so the four agree bit for bit.
 
 Chart 0 maps coords xi to (2 xi, 1 - |xi|^2)/(1 + |xi|^2), chart 1 flips the
 last component; the transition between them is the coordinate inversion
@@ -101,20 +104,6 @@ def unit_sphere_jets(chart, pts, order=AMBIENT_ORDER):
     return out
 
 
-class RoundSphere:
-    def __init__(self, radius, dim=3):
-        if not 0 < radius < np.inf:
-            raise ValueError("radius must be positive and finite")
-        self.radius = float(radius)
-        self.dim = dim
-
-    def ambient_jets(self, chart, pts, order=AMBIENT_ORDER):
-        return [self.radius * c for c in unit_sphere_jets(chart, pts, order)]
-
-    def __repr__(self):
-        return f"RoundSphere(radius={self.radius}, dim={self.dim})"
-
-
 def _semi_axes(semi_axes):
     axes = tuple(float(a) for a in semi_axes)
     if not all(0 < a < np.inf for a in axes):
@@ -135,6 +124,16 @@ class Ellipsoid:
 
     def __repr__(self):
         return f"Ellipsoid{self.semi_axes}"
+
+
+def RoundSphere(radius, dim=3):
+    """The round sphere of the given radius: the Ellipsoid with dim + 1 equal
+    semi-axes, dim the integer 2 or 3, checked before the axes are formed."""
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
+    if not isinstance(dim, int) or dim not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dim!r}")
+    return Ellipsoid((radius,) * (dim + 1))
 
 
 class RadialGraph:
@@ -235,8 +234,6 @@ class SurfaceData:
     field and drops its jets before it returns, so no jet outlives the call.
     """
 
-    family: object
-    chart: int
     coords: np.ndarray
     X: np.ndarray
     N: np.ndarray
@@ -394,7 +391,7 @@ def evaluate_grid(family, chart, pts) -> SurfaceData:
     laplacian = np.einsum("...ij,...ij->...", cs.metric_inv, scalar_hess)
     rho_grad, rho_hess = covariant_hessian(rho_jet, cs.christoffel)
     support = np.einsum("...a,...a->...", x_vals, n_vals)
-    return SurfaceData(family, chart, pts, x_vals, n_vals, cs.metric, chi, d_chi,
+    return SurfaceData(pts, x_vals, n_vals, cs.metric, chi, d_chi,
                        np.array(rho_jet.value), rho_grad, rho_hess, support, cs, laplacian)
 
 
@@ -421,6 +418,14 @@ def metric_values(family, chart, pts):
     """Induced-metric values (.., n, n), from ambient jets of order 1 only."""
     amb = family.ambient_jets(chart, check_points(family, pts), order=1)
     return _metric_values(_tangent_rows(amb))
+
+
+def metric_jets(family, chart, pts, order) -> MetricJet:
+    """Induced-metric jets of the family at chart points, any order >= 1,
+    from ambient jets of order + 1; ValueError unless the points have the
+    family's dimension."""
+    amb = family.ambient_jets(chart, check_points(family, pts), order=order + 1)
+    return MetricJet(induced_metric(_tangent_rows(amb)))
 
 
 def metric_fn(family):

@@ -94,9 +94,34 @@ MUTANTS = {
         "tests/test_embedsolve.py"),
     "chi gate always passes": (
         "embedsolve.py",
-        '    _, sup, ok = worst(residuals, PASS_RULES["solve"].tol)',
-        "    sup, ok = 0.0, True",
+        '    idx, sup, ok = worst(residuals, PASS_RULES["solve"].tol)',
+        "    idx, sup, ok = 0, 0.0, True",
         "tests/test_embedsolve.py"),
+    "chi gate names the first point": (
+        "embedsolve.py",
+        "        where = location(chart, coords[idx])",
+        "        where = location(chart, coords[0])",
+        "tests/test_embedsolve.py"),
+    "embeddability ignores theta": (
+        "embedsolve.py",
+        "    idx, sup, ok = worst(residuals, theta)",
+        "    idx, sup, ok = worst(residuals, np.inf)",
+        "tests/test_embedsolve.py"),
+    "residual verdict at the default tolerance": (
+        "cli.py",
+        "    idx, sup, ok = worst(values, tol)",
+        "    idx, sup, ok = worst(values, PASS_RULES[verdict].tol)",
+        "tests/test_pass_rules.py"),
+    "tolerances overrides ignored": (
+        "cli.py",
+        "        return cfg.tolerances.get(name, default)",
+        "        return default",
+        "tests/test_pass_rules.py"),
+    "support identities pass on any sub-check": (
+        "cli.py",
+        '                    "passed": all(s["passed"] for s in subs.values()), **subs}',
+        '                    "passed": any(s["passed"] for s in subs.values()), **subs}',
+        "tests/test_pass_rules.py"),
     "derivative without its factor": (
         "jets.py",
         "        out *= fac.reshape(fac.shape + (1,) * (out.ndim - 1))",
@@ -147,6 +172,11 @@ MUTANTS = {
         '        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")',
         '        return "NaN" if math.isnan(x) else ("Infinity" if x < 0 else "-Infinity")',
         "tests/test_cli.py"),
+    "round sphere with a unit last axis": (
+        "surfaces.py",
+        "    return Ellipsoid((radius,) * (dim + 1))",
+        "    return Ellipsoid((radius,) * dim + (1.0,))",
+        "tests/test_surfaces.py"),
     "chart 1 without its sign flip": (
         "surfaces.py",
         "        last = -1.0 * last",

@@ -10,7 +10,9 @@ resolution 9, and for each family verify with a grid dump at resolutions 9
 and 13, solve on chart 1, reconstruct at h 0.05, and reconstruct at
 resolution 29 and h 0.085, whose largest march levels have 609 sources, so
 that stage rows span 512-point calls (27, with 517, is the first resolution
-where they do).  Prints every run
+where they do); and verify with a grid dump and every check but c2bound
+(which needs n >= 3) on the 2-sphere at resolutions 9 and 13, the one CLI
+path of a two-dimensional family.  Prints every run
 whose report (less `timing`), grid dump, exit code or stderr differs, with
 its drift: the count of differing leaves (report entries, grid-dump cells,
 the exit code, stderr), the largest |a - b| / |b| over float leaves, b the
@@ -50,6 +52,12 @@ def runs():
         yield f"reconstruct {name} h 0.05", "reconstruct", {**base, "h": 0.05}
         yield (f"reconstruct {name} resolution 29 h 0.085", "reconstruct",
                {**base, "resolution": 29, "h": 0.085})
+    checks = ["weyl", "diam-weyl", "second-deriv", "gauss-residual", "codazzi-residual",
+              "support-identities"]
+    for resolution in (9, 13):
+        yield (f"verify 2-sphere resolution {resolution} grid dump", "verify",
+               {"family": {"variant": "sphere", "dim": 2}, "resolution": resolution,
+                "checks": checks, "grid_dump": "grid.tsv"})
 
 
 def outcome(tree, command, config, work):

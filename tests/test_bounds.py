@@ -188,7 +188,7 @@ class TestSecondDeriv:
         # rhs 2R - (Delta R)/R = 2 is above 1.96 and below 8.41
         k = 3
         eg = EvaluatedGrid(
-            family=None, resolution=5, extent=1.2,
+            resolution=5, extent=1.2,
             chart_ids=np.zeros(k, dtype=int), coords=np.zeros((k, 3)),
             X=np.zeros((k, 4)), N=np.zeros((k, 4)),
             H=np.full(k, 3.0), chi_norm=np.full(k, chi_norm), scalar=np.ones(k),

@@ -14,7 +14,7 @@ from weylcheck.cli import (
 )
 from weylcheck.errors import PASS_RULES, DomainError
 from weylcheck.jets import Jet
-from weylcheck.surfaces import Ellipsoid, RadialGraph, RoundSphere
+from weylcheck.surfaces import Ellipsoid, RadialGraph
 
 
 class TestRunConfig:
@@ -64,7 +64,7 @@ class TestRunConfig:
     def test_family_variants(self):
         sphere = RunConfig.from_dict(
             {"family": {"variant": "sphere", "radius": 2.0}}).build_family()
-        assert isinstance(sphere, RoundSphere) and sphere.radius == 2.0
+        assert isinstance(sphere, Ellipsoid) and sphere.semi_axes == (2.0,) * 4
         ell = RunConfig.from_dict(
             {"family": {"variant": "ellipsoid",
                         "semi_axes": [1.0, 1.2, 0.9, 1.05]}}).build_family()
@@ -93,6 +93,10 @@ class TestRunConfig:
         ({"variant": "radial_graph", "kind": "constant", "value": True}, "family value"),
         *(({"variant": "radial_graph", "kind": kind, "amplitude": False}, "family amplitude")
           for kind in ("bump", "random")),
+        # rejected before the sphere's axes are formed: 10**12 would ask for
+        # a tuple of 10**12 + 1 of them
+        *(({"variant": "sphere", "dim": dim}, "dimension must be 2 or 3")
+          for dim in (10**12, True, 3.0, "3")),
     ])
     def test_family_rejects(self, family, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -263,7 +267,8 @@ class TestMain:
         out = tmp_path / "solve.json"
         assert main(["solve", "--resolution", "5", "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert err == "numerical-domain error: solver residual above the per-point limit\n"
+        assert err == ("numerical-domain error: solver residual above the per-point limit "
+                       "at chart 0, coords [0.0, -0.6, -0.6]: residual 2.66454e-15\n")
         assert not out.exists()
 
     def test_tiny_step_exit_2_before_any_march(self, tmp_path, monkeypatch, capsys):

@@ -22,7 +22,8 @@ from weylcheck.embedsolve import (
     seed_frame,
     solve_contracted_gauss,
 )
-from weylcheck.errors import PASS_RULES, ConvergenceError, IntegrationError, ObstructionError
+from weylcheck.errors import (PASS_RULES, ConvergenceError, IntegrationError, ObstructionError,
+                              location)
 from weylcheck.intrinsic import (
     CurvatureState,
     MetricJet,
@@ -85,6 +86,20 @@ class TestSolver:
                             lambda ginv, chi, ric: np.full(chi.shape[:-2], np.nan))
         with pytest.raises(ConvergenceError, match="above the per-point limit"):
             solve_contracted_gauss(sphere_field)
+
+    def test_residual_error_names_the_largest_residual(self, ellipsoid_field, ellipsoid_chi,
+                                                       monkeypatch):
+        residuals = ellipsoid_chi.residuals
+        k = int(np.argmax(residuals))
+        assert k != 0                   # the first point would pass for any index
+        monkeypatch.setitem(PASS_RULES, "solve", PASS_RULES["solve"]._replace(tol=0.0))
+        with pytest.raises(ConvergenceError, match="above the per-point limit") as exc:
+            solve_contracted_gauss(ellipsoid_field)
+        point = location(ellipsoid_field.chart, ellipsoid_field.coords[k])
+        assert exc.value.point == point
+        assert exc.value.residual == residuals[k]
+        assert f"at chart 0, coords {point['coords']}: residual {residuals[k]:.6g}" \
+            in str(exc.value)
 
     def test_ellipsoid_matches_embedded_truth(self, grid7, ellipsoid_field,
                                               ellipsoid_chi):
@@ -832,6 +847,9 @@ class TestReconstruct:
             reconstruct(Ellipsoid(AXES), 0, grid5, h=0.1)
         assert raised[0][0] is exc.value
         assert exc.value.residual > 0
+        point = exc.value.point
+        assert point["chart"] == 0 and point["coords"] in raised[0][1].tolist()
+        assert not np.isclose(grid5, point["coords"]).all(axis=-1).any()
 
 
 class TestAlignRigid:

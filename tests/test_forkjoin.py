@@ -15,7 +15,7 @@ import pytest
 
 from weylcheck import _forkjoin, cli, embedsolve
 from weylcheck._forkjoin import Forked
-from weylcheck.errors import DomainError, IntegrationError, ObstructionError
+from weylcheck.errors import ConvergenceError, DomainError, IntegrationError, ObstructionError
 from weylcheck.surfaces import GRID_EXTENT, Ellipsoid, ball_grid
 
 pytestmark = pytest.mark.skipif(not _forkjoin.FORK, reason="forks on Linux only")
@@ -212,6 +212,35 @@ def test_reversed_fill_obstruction_keeps_point_and_margin(monkeypatch):
     assert_no_child()
     assert info.value is not error      # it crossed the pipe
     assert (info.value.point, info.value.margin) == (error.point, error.margin)
+
+
+def test_reversed_fill_residual_error_keeps_its_point(monkeypatch):
+    # the reversed fill alone fails the solver's residual gate, at a stage
+    # point; the error that crosses the pipe names the point of the inline one
+    fill, rule = embedsolve._sweep_fill, embedsolve.PASS_RULES["solve"]
+
+    def failing(source, coords, g, seed, plan, h, limit):
+        if plan != (2, 1, 0):
+            return fill(source, coords, g, seed, plan, h, limit)
+        embedsolve.PASS_RULES["solve"] = rule._replace(tol=0.0)
+        try:
+            return fill(source, coords, g, seed, plan, h, limit)
+        finally:
+            embedsolve.PASS_RULES["solve"] = rule
+
+    monkeypatch.setattr(embedsolve, "_sweep_fill", failing)
+    errors = []
+    for fork in (True, False):
+        monkeypatch.setattr(_forkjoin, "FORK", fork)
+        with pytest.raises(ConvergenceError, match="above the per-point limit") as info:
+            embedsolve.reconstruct(Ellipsoid((1.0, 1.2, 0.9, 1.05)), 0,
+                                   ball_grid(5, GRID_EXTENT, 3), h=0.1)
+        assert_no_child()
+        errors.append(info.value)
+    forked, inline = errors
+    assert forked.point["chart"] == 0 and len(forked.point["coords"]) == 3
+    assert (str(forked), forked.point, forked.residual) \
+        == (str(inline), inline.point, inline.residual)
 
 
 def test_forward_fill_error_wins(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
+from weylcheck import bounds
 from weylcheck.cli import main
 from weylcheck.errors import PASS_RULES
 
@@ -90,3 +93,23 @@ def test_overrides_replace_the_defaults(tmp_path):
     assert sections["gauss-residual"]["tol"] == 0.25
     assert {sections["support-identities"][label]["tol"]
             for label in ("hessian", "gradient", "curvature")} == {0.125}
+
+
+def test_overrides_decide_the_verdicts(tmp_path, monkeypatch):
+    # hand-made residual columns, 0.5 everywhere but the sigma_2 comparison's
+    # 2.0, against overrides of 1.0: the defaults (1e-7) would fail them all,
+    # and the support identities fail on their one failing sub-check
+    def column(value):
+        return lambda sd: np.full(sd.coords.shape[0], value)
+
+    monkeypatch.setitem(bounds.RESIDUALS, "gauss-residual", column(0.5))
+    monkeypatch.setitem(bounds.RESIDUALS, "support-identities", lambda sd: np.stack(
+        [column(0.5)(sd), column(0.5)(sd), column(2.0)(sd)], axis=-1))
+    given = {"gauss-residual": 1.0, "support-identities": 1.0}
+    sections = run(tmp_path, "verify", {"resolution": 5, "tolerances": given,
+                                        "checks": list(given)})
+    assert sections["gauss-residual"]["passed"] is True
+    support = sections["support-identities"]
+    assert [support[label]["passed"] for label in ("hessian", "gradient", "curvature")] \
+        == [True, True, False]
+    assert support["passed"] is False
