@@ -212,9 +212,12 @@ class RunConfig:
         spec = dict(self.family)
         variant = spec.pop("variant", "sphere")
         for key in ("radius", "semi_axes", "value", "amplitude"):
-            given = spec.get(key)
-            if any(isinstance(v, bool) for v in (given if isinstance(given, list) else [given])):
+            given = spec.get(key, [])
+            entries = given if isinstance(given, list) else [given]
+            if any(isinstance(v, bool) for v in entries):
                 raise ConfigError(f"family {key} must be numbers, not true or false")
+            if not all(isinstance(v, (int, float)) for v in entries):
+                raise ConfigError(f"family {key} must be numbers, got {given!r}")
         try:
             if variant == "sphere":
                 fam = RoundSphere(spec.pop("radius", 1.0),
@@ -323,7 +326,8 @@ def _residual_section(cfg, eg, verdict, values):
 def cmd_verify(cfg: RunConfig):
     family = cfg.build_family()
     if family.dim < 3 and "c2bound" in cfg.checks:
-        raise ConfigError("the c2bound check needs a family of dimension >= 3")
+        raise ConfigError("the c2bound check needs a family of dimension >= 3, so a "
+                          "two-dimensional verify must list its checks")
     timing = {}
     sections = {}
     # the graph diameter reads the family alone: on Linux a forked child

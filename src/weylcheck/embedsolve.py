@@ -38,15 +38,16 @@ The RK4 stage data comes from one stream per fill, one stage row at a time:
 a row is the points of one RK4 stage of one level (its sources, or one
 substep's midpoints or ends), and the rows of consecutive levels, in march
 order, go through _continuous_data in calls of exactly surfaces.BLOCK_POINTS
-chart points (only a fill's last call is shorter).  A row is handed out as a
-view of its call's output, or joined in place from its pieces when it spans
-calls, and the march reads it at once: the stage data held at any time is a
-call or two plus a substep's three rows, whatever the substep count.  A
-whole fill evaluated ahead would take about 0.8 GB at resolution 21 with
-MAX_SUBSTEPS substeps, and putting a large level through curvature() at
-once raises the peak memory of a reconstruct by about a fifth.  Evaluation
-is point by point and jet products are batch-invariant, so the split into
-calls does not move a bit.
+chart points (only a fill's last call is shorter).  Each call's data is
+copied into the arrays of the rows it reaches, a row is handed out once its
+last point is written, and the march reads it at once: the stage data held
+at any time is one call, the points read ahead, the one row being filled
+and a substep's three rows, whatever the substep count.  A whole fill
+evaluated ahead would take about 0.8 GB at resolution 21 with MAX_SUBSTEPS
+substeps, and putting a large level through curvature() at once raises the
+peak memory of a reconstruct by about a fifth.  Evaluation is point by
+point and jet products are batch-invariant, so the split into calls does
+not move a bit.
 """
 
 from __future__ import annotations
@@ -365,14 +366,15 @@ def embeddability_check(field: IntrinsicField, chi: ChiField,
 # Most RK4 substeps per lattice segment that a run configuration may ask for.
 # The march's stage data comes one stage row at a time (_stage_stream): a row
 # holds 45 floats a start node (3 x 5 x 3: Christoffel 27, chi 9, chi g^-1 9),
-# and a fill holds a BLOCK_POINTS call or two plus a substep's three rows, so
-# its memory does not depend on the substep count.  Measured on the ellipsoid
-# (1, 1.2, 0.9, 1.05): one fill's tracemalloc peak at resolution 9 is 1.87,
-# 1.88 and 1.97 MiB at 6, 30 and 120 substeps, and a reconstruct's peak RSS
-# at 30 and at 250 substeps differs by at most 0.2 MiB at resolutions 9, 13
-# and 17, in the parent and in its child (see cli.MAX_RESOLUTION).  So the cap
-# bounds run time, which grows linearly in it: at 250 substeps a reconstruct
-# took 6.6 s at resolution 9 and 43 s at 17 (2 vCPUs, both fills at once).
+# and a fill holds one BLOCK_POINTS call, the points read ahead, the one row
+# being filled and a substep's three rows, so its memory does not depend on
+# the substep count.  Measured on the ellipsoid (1, 1.2, 0.9, 1.05): one
+# fill's tracemalloc peak at resolution 9 is 1.77, 1.75 and 1.78 MiB at 6,
+# 30 and 120 substeps, and a reconstruct's peak RSS at 30 and at 250
+# substeps differs by at most 0.2 MiB at resolutions 9, 13 and 17, in the
+# parent and in its child (see cli.MAX_RESOLUTION).  So the cap bounds run
+# time, which grows linearly in it: at 250 substeps a reconstruct took
+# 6.6 s at resolution 9 and 43 s at 17 (2 vCPUs, both fills at once).
 MAX_SUBSTEPS = 250
 
 
@@ -449,51 +451,39 @@ def _stage_stream(source, rows):
     each row of chart points, one row at a time; source is (family, chart,
     perturbation).
 
-    The rows' points are taken as one sequence and evaluated in calls of
-    exactly surfaces.BLOCK_POINTS points, only the last call shorter, so one
-    call may span several rows and one row several calls.  Rows are read
-    only as the calls reach them, and each is handed out as soon as its
-    last point is evaluated: as a view of its call's output, or, when it
-    spans calls, as the join of its pieces, written in place into one
-    array.  So the stream itself holds one call plus at most one row.
-    Evaluation is point by point, so the data does not depend on how the
-    calls split the rows.
+    The rows' points are appended to one buffer, read only as it runs short
+    of a call, and evaluated in calls of exactly surfaces.BLOCK_POINTS
+    points, only the last call shorter, so one call may span several rows
+    and one row several calls.  Each call's data is copied into the array of
+    the row it reaches, made when that row's first data arrives; a row is
+    handed out once its last point is written, and dropped by the stream
+    before the next call.  So the stream holds one call, the points read
+    ahead and the one row being filled.  Evaluation is point by point, so
+    the data does not depend on how the calls split the rows.
     """
-    lengths = collections.deque()    # of the rows read and not yet handed out
-
-    def calls():
-        size = surfaces.BLOCK_POINTS
-        rest = np.zeros((0, 3))      # points read but not yet evaluated
-        for row in rows:
-            lengths.append(len(row))
-            head = size - len(rest)
-            if len(row) < head:
-                rest = np.concatenate([rest, row])
-                continue
-            yield _continuous_data(*source, np.concatenate([rest, row[:head]]))
-            end = head + (len(row) - head) // size * size
-            for at in range(head, end, size):
-                yield _continuous_data(*source, row[at:at + size])
-            rest = row[end:].copy()
-        if len(rest):
-            yield _continuous_data(*source, rest)
-
-    joined, at = None, 0             # a row that spans calls, filled up to `at`
-    for data in calls():
+    size, rows = surfaces.BLOCK_POINTS, iter(rows)
+    lengths = collections.deque()    # of the rows read and not yet begun
+    points = np.zeros((0, 3))        # read and not yet evaluated
+    row, at = None, 0                # the row being filled, written up to `at`
+    while True:
+        while len(points) < size and (new := next(rows, None)) is not None:
+            lengths.append(len(new))
+            points = np.concatenate([points, new])
+        if not len(points):
+            return
+        data = _continuous_data(*source, points[:size])
+        points = points[size:]
         used = 0
         while used < len(data):
-            k = min(lengths[0] - at, len(data) - used)
-            piece = data[used:used + k]
-            if k < lengths[0]:
-                if joined is None:
-                    joined = np.empty((lengths[0],) + data.shape[1:])
-                joined[at:at + k] = piece
+            if row is None:
+                row = np.empty((lengths.popleft(),) + data.shape[1:])
+            k = min(len(row) - at, len(data) - used)
+            row[at:at + k] = data[used:used + k]
             at, used = at + k, used + k
-            if at == lengths[0]:
-                lengths.popleft()
-                yield piece if joined is None else joined
-                joined, at = None, 0
-        del data, piece              # before the next call is evaluated
+            if at == len(row):
+                yield row
+                row, at = None, 0
+        del data                     # before the next call is evaluated
 
 
 def _integrate_batch(rows, axis, dt, nsub, s):

@@ -102,6 +102,21 @@ MUTANTS = {
         "        where = location(chart, coords[idx])",
         "        where = location(chart, coords[0])",
         "tests/test_embedsolve.py"),
+    "stream hands a row out before its last point": (
+        "embedsolve.py",
+        "            if at == len(row):",
+        "            if at == len(row) or used == len(data):",
+        "tests/test_embedsolve.py"),
+    "stream drops the short last call": (
+        "embedsolve.py",
+        "        if not len(points):",
+        "        if len(points) < size:",
+        "tests/test_embedsolve.py"),
+    "stream evaluates a point in two calls": (
+        "embedsolve.py",
+        "        points = points[size:]",
+        "        points = points[size - 1:]",
+        "tests/test_embedsolve.py"),
     "embeddability ignores theta": (
         "embedsolve.py",
         "    idx, sup, ok = worst(residuals, theta)",

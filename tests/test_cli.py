@@ -97,6 +97,17 @@ class TestRunConfig:
         # a tuple of 10**12 + 1 of them
         *(({"variant": "sphere", "dim": dim}, "dimension must be 2 or 3")
           for dim in (10**12, True, 3.0, "3")),
+        # string numbers: the ellipsoids' would run as the numbers they spell,
+        # the sphere's would stop with a TypeError
+        ({"variant": "ellipsoid", "semi_axes": ["1", "1.2", "0.9", "1.05"]},
+         "family semi_axes must be numbers"),
+        ({"variant": "radial_graph", "kind": "ellipsoid",
+          "semi_axes": ["1", "1.2", "0.9", "1.05"]}, "family semi_axes must be numbers"),
+        ({"variant": "sphere", "radius": "1"}, "family radius must be numbers"),
+        ({"variant": "radial_graph", "kind": "constant", "value": "1"},
+         "family value must be numbers"),
+        ({"variant": "radial_graph", "kind": "bump", "amplitude": "0.1"},
+         "family amplitude must be numbers"),
     ])
     def test_family_rejects(self, family, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -207,7 +218,9 @@ class TestMain:
             "resolution": 7,
         }))
         assert main(["solve", "--config", str(path), "--quiet"]) == 2
+        capsys.readouterr()
         assert main(["verify", "--config", str(path), "--quiet"]) == 2
+        assert "a two-dimensional verify must list its checks" in capsys.readouterr().err
         path.write_text(json.dumps({
             "family": {"variant": "sphere", "dim": 2},
             "resolution": 7,

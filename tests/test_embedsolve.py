@@ -711,13 +711,18 @@ class TestReconstruct:
         assert calls == expected
         assert np.array_equal(streamed.X, ellipsoid5.X)
 
-    def test_stream_holds_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("sizes", [
+        [5, 30000, 17, 40000, 1, 700],
+        # one full call, a row ending one point before a call's end, 1025
+        # one-point rows, and two rows that fill two calls exactly
+        [512], [511, 1], [1] * 1025, [300, 724],
+    ], ids=["mixed", "512", "511+1", "1x1025", "300+724"])
+    def test_stream_holds_one_block(self, monkeypatch, sizes):
         # a fake _continuous_data with the real shape (3, 5, 3) a point fills
         # each entry with its point's number plus its axis block over 4; the
         # stream must hand every row its own points' data, evaluated in calls
         # of exactly BLOCK_POINTS points, and peak near one call plus the
         # largest row
-        sizes = [5, 30000, 17, 40000, 1, 700]
         calls = []
 
         def numbered(family, chart, perturbation, pts):
@@ -759,7 +764,7 @@ class TestReconstruct:
             tracemalloc.stop()
         assert next(stream, None) is None
         full, last = divmod(sum(sizes), surfaces.BLOCK_POINTS)
-        assert calls == [surfaces.BLOCK_POINTS] * full + [last]
+        assert calls == [surfaces.BLOCK_POINTS] * full + ([last] if last else [])
         assert peak <= 1.25 * (max(sizes) + surfaces.BLOCK_POINTS) * 45 * 8
 
     def test_fill_memory_flat_in_substeps(self):
